@@ -53,14 +53,13 @@
 //!   under --quick noise), with zero dropped requests, bit-identical
 //!   replies, and a reproducible kill → respawn → warmup → rejoin
 //!   event trace;
-//! * **server_io** (PR 10): the TCP frontends head-to-head over real
-//!   sockets — the legacy thread-per-connection frontend at `C`
-//!   concurrent connections against the readiness-driven event loop at
-//!   `10 C` connections, same per-connection workload. The event loop
-//!   must *serve* the 10× connection count (every reply delivered) on a
-//!   flat thread budget (one loop thread, measured as process
-//!   thread-count growth while the connections are open, vs two threads
-//!   per connection), without collapsing on throughput.
+//! * **server_io**: the event loop's own connection-scaling curve over
+//!   real sockets — the same per-connection workload at 10, 100, and
+//!   1000 concurrent connections. Every rung must be *served* (every
+//!   reply delivered) on a flat thread budget: process thread-count
+//!   growth while the connections are open stays at most 8, because one
+//!   loop thread multiplexes them all. Throughput per rung is recorded,
+//!   not gated.
 //!
 //! ```text
 //! cargo run --release -p parspeed-bench --bin perf_snapshot            # n=1024 → BENCH_PR10.json
@@ -78,7 +77,8 @@
 //! the single server (≥ 2× at 4 shards full-size, ≥ 1.3× quick) with
 //! the predicted fleet size within ±1 of the measured best, the fault
 //! run drops zero requests with a reproducible event trace and recovers
-//! ≥ 0.7× the 3-shard baseline (≥ 0.5× under --quick noise), and
+//! ≥ 0.7× the 3-shard baseline (≥ 0.5× under --quick noise), every
+//! event-loop rung is served complete on at most 8 extra threads, and
 //! everything is bit-identical; `--out PATH` overrides the output path.
 
 use parspeed_chaos::FaultPlan;
@@ -111,9 +111,9 @@ struct Config {
     shard_capacity: usize,
     shard_sweep: &'static [usize],
     shard_max: usize,
-    /// server_io section: thread-frontend connection count (the event
-    /// loop runs 10× this) and requests per connection.
-    io_conns: usize,
+    /// server_io section: the connection counts of the event loop's
+    /// scaling curve, and requests per connection.
+    io_conns: &'static [usize],
     io_requests_per_conn: usize,
     quick: bool,
     check: bool,
@@ -142,7 +142,7 @@ fn parse_args() -> Config {
         shard_capacity: 36,
         shard_sweep: &[1, 2, 3, 4, 6, 8],
         shard_max: 8,
-        io_conns: 100,
+        io_conns: &[10, 100, 1000],
         io_requests_per_conn: 50,
         quick: false,
         check: false,
@@ -163,7 +163,7 @@ fn parse_args() -> Config {
                 cfg.shard_capacity = 16;
                 cfg.shard_sweep = &[1, 2, 4];
                 cfg.shard_max = 4;
-                cfg.io_conns = 50;
+                cfg.io_conns = &[5, 50, 500];
                 cfg.io_requests_per_conn = 10;
                 cfg.quick = true;
             }
@@ -1213,18 +1213,19 @@ fn snapshot_self_healing(cfg: &Config) -> SelfHealingBench {
     }
 }
 
-struct IoModeRun {
+/// One rung of the event loop's connection-scaling curve.
+struct IoRung {
     connections: usize,
     requests: usize,
     seconds: f64,
     /// Process thread-count growth while every connection was open —
-    /// the frontend's per-connection thread bill (client threads are
-    /// zero in both modes: the driver is single-threaded).
+    /// the frontend's per-connection thread bill (the client side is
+    /// single-threaded, so client threads are zero).
     extra_threads: i64,
     complete: bool,
 }
 
-impl IoModeRun {
+impl IoRung {
     fn rps(&self) -> f64 {
         self.requests as f64 / self.seconds
     }
@@ -1232,8 +1233,7 @@ impl IoModeRun {
 
 struct ServerIoBench {
     requests_per_conn: usize,
-    threads: IoModeRun,
-    event_loop: IoModeRun,
+    rungs: Vec<IoRung>,
 }
 
 /// Reads a numeric `/proc/self/status` field (Linux; the only platform
@@ -1250,21 +1250,15 @@ fn proc_status(field: &str) -> i64 {
         .unwrap_or(0)
 }
 
-/// One frontend run over real TCP: open `conns` concurrent connections,
-/// write every request line (keeping all connections open — this is
-/// where thread-per-connection pays its bill), sample the thread count,
-/// then half-close and drain every reply stream. Single-threaded
-/// driver, identical for both modes, so the comparison isolates the
-/// frontend.
-fn run_io_mode(
-    io: parspeed_server::IoModel,
-    conns: usize,
-    per_conn: usize,
-    trials: usize,
-) -> IoModeRun {
+/// One rung over real TCP: open `conns` concurrent connections, write
+/// every request line (keeping all connections open, so a per-connection
+/// thread bill would show), sample the thread count, then half-close and
+/// drain every reply stream. The client side is single-threaded and the
+/// same at every rung, so the curve isolates the frontend.
+fn run_io_rung(conns: usize, per_conn: usize, trials: usize) -> IoRung {
     use std::io::{BufRead, BufReader, Write};
     let request = b"{\"op\":\"table1\",\"version\":2,\"n\":64,\"stencil\":\"5pt\"}\n";
-    let mut best: Option<IoModeRun> = None;
+    let mut best: Option<IoRung> = None;
     for _ in 0..trials {
         let mut server = Server::start(
             Arc::new(Engine::default()),
@@ -1273,7 +1267,6 @@ fn run_io_mode(
                 max_batch: 1024,
                 workers: 2,
                 queue_depth: conns * per_conn,
-                io,
                 ..ServerConfig::default()
             },
         );
@@ -1290,9 +1283,8 @@ fn run_io_mode(
         }
         // Wait until the frontend has *accepted* every connection (the
         // kernel completes handshakes into the backlog long before the
-        // acceptor gets to them), then sample: every connection is open
-        // and loaded, and the gap between the two frontends is the
-        // per-connection thread bill, visible right here.
+        // loop gets to them), then sample: every connection is open and
+        // loaded, so any per-connection thread bill is visible here.
         let accept_deadline = Instant::now() + Duration::from_secs(60);
         while (server.stats().connections as usize) < conns {
             assert!(Instant::now() < accept_deadline, "frontend never accepted the fleet");
@@ -1306,17 +1298,17 @@ fn run_io_mode(
         for stream in streams {
             let replies = BufReader::new(stream).lines().filter(|l| l.is_ok()).count();
             if replies != per_conn {
-                eprintln!("SERVER_IO ANOMALY ({io:?}): {replies} of {per_conn} replies");
+                eprintln!("SERVER_IO ANOMALY ({conns} conns): {replies} of {per_conn} replies");
                 complete = false;
             }
         }
         let seconds = start.elapsed().as_secs_f64();
         let stats = server.shutdown();
         if stats.completed as usize != conns * per_conn || stats.overloaded != 0 {
-            eprintln!("SERVER_IO ANOMALY ({io:?}): {stats}");
+            eprintln!("SERVER_IO ANOMALY ({conns} conns): {stats}");
             complete = false;
         }
-        let run = IoModeRun {
+        let run = IoRung {
             connections: conns,
             requests: conns * per_conn,
             seconds,
@@ -1337,15 +1329,12 @@ fn run_io_mode(
     best.expect("at least one trial")
 }
 
-/// The frontends head-to-head: the legacy thread frontend at `C`
-/// connections vs the event loop at `10 C` — the connection-scaling
-/// claim of the readiness-driven rewrite, measured.
+/// The event loop's connection-scaling curve: one rung per configured
+/// connection count, same per-connection workload.
 fn snapshot_server_io(cfg: &Config) -> ServerIoBench {
-    use parspeed_server::IoModel;
     let per_conn = cfg.io_requests_per_conn;
-    let threads = run_io_mode(IoModel::Threads, cfg.io_conns, per_conn, cfg.trials);
-    let event_loop = run_io_mode(IoModel::EventLoop, cfg.io_conns * 10, per_conn, cfg.trials);
-    ServerIoBench { requests_per_conn: per_conn, threads, event_loop }
+    let rungs = cfg.io_conns.iter().map(|&c| run_io_rung(c, per_conn, cfg.trials)).collect();
+    ServerIoBench { requests_per_conn: per_conn, rungs }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1510,7 +1499,7 @@ fn to_json(
         ("trace_reproducible".into(), Json::Bool(heal.trace_reproducible)),
         ("bit_identical".into(), Json::Bool(heal.identical)),
     ]);
-    let io_mode = |run: &IoModeRun| {
+    let io_rung = |run: &IoRung| {
         Json::Obj(vec![
             ("connections".into(), Json::Num(run.connections as f64)),
             ("requests".into(), Json::Num(run.requests as f64)),
@@ -1522,16 +1511,10 @@ fn to_json(
     };
     let server_io = Json::Obj(vec![
         ("requests_per_conn".into(), Json::Num(io.requests_per_conn as f64)),
-        ("threads".into(), io_mode(&io.threads)),
-        ("event_loop".into(), io_mode(&io.event_loop)),
-        (
-            "connection_ratio".into(),
-            Json::Num(round3(io.event_loop.connections as f64 / io.threads.connections as f64)),
-        ),
-        ("rps_ratio".into(), Json::Num(round3(io.event_loop.rps() / io.threads.rps()))),
+        ("rungs".into(), Json::Arr(io.rungs.iter().map(io_rung).collect())),
     ]);
     Json::Obj(vec![
-        ("schema".into(), Json::Str("parspeed-perf-snapshot/v8".into())),
+        ("schema".into(), Json::Str("parspeed-perf-snapshot/v9".into())),
         ("pr".into(), Json::Num(10.0)),
         (
             "bench".into(),
@@ -1701,20 +1684,19 @@ fn main() {
         heal.trace_reproducible
     );
     println!(
-        "server io: thread frontend {} conns × {} reqs {:.1} ms ({:.0} req/s, +{} threads) vs \
-         event loop {} conns × {} reqs {:.1} ms ({:.0} req/s, +{} threads) — {:.0}× the \
-         connections on a flat thread budget",
-        io.threads.connections,
+        "server io: event loop, {} reqs per connection: {}",
         io.requests_per_conn,
-        io.threads.seconds * 1e3,
-        io.threads.rps(),
-        io.threads.extra_threads,
-        io.event_loop.connections,
-        io.requests_per_conn,
-        io.event_loop.seconds * 1e3,
-        io.event_loop.rps(),
-        io.event_loop.extra_threads,
-        io.event_loop.connections as f64 / io.threads.connections as f64
+        io.rungs
+            .iter()
+            .map(|r| format!(
+                "{} conns {:.1} ms ({:.0} req/s, +{} threads)",
+                r.connections,
+                r.seconds * 1e3,
+                r.rps(),
+                r.extra_threads
+            ))
+            .collect::<Vec<_>>()
+            .join(", ")
     );
     println!("wrote {}", cfg.out);
     assert!(identical, "fused kernels must be bit-identical to generic (snapshot records details)");
@@ -1828,37 +1810,24 @@ fn main() {
             "post-rejoin throughput is {rejoin:.3}× the never-faulted baseline (≥ {rejoin_floor}×)"
         );
         let ioj = reparsed.get("server_io").expect("server_io section");
-        let conn_ratio =
-            ioj.get("connection_ratio").and_then(Json::as_f64).expect("connection_ratio");
-        assert!(
-            conn_ratio >= 10.0,
-            "the event loop served only {conn_ratio:.1}× the thread frontend's connections"
-        );
-        for mode in ["threads", "event_loop"] {
+        let rungs = ioj.get("rungs").and_then(Json::as_arr).expect("server_io rungs");
+        assert_eq!(rungs.len(), cfg.io_conns.len(), "snapshot lost server_io rungs");
+        let mut loop_threads = 0.0f64;
+        for rung in rungs {
+            let conns = rung.get("connections").and_then(Json::as_f64).expect("connections");
             assert_eq!(
-                ioj.get(mode).and_then(|m| m.get("complete")),
+                rung.get("complete"),
                 Some(&Json::Bool(true)),
-                "the {mode} frontend dropped replies"
+                "the event loop dropped replies at {conns} connections"
             );
+            let extra = rung.get("extra_threads").and_then(Json::as_f64).expect("extra_threads");
+            assert!(
+                extra <= 8.0,
+                "the event loop grew {extra} threads at {conns} connections — \
+                 readiness multiplexing is gone"
+            );
+            loop_threads = loop_threads.max(extra);
         }
-        let loop_threads = ioj
-            .get("event_loop")
-            .and_then(|m| m.get("extra_threads"))
-            .and_then(Json::as_f64)
-            .expect("extra_threads");
-        assert!(
-            loop_threads <= 8.0,
-            "the event loop grew {loop_threads} threads — readiness multiplexing is gone"
-        );
-        let rps_ratio = ioj.get("rps_ratio").and_then(Json::as_f64).expect("rps_ratio");
-        // The claim is connection *scaling*, not raw speed, but the loop
-        // must not collapse while scaling: a loose throughput floor
-        // (this box may be single-core, so both frontends serialize).
-        let rps_floor = if cfg.quick { 0.3 } else { 0.5 };
-        assert!(
-            rps_ratio >= rps_floor,
-            "event-loop throughput collapsed: {rps_ratio:.3}× the thread frontend (≥ {rps_floor}×)"
-        );
         for (section, ok) in [
             ("solver_loop", sl.get("bit_identical")),
             ("deep_halo", dhj.get("bit_identical")),
@@ -1879,11 +1848,11 @@ fn main() {
              dropped nothing at {recovery:.2}× ≥ {recovery_floor}× recovery with a \
              reproducible trace, the self-healed fleet dropped nothing at \
              {rejoin:.2}× ≥ {rejoin_floor}× post-rejoin throughput after {heal_respawns:.0} \
-             respawn(s), and the event loop served {conn_ratio:.0}× the thread frontend's \
-             connections on +{loop_threads:.0} thread(s) at {rps_ratio:.2}× ≥ {rps_floor}× \
-             its throughput",
+             respawn(s), and the event loop served every rung up to {} connections \
+             complete on ≤ +{loop_threads:.0} thread(s)",
             overhead * 100.0,
-            overhead_ceiling * 100.0
+            overhead_ceiling * 100.0,
+            cfg.io_conns.last().expect("at least one server_io rung")
         );
     }
 }

@@ -171,15 +171,28 @@ mod tests {
     #[test]
     fn error_slots_carry_their_one_based_input_line_number() {
         // Line 1 is blank, line 2 parses, line 3 is garbage, line 4 is a
-        // well-formed but invalid query, line 5 parses — the error slots
-        // must point at lines 3 and 4 of the raw input.
-        let text = "\n{\"op\":\"minsize\",\"variant\":\"sync-square\",\"e\":6.0,\"k\":1.0,\"procs\":14}\nnot json\n{\"op\":\"optimize\",\"arch\":\"sync-bus\",\"n\":0,\"stencil\":\"5pt\",\"shape\":\"square\"}\n{\"op\":\"isoeff\",\"arch\":\"sync-bus\",\"stencil\":\"5pt\",\"shape\":\"square\",\"procs\":16,\"efficiency\":0.5}\n";
-        let out = lines(text, false);
-        assert_eq!(out.len(), 4);
+        // well-formed but invalid query, line 5 is a 1 MB line nested past
+        // the parser's depth cap, line 6 parses — the error slots must
+        // point at lines 3, 4 and 5 of the raw input.
+        let deep = format!("{}{}", "[".repeat(500_000), "]".repeat(500_000));
+        let text = [
+            "",
+            r#"{"op":"minsize","variant":"sync-square","e":6.0,"k":1.0,"procs":14}"#,
+            "not json",
+            r#"{"op":"optimize","arch":"sync-bus","n":0,"stencil":"5pt","shape":"square"}"#,
+            &deep,
+            r#"{"op":"isoeff","arch":"sync-bus","stencil":"5pt","shape":"square","procs":16,"efficiency":0.5}"#,
+            "",
+        ]
+        .join("\n");
+        let out = lines(&text, false);
+        assert_eq!(out.len(), 5);
         assert!(!out[0].contains("\"line\""), "successes carry no line: {}", out[0]);
         assert!(out[1].contains("\"ok\":false") && out[1].contains("\"line\":3"), "{}", out[1]);
         assert!(out[2].contains("\"ok\":false") && out[2].contains("\"line\":4"), "{}", out[2]);
-        assert!(out[3].contains("\"ok\":true"), "{}", out[3]);
+        assert!(out[3].contains("\"ok\":false") && out[3].contains("\"line\":5"), "{}", out[3]);
+        assert!(out[3].contains("-level limit"), "{}", out[3]);
+        assert!(out[4].contains("\"ok\":true"), "{}", out[4]);
     }
 
     #[test]

@@ -22,7 +22,6 @@ pub const KEYS: &[&str] = &[
     "cache-capacity",
     "threads",
     "poll-ms",
-    "accept-poll-us",
     "deadline-ms",
     "retry-max",
     "backoff-base-ms",
@@ -40,7 +39,6 @@ pub const KEYS: &[&str] = &[
     "capacity",
     "max-shards",
     "sweep",
-    "io",
     "wbuf-shed-kib",
     "wbuf-stop-kib",
 ];
@@ -50,14 +48,13 @@ pub const SWITCHES: &[&str] = &["predict", "stats"];
 pub const USAGE: &str = "parspeed route [--addr HOST:PORT] [--shards N] [--replicas N]
                [--window-us N] [--max-batch N] [--workers N]
                [--queue-depth N] [--cache-capacity N] [--threads N]
-               [--poll-ms N] [--accept-poll-us N] [--deadline-ms N]
+               [--poll-ms N] [--deadline-ms N]
                [--retry-max N] [--backoff-base-ms N] [--backoff-cap-ms N]
                [--breaker-threshold N] [--probe-after-ms N]
                [--stall-after-ms N] [--fault-plan SPEC] [--fault-seed N]
                [--respawn-after-ms N] [--max-respawns N]
                [--warm-fraction F] [--checkpoint-every N] [--stats]
-               [--io event-loop|threads] [--wbuf-shed-kib N]
-               [--wbuf-stop-kib N]
+               [--wbuf-shed-kib N] [--wbuf-stop-kib N]
        parspeed route --predict --distinct D --capacity C
                [--max-shards N] [--sweep P:SECS,P:SECS,...]
 
@@ -101,14 +98,10 @@ minimizes — quantization, memory floor, and infeasibility included.
   --threads N          per-shard engine executor threads (0 = default)
   --poll-ms N          gather/park poll interval in milliseconds
                        (default 50)
-  --accept-poll-us N   sleep between accept attempts on the nonblocking
-                       listener (default 200; threads frontend only)
-  --io MODE            router TCP frontend: `event-loop` (default) or
-                       `threads` (see `parspeed help serve`)
-  --wbuf-shed-kib N    event loop: write-buffer KiB above which new
+  --wbuf-shed-kib N    per-connection write-buffer KiB above which new
                        requests shed as overloaded (default 256)
-  --wbuf-stop-kib N    event loop: write-buffer KiB above which the
-                       connection stops being read (default 1024)
+  --wbuf-stop-kib N    write-buffer KiB above which the connection stops
+                       being read (default 1024)
   --deadline-ms N      default per-request deadline budget applied to
                        requests that carry none (default off)
   --retry-max N        dispatch attempts per request before the slot
@@ -194,7 +187,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         replicas: args.usize_or("replicas", 64)?,
         backend,
         poll: Duration::from_millis(args.usize_or("poll-ms", 50)? as u64),
-        accept_poll: Duration::from_micros(args.usize_or("accept-poll-us", 200)? as u64),
         default_deadline: args.usize_opt("deadline-ms")?.map(|ms| Duration::from_millis(ms as u64)),
         retry: RetryPolicy {
             max_attempts: args.usize_or("retry-max", retry_defaults.max_attempts as usize)? as u32,
@@ -220,7 +212,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             ),
         },
         supervisor,
-        io: super::serve::io_model(args)?,
         event_loop: super::serve::event_loop_config(args)?,
     };
     for (flag, value) in [

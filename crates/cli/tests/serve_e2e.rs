@@ -55,3 +55,22 @@ fn serve_round_trips_drains_and_reports_stats() {
     let status = child.wait().expect("child exit");
     assert!(status.success(), "{status:?}");
 }
+
+#[test]
+fn serve_and_route_refuse_the_removed_frontend_flags() {
+    // One frontend only: the frontend selector and its accept-poll knob
+    // are unknown flags at both tiers, refused before anything binds.
+    for command in ["serve", "route"] {
+        for (flag, value) in [("--io", "threads"), ("--accept-poll-us", "50")] {
+            let out = Command::new(env!("CARGO_BIN_EXE_parspeed"))
+                .args([command, flag, value])
+                .stdin(Stdio::null())
+                .output()
+                .expect("run parspeed");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{command} {flag}: {stderr}");
+            assert!(stderr.contains(&format!("unknown flag `{flag}`")), "{command}: {stderr}");
+            assert!(out.stdout.is_empty(), "{command} {flag} must not start serving");
+        }
+    }
+}

@@ -155,11 +155,18 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Every request this
+/// wire defines nests at most three levels. The cap bounds the stack
+/// that parsing — and the recursive drop, render, and comparison of the
+/// parsed value — can use, so a hostile line answers a parse error in
+/// its slot instead of overflowing the stack and aborting the process.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document (must consume the whole input).
 pub fn parse(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing characters at byte {pos}"));
@@ -188,10 +195,14 @@ fn read_hex4(b: &[u8], start: usize) -> Result<u32, String> {
     u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape `{hex}`"))
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, nested inside `depth` arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => {
+            Err(format!("nesting exceeds the {MAX_DEPTH}-level limit at byte {pos}"))
+        }
         Some(b'{') => {
             *pos += 1;
             let mut fields = Vec::new();
@@ -202,13 +213,13 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(b, pos, depth + 1)? {
                     Json::Str(s) => s,
                     _ => return Err(format!("object key must be a string at byte {pos}")),
                 };
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -230,7 +241,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -950,6 +961,13 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{}x").is_err());
         assert!(parse("nul").is_err());
+        // A 1 MB line of nesting is refused at the cap, by name, instead
+        // of recursing until the stack overflows; the cap itself parses.
+        let deep = format!("{}{}", "[".repeat(500_000), "]".repeat(500_000));
+        let e = parse(&deep).unwrap_err();
+        assert!(e.contains(&format!("{MAX_DEPTH}-level limit")), "{e}");
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! `parspeed-netio` — readiness polling for the serving tier.
 //!
-//! The event-loop frontend (`parspeed-server`'s `--io event-loop` mode)
-//! needs exactly three things the standard library does not provide:
+//! The serving tier's TCP frontend — the event loop `parspeed-server`
+//! runs for `parspeed serve` and the router reuses for `parspeed
+//! route` — needs exactly three things the standard library does not
+//! provide:
 //! a way to wait for readiness on many sockets at once, a way to change
 //! which events each socket is watched for, and a way for *other
 //! threads* (the batcher workers finishing a reply) to wake the waiting

@@ -30,6 +30,7 @@
 //!   schedule as retries; a shard that keeps dying is permanently
 //!   evicted — the ring shrinks once, it never flaps.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Retry/failover policy for requests lost with a shard
@@ -116,6 +117,35 @@ impl Default for SupervisorPolicy {
             warm_fraction: 0.5,
         }
     }
+}
+
+/// The chaos-only state a fault plan arms against one shard's lane:
+/// injected reply stalls, drops, duplicates, and wedges, plus the
+/// supervisor-level respawn denials and crash-loops. All zero (nothing
+/// armed) by default.
+#[derive(Debug, Default)]
+pub(crate) struct LaneFaults {
+    /// Milliseconds to stall the next reply (one-shot).
+    pub(crate) delay_ms: AtomicU64,
+    /// Replies to drop (the slot redispatches).
+    pub(crate) drop_next: AtomicU64,
+    /// Replies to treat as duplicated (the second copy is suppressed).
+    pub(crate) dup_next: AtomicU64,
+    /// The lane stops consuming replies entirely, like a hung
+    /// connection — only the stall breaker gets it out.
+    pub(crate) wedged: AtomicBool,
+    /// Upcoming respawn attempts to deny (each denial burns one attempt
+    /// from the respawn budget).
+    pub(crate) respawn_deny: AtomicU64,
+    /// Times to kill the replacement right after it rejoins — a
+    /// deterministic crash-loop.
+    pub(crate) crashloop: AtomicU64,
+}
+
+/// Consumes one unit of a countdown: `true` (and one less) when it was
+/// positive, `false` (unchanged) at zero.
+pub(crate) fn take_one(counter: &AtomicU64) -> bool {
+    counter.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1)).is_ok()
 }
 
 /// One shard's breaker state. `Closed` routes normally; `Open` is out

@@ -67,7 +67,7 @@ pub mod ring;
 
 pub use fault::{BreakerPolicy, RetryPolicy, SupervisorPolicy};
 
-use fault::BreakerState;
+use fault::{take_one, BreakerState, LaneFaults};
 use parspeed_chaos::{mix, FaultAction, FaultPlan};
 use parspeed_engine::{
     jsonl, routing_hash, ArchKind, CheckpointStore, Engine, ParspeedError, Query, Request,
@@ -75,13 +75,13 @@ use parspeed_engine::{
 };
 use parspeed_obs::ResilienceCounters;
 use parspeed_server::{
-    health_to_json, spawn_event_loop, Client, ConnShared, Delivery, EventLoopConfig, IoModel,
+    health_to_json, spawn_event_loop, Admission, Client, ConnShared, Delivery, EventLoopConfig,
     Server, ServerConfig, ServerStats, WireHandler,
 };
 use ring::HashRing;
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -103,9 +103,6 @@ pub struct RouterConfig {
     /// Park/poll interval for the gather threads and the shutdown drain
     /// (`--poll-ms`) — formerly three hard-coded 50 ms constants.
     pub poll: Duration,
-    /// Sleep between accept attempts on the nonblocking listener
-    /// (`--accept-poll-us`).
-    pub accept_poll: Duration,
     /// Deadline granted to every request that does not carry its own
     /// `deadline_ms` (`--deadline-ms`); `None` means no default.
     pub default_deadline: Option<Duration>,
@@ -118,12 +115,8 @@ pub struct RouterConfig {
     /// keeps the pre-supervision behavior where a killed shard stays
     /// dead.
     pub supervisor: Option<SupervisorPolicy>,
-    /// Which TCP frontend [`Router::listen`] attaches (`--io`): the
-    /// readiness-driven event loop (default) or the original
-    /// thread-per-connection pair.
-    pub io: IoModel,
-    /// Event-loop tuning for the router's own frontend — ignored under
-    /// [`IoModel::Threads`]. (The shard backends' frontends are
+    /// Tuning of the event loop [`Router::listen`] attaches for the
+    /// router's own frontend. (The shard backends' frontends are
     /// configured through [`RouterConfig::backend`].)
     pub event_loop: EventLoopConfig,
 }
@@ -135,12 +128,10 @@ impl Default for RouterConfig {
             replicas: 64,
             backend: ServerConfig::default(),
             poll: Duration::from_millis(50),
-            accept_poll: Duration::from_micros(200),
             default_deadline: None,
             retry: RetryPolicy::default(),
             breaker: BreakerPolicy::default(),
             supervisor: None,
-            io: IoModel::default(),
             event_loop: EventLoopConfig::default(),
         }
     }
@@ -214,26 +205,13 @@ struct Lane {
     /// breaker trip already redispatched. Skipping them keeps the FIFO
     /// aligned with the reply stream after readmission.
     skip: AtomicU64,
-    /// Injected fault (one-shot): milliseconds to stall the next reply.
-    delay_ms: AtomicU64,
-    /// Injected fault: replies to drop (the slot redispatches).
-    drop_next: AtomicU64,
-    /// Injected fault: replies to treat as duplicated (the second copy
-    /// is suppressed).
-    dup_next: AtomicU64,
-    /// Injected fault: the lane stops consuming replies entirely, like
-    /// a hung connection — only the stall breaker gets it out.
-    wedged: AtomicBool,
     /// Bounded ring of the most recent distinct keys routed here,
     /// newest at the back (see [`HOT_KEYS_PER_SHARD`]): the warmup set
     /// a replacement shard replays before rejoining the ring.
     hot: Mutex<VecDeque<(u64, Query)>>,
-    /// Injected fault: deny this many upcoming respawn attempts (each
-    /// denial burns one attempt from the respawn budget).
-    respawn_deny: AtomicU64,
-    /// Injected fault: kill the replacement this many more times right
-    /// after it rejoins — the deterministic crash-loop driver.
-    crashloop: AtomicU64,
+    /// Faults a chaos plan armed against this lane (all zero without
+    /// one).
+    faults: LaneFaults,
 }
 
 impl Lane {
@@ -292,9 +270,17 @@ struct Core {
     warmups: Vec<Mutex<WarmupStatus>>,
     /// Gather threads spawned for respawned shards, joined at shutdown.
     extra_gathers: Mutex<Vec<JoinHandle<()>>>,
+    /// Next connection id (TCP and in-process clients share the space).
+    next_conn_id: AtomicU64,
 }
 
 impl Core {
+    /// Allocates a connection id. Relaxed: the id publishes no other
+    /// data, and the atomic increment alone makes it unique.
+    fn conn_id(&self) -> u64 {
+        self.next_conn_id.fetch_add(1, Ordering::Relaxed)
+    }
+
     fn plan(&self) -> Option<Arc<FaultPlan>> {
         self.faults.lock().unwrap().clone()
     }
@@ -408,29 +394,30 @@ impl Core {
                     self.kill_shard(shard);
                 }
                 FaultAction::DelayLane { shard, millis } => {
-                    self.lanes[shard].delay_ms.fetch_add(millis, Ordering::SeqCst);
+                    self.lanes[shard].faults.delay_ms.fetch_add(millis, Ordering::SeqCst);
                     plan.record(format!("router: armed {millis} ms reply delay on lane {shard}"));
                 }
                 FaultAction::DropReply { shard } => {
-                    self.lanes[shard].drop_next.fetch_add(1, Ordering::SeqCst);
+                    self.lanes[shard].faults.drop_next.fetch_add(1, Ordering::SeqCst);
                     plan.record(format!("router: armed a reply drop on lane {shard}"));
                 }
                 FaultAction::DuplicateReply { shard } => {
-                    self.lanes[shard].dup_next.fetch_add(1, Ordering::SeqCst);
+                    self.lanes[shard].faults.dup_next.fetch_add(1, Ordering::SeqCst);
                     plan.record(format!("router: armed a duplicate reply on lane {shard}"));
                 }
                 FaultAction::WedgeLane { shard } => {
-                    self.lanes[shard].wedged.store(true, Ordering::SeqCst);
+                    self.lanes[shard].faults.wedged.store(true, Ordering::SeqCst);
                     plan.record(format!("router: wedged lane {shard} (replies will stall)"));
                 }
                 FaultAction::RespawnDeny { shard } => {
-                    self.lanes[shard].respawn_deny.fetch_add(1, Ordering::SeqCst);
+                    self.lanes[shard].faults.respawn_deny.fetch_add(1, Ordering::SeqCst);
                     plan.record(format!("router: armed a respawn denial on shard {shard}"));
                 }
                 FaultAction::CrashLoop { shard, times } => {
                     // One kill now, `times - 1` more armed against each
                     // future rejoin: the deterministic crash-loop.
-                    self.lanes[shard].crashloop.store(times.saturating_sub(1), Ordering::SeqCst);
+                    let rejoins = times.saturating_sub(1);
+                    self.lanes[shard].faults.crashloop.store(rejoins, Ordering::SeqCst);
                     plan.record(format!("router: crash-looping shard {shard} ({times} kill(s))"));
                     self.kill_shard(shard);
                 }
@@ -458,7 +445,7 @@ impl Core {
             *state = BreakerState::HalfOpen { probe_interval };
             // A readmitted lane consumes replies again (an injected
             // wedge is healed by the probe).
-            self.lanes[shard].wedged.store(false, Ordering::SeqCst);
+            self.lanes[shard].faults.wedged.store(false, Ordering::SeqCst);
             self.ring.lock().unwrap().add(shard);
             if let Some(plan) = self.plan() {
                 plan.record(format!("router: shard {shard} readmitted half-open for a probe"));
@@ -805,7 +792,7 @@ impl Core {
             // An injected wedge: stop consuming replies, as a hung
             // backend connection would — only the stall breaker (which
             // redispatches the waiting slots) gets the lane out.
-            if lane.wedged.load(Ordering::SeqCst) {
+            if lane.faults.wedged.load(Ordering::SeqCst) {
                 self.check_stall(lane);
                 std::thread::sleep(poll.min(Duration::from_millis(5)));
                 continue;
@@ -819,7 +806,7 @@ impl Core {
                 self.check_stall(lane);
                 continue;
             };
-            let delay = lane.delay_ms.swap(0, Ordering::SeqCst);
+            let delay = lane.faults.delay_ms.swap(0, Ordering::SeqCst);
             if delay > 0 {
                 std::thread::sleep(Duration::from_millis(delay));
             }
@@ -835,11 +822,7 @@ impl Core {
                     // this reply (flushed by the backend's drain) has
                     // no waiter.
                     Got::Done
-                } else if lane
-                    .skip
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                    .is_ok()
-                {
+                } else if take_one(&lane.skip) {
                     // A stale answer for a slot a breaker trip already
                     // redispatched: discard to keep the FIFO aligned.
                     Got::Stale
@@ -854,11 +837,7 @@ impl Core {
                 Got::Stale => continue,
                 Got::Deliver(p) => *p,
             };
-            if lane
-                .drop_next
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                .is_ok()
-            {
+            if take_one(&lane.faults.drop_next) {
                 // Injected reply drop: the backend's answer evaporates;
                 // the slot retries instead of waiting forever.
                 ResilienceCounters::bump(&self.resilience.replies_dropped);
@@ -872,11 +851,7 @@ impl Core {
                 lane.cv.notify_all();
                 continue;
             }
-            if lane
-                .dup_next
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                .is_ok()
-            {
+            if take_one(&lane.faults.dup_next) {
                 // Injected duplicate: the reply "arrives twice"; the
                 // second copy is suppressed — every slot is delivered
                 // exactly once, never routed twice.
@@ -961,11 +936,7 @@ impl Core {
         };
         // A scripted denial (chaos `respawn-deny:S`): the attempt burns
         // with no replacement — capacity was refused.
-        if lane
-            .respawn_deny
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok()
-        {
+        if take_one(&lane.faults.respawn_deny) {
             self.sup.lock().unwrap()[shard].lost_at = Some(Instant::now());
             if let Some(plan) = self.plan() {
                 plan.record(format!("router: respawn of shard {shard} denied (attempt {attempt})"));
@@ -1034,11 +1005,13 @@ impl Core {
         self.servers.lock().unwrap()[shard] = Some(server);
         *self.engines[shard].lock().unwrap() = engine;
         *lane.client.lock().unwrap() = Arc::new(client);
+        // Faults armed against the lost server die with it; denials and
+        // crash-loops stay armed for the supervisor's next attempts.
         lane.skip.store(0, Ordering::SeqCst);
-        lane.delay_ms.store(0, Ordering::SeqCst);
-        lane.drop_next.store(0, Ordering::SeqCst);
-        lane.dup_next.store(0, Ordering::SeqCst);
-        lane.wedged.store(false, Ordering::SeqCst);
+        lane.faults.delay_ms.store(0, Ordering::SeqCst);
+        lane.faults.drop_next.store(0, Ordering::SeqCst);
+        lane.faults.dup_next.store(0, Ordering::SeqCst);
+        lane.faults.wedged.store(false, Ordering::SeqCst);
         *self.breakers[shard].lock().unwrap() = BreakerState::Closed { failures: 0 };
         lane.lost.store(false, Ordering::SeqCst);
         let gather = {
@@ -1066,11 +1039,7 @@ impl Core {
         }
         // An armed crash-loop (chaos `crashloop:S:N`): the replacement
         // dies on arrival, spending another respawn from the budget.
-        if lane
-            .crashloop
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok()
-        {
+        if take_one(&lane.faults.crashloop) {
             if let Some(plan) = self.plan() {
                 plan.record(format!("router: crash-loop killed shard {shard} again"));
             }
@@ -1117,12 +1086,6 @@ impl Core {
     }
 }
 
-struct RouterIo {
-    conn_threads: Vec<JoinHandle<()>>,
-    streams: Vec<TcpStream>,
-    next_conn_id: u64,
-}
-
 /// The running router: shard servers, gather threads, and any TCP
 /// frontends attached. Dropping it without [`shutdown`](Router::shutdown)
 /// leaks the fleet's threads — call `shutdown`.
@@ -1131,7 +1094,6 @@ pub struct Router {
     gathers: Vec<JoinHandle<()>>,
     supervisor: Option<JoinHandle<()>>,
     acceptors: Vec<JoinHandle<()>>,
-    io: Arc<Mutex<RouterIo>>,
 }
 
 impl Router {
@@ -1168,13 +1130,8 @@ impl Router {
                 cv: Condvar::new(),
                 lost: AtomicBool::new(false),
                 skip: AtomicU64::new(0),
-                delay_ms: AtomicU64::new(0),
-                drop_next: AtomicU64::new(0),
-                dup_next: AtomicU64::new(0),
-                wedged: AtomicBool::new(false),
                 hot: Mutex::new(VecDeque::new()),
-                respawn_deny: AtomicU64::new(0),
-                crashloop: AtomicU64::new(0),
+                faults: LaneFaults::default(),
             }));
         }
         let core = Arc::new(Core {
@@ -1194,6 +1151,7 @@ impl Router {
             sup: Mutex::new(vec![SupState::default(); config.shards]),
             warmups: (0..config.shards).map(|_| Mutex::new(WarmupStatus::default())).collect(),
             extra_gathers: Mutex::new(Vec::new()),
+            next_conn_id: AtomicU64::new(0),
         });
         let gathers = core
             .lanes
@@ -1214,17 +1172,7 @@ impl Router {
                 .spawn(move || core.supervisor_loop())
                 .expect("spawn supervisor thread")
         });
-        Router {
-            core,
-            gathers,
-            supervisor,
-            acceptors: Vec::new(),
-            io: Arc::new(Mutex::new(RouterIo {
-                conn_threads: Vec::new(),
-                streams: Vec::new(),
-                next_conn_id: 0,
-            })),
-        }
+        Router { core, gathers, supervisor, acceptors: Vec::new() }
     }
 
     /// The fleet configuration this router was started with.
@@ -1281,13 +1229,8 @@ impl Router {
     /// the fleet, replies gathered back in submission order — the exact
     /// semantics of a TCP connection, without the wire.
     pub fn client(&self) -> RouterClient {
-        let id = {
-            let mut io = self.io.lock().unwrap();
-            let id = io.next_conn_id;
-            io.next_conn_id += 1;
-            id
-        };
-        RouterClient { conn: Arc::new(ConnShared::new(id)), core: Arc::clone(&self.core) }
+        let conn = Arc::new(ConnShared::new(self.core.conn_id()));
+        RouterClient { conn, core: Arc::clone(&self.core) }
     }
 
     /// Kills one shard: removes it from the ring (only its keys remap —
@@ -1302,55 +1245,23 @@ impl Router {
     }
 
     /// Binds `addr` and accepts wire-v2 JSONL connections on a
-    /// background thread — the same wire a single server speaks, so
-    /// clients cannot tell a router from a server (except by asking:
-    /// `topology` and the router-scoped `metrics` answer here,
+    /// background event-loop thread — the same wire a single server
+    /// speaks, so clients cannot tell a router from a server (except by
+    /// asking: `topology` and the router-scoped `metrics` answer here,
     /// `stats`/`trace` only answer on a shard). Returns the bound
     /// address (so `:0` works).
     pub fn listen(&mut self, addr: impl ToSocketAddrs) -> io::Result<SocketAddr> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        match self.core.cfg.io {
-            IoModel::EventLoop => {
-                let handler: Arc<dyn WireHandler> = Arc::new(RouterHandler {
-                    core: Arc::clone(&self.core),
-                    io: Arc::clone(&self.io),
-                });
-                let thread = spawn_event_loop(
-                    listener,
-                    handler,
-                    self.core.cfg.event_loop,
-                    "parspeed-route-eventloop".into(),
-                )?;
-                self.acceptors.push(thread);
-            }
-            IoModel::Threads => {
-                listener.set_nonblocking(true)?;
-                let core = Arc::clone(&self.core);
-                let io_state = Arc::clone(&self.io);
-                let accept_poll = self.core.cfg.accept_poll;
-                let acceptor = std::thread::Builder::new()
-                    .name("parspeed-route-accept".into())
-                    .spawn(move || loop {
-                        match listener.accept() {
-                            Ok((stream, _peer)) => {
-                                if let Err(e) = spawn_conn(stream, &core, &io_state) {
-                                    eprintln!("note: dropping connection: {e}");
-                                }
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                if core.draining.load(Ordering::SeqCst) {
-                                    return;
-                                }
-                                std::thread::sleep(accept_poll);
-                            }
-                            Err(_) => return,
-                        }
-                    })
-                    .expect("spawn route acceptor");
-                self.acceptors.push(acceptor);
-            }
-        }
+        let handler: Arc<dyn WireHandler> =
+            Arc::new(RouterHandler { core: Arc::clone(&self.core) });
+        let thread = spawn_event_loop(
+            listener,
+            handler,
+            self.core.cfg.event_loop,
+            "parspeed-route-eventloop".into(),
+        )?;
+        self.acceptors.push(thread);
         Ok(local)
     }
 
@@ -1387,24 +1298,11 @@ impl Router {
             let _ = gather.join();
         }
         let servers = std::mem::take(&mut *self.core.servers.lock().unwrap());
-        let stats: Vec<(usize, ServerStats)> = servers
+        servers
             .into_iter()
             .enumerate()
             .filter_map(|(shard, server)| server.map(|s| (shard, s.shutdown())))
-            .collect();
-        // Every reply slot is answered; unblock the readers (EOF) so the
-        // writers flush and exit.
-        let (streams, conn_threads) = {
-            let mut io = self.io.lock().unwrap();
-            (std::mem::take(&mut io.streams), std::mem::take(&mut io.conn_threads))
-        };
-        for stream in &streams {
-            let _ = stream.shutdown(Shutdown::Read);
-        }
-        for thread in conn_threads {
-            let _ = thread.join();
-        }
-        stats
+            .collect()
     }
 }
 
@@ -1483,74 +1381,31 @@ impl RouterClient {
     }
 }
 
-/// Registers an accepted stream and spawns its reader/writer pair.
-fn spawn_conn(
-    stream: TcpStream,
-    core: &Arc<Core>,
-    io_state: &Arc<Mutex<RouterIo>>,
-) -> io::Result<()> {
-    let reader_stream = stream.try_clone()?;
-    let teardown_clone = stream.try_clone()?;
-    let mut io = io_state.lock().unwrap();
-    let id = io.next_conn_id;
-    io.next_conn_id += 1;
-    let conn = Arc::new(ConnShared::new(id));
-
-    let reader_conn = Arc::clone(&conn);
-    let reader_core = Arc::clone(core);
-    let reader = std::thread::Builder::new()
-        .name(format!("parspeed-route-read-{id}"))
-        .spawn(move || reader_loop(reader_stream, reader_conn, reader_core))?;
-    let writer_conn = Arc::clone(&conn);
-    let writer = std::thread::Builder::new()
-        .name(format!("parspeed-route-write-{id}"))
-        .spawn(move || writer_loop(stream, writer_conn))?;
-
-    io.streams.push(teardown_clone);
-    io.conn_threads.push(reader);
-    io.conn_threads.push(writer);
-    Ok(())
+/// Glues the shared event loop to the router core: same accept, buffer,
+/// backpressure, and line-dispatch machinery as a server's frontend,
+/// with the router's own serving-only ops and parsed queries scattered
+/// into the fleet instead of a batcher.
+struct RouterHandler {
+    core: Arc<Core>,
 }
 
-/// Handles one trimmed, non-empty wire line for a router connection —
-/// shared by both frontends (thread-per-connection and the event loop)
-/// so the router's wire semantics cannot drift between them. The wire
-/// is the server's wire; the router-only differences are `topology`
-/// (answered here, unknown to a shard), `metrics` (answered here with
-/// the router-scoped resilience record), `warmup`, and `stats`/`trace`
-/// (per-shard state the router refuses to misattribute — probe a shard
-/// directly).
-///
-/// `shed` carries the event-loop write-backpressure verdict, exactly as
-/// in the server: engine-bound queries are refused in-slot with the
-/// `overloaded` answer; the cheap router ops still answer.
-fn process_line(
-    core: &Arc<Core>,
-    conn: &Arc<ConnShared>,
-    text: &str,
-    line_no: usize,
-    shed: Option<&str>,
-) {
-    let seq = conn.alloc_seq();
-    let parsed = match jsonl::parse(text) {
-        Ok(v) => match v.get("op").and_then(jsonl::Json::as_str) {
-            Some("health") => {
-                conn.route(seq, Delivery::Line(core.health().render()));
-                return;
-            }
-            Some("topology") => {
-                conn.route(seq, Delivery::Line(core.topology().render()));
-                return;
-            }
-            Some("metrics") => {
-                conn.route(seq, Delivery::Line(core.metrics().render()));
-                return;
-            }
-            Some("warmup") => {
-                conn.route(seq, Delivery::Line(core.warmup().render()));
-                return;
-            }
-            Some(op @ ("stats" | "trace")) => {
+impl WireHandler for RouterHandler {
+    fn connect(&self) -> Arc<ConnShared> {
+        let id = self.core.conn_id();
+        Arc::new(ConnShared::new(id).with_resilience(Arc::clone(&self.core.resilience)))
+    }
+
+    /// The router-only differences from a server's ops: `topology`
+    /// (unknown to a shard), `metrics` (the router-scoped resilience
+    /// record), `warmup`, and `stats`/`trace` (per-shard state the router
+    /// refuses to misattribute — probe a shard directly).
+    fn serving_op(&self, op: &str, line_no: usize) -> Option<String> {
+        let reply = match op {
+            "health" => self.core.health(),
+            "topology" => self.core.topology(),
+            "metrics" => self.core.metrics(),
+            "warmup" => self.core.warmup(),
+            "stats" | "trace" => {
                 let e = jsonl::LineError {
                     version: WIRE_VERSION,
                     error: ParspeedError::unsupported(format!(
@@ -1558,90 +1413,30 @@ fn process_line(
                          probe a shard's own serving address"
                     )),
                 };
-                conn.route(seq, Delivery::Line(jsonl::render_parse_error(&e, line_no)));
-                return;
+                return Some(jsonl::render_parse_error(&e, line_no));
             }
-            _ => jsonl::parse_query_value(&v),
-        },
-        // A line that is not JSON at all has no version field to honor,
-        // so it answers in the *current* wire shape (carrying
-        // `error_kind`), not the legacy v1 one — same rule as the
-        // server's frontend.
-        Err(e) => Err(jsonl::LineError { version: WIRE_VERSION, error: ParspeedError::parse(e) }),
-    };
-    match parsed {
-        Ok(parsed) => {
-            let now = Instant::now();
-            let pending = Pending {
-                conn: Arc::clone(conn),
-                seq,
-                query: parsed.query,
-                version: parsed.version,
-                line_no,
-                render: true,
-                // The budget starts at admission: queueing, batching,
-                // and failover all spend from it. A budget too large to
-                // represent (`u64::MAX` ms) is no deadline at all —
-                // `checked_add` saturates to `None` instead of
-                // panicking the frontend on `Instant` overflow.
-                deadline: parsed
-                    .deadline_ms
-                    .and_then(|ms| now.checked_add(Duration::from_millis(ms))),
-                attempts: 0,
-                token: mix(conn.id).wrapping_add(seq),
-                submitted: now,
-            };
-            match shed {
-                Some(msg) => deliver_refusal(&pending, msg.to_string()),
-                None => core.dispatch(pending),
-            }
+            _ => return None,
+        };
+        Some(reply.render())
+    }
+
+    fn admit(&self, conn: &Arc<ConnShared>, a: Admission, shed: Option<&str>) {
+        let pending = Pending {
+            conn: Arc::clone(conn),
+            seq: a.seq,
+            query: a.query,
+            version: a.version,
+            line_no: a.line_no,
+            render: true,
+            deadline: a.deadline,
+            attempts: 0,
+            token: mix(conn.id).wrapping_add(a.seq),
+            submitted: a.admitted,
+        };
+        match shed {
+            Some(msg) => deliver_refusal(&pending, msg.to_string()),
+            None => self.core.dispatch(pending),
         }
-        Err(e) => conn.route(seq, Delivery::Line(jsonl::render_parse_error(&e, line_no))),
-    }
-}
-
-/// Drives one connection's read half: parse lines, intercept the
-/// router-level ops, scatter everything else (the thread-per-connection
-/// frontend; the event loop calls the same [`process_line`]).
-fn reader_loop(stream: TcpStream, conn: Arc<ConnShared>, core: Arc<Core>) {
-    let mut line_no = 0usize;
-    for line in BufReader::new(stream).lines() {
-        let Ok(line) = line else { break };
-        line_no += 1;
-        let text = line.trim();
-        if text.is_empty() {
-            continue;
-        }
-        process_line(&core, &conn, text, line_no, None);
-    }
-    conn.mark_eof();
-}
-
-/// Glues the shared event loop to the router core: same accept, buffer,
-/// and backpressure machinery as a server's frontend, dispatching into
-/// the scatter/gather fleet instead of a batcher.
-struct RouterHandler {
-    core: Arc<Core>,
-    io: Arc<Mutex<RouterIo>>,
-}
-
-impl WireHandler for RouterHandler {
-    fn connect(&self) -> Arc<ConnShared> {
-        let mut io = self.io.lock().unwrap();
-        let id = io.next_conn_id;
-        io.next_conn_id += 1;
-        Arc::new(ConnShared::new(id).with_resilience(Arc::clone(&self.core.resilience)))
-    }
-
-    fn line(
-        &self,
-        conn: &Arc<ConnShared>,
-        text: &str,
-        line_no: usize,
-        _v1_lines: &mut u64,
-        shed: Option<&str>,
-    ) {
-        process_line(&self.core, conn, text, line_no, shed);
     }
 
     fn disconnect(&self, conn: &Arc<ConnShared>, _v1_lines: u64) {
@@ -1651,26 +1446,6 @@ impl WireHandler for RouterHandler {
     fn draining(&self) -> bool {
         self.core.draining.load(Ordering::SeqCst)
     }
-}
-
-/// Drives one connection's write half: emit released replies in
-/// sequence order until the stream is flushed-and-done.
-fn writer_loop(stream: TcpStream, conn: Arc<ConnShared>) {
-    let mut out = BufWriter::new(&stream);
-    while let Some((_seq, delivery)) = conn.next_released() {
-        let line = match delivery {
-            Delivery::Line(line) => line,
-            Delivery::Typed(_) => unreachable!("typed delivery on a TCP connection"),
-        };
-        if out.write_all(line.as_bytes()).is_err()
-            || out.write_all(b"\n").is_err()
-            || out.flush().is_err()
-        {
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-    }
-    let _ = stream.shutdown(Shutdown::Write);
 }
 
 #[cfg(test)]

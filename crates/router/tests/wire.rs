@@ -46,14 +46,19 @@ fn optimize(n: usize) -> Query {
 #[test]
 fn queries_scatter_and_come_back_bit_identical_in_slot_order() {
     let (router, addr) = start_tcp_router(3);
+    // A 1 MB line nested past the parser's depth cap: it used to
+    // overflow the loop thread's stack and abort the whole fleet.
+    let deep = format!("{}{}", "[".repeat(500_000), "]".repeat(500_000));
     let lines = [
         r#"{"op":"optimize","version":2,"arch":"sync-bus","n":256,"stencil":"5pt","shape":"square","procs":64}"#,
         "not json at all",
         r#"{"op":"optimize","version":2,"arch":"sync-bus","n":128,"stencil":"5pt","shape":"square","procs":64}"#,
         r#"{"op":"optimize","version":2,"arch":"sync-bus","n":256,"stencil":"5pt","shape":"square","procs":64}"#,
+        &deep,
+        r#"{"op":"optimize","version":2,"arch":"sync-bus","n":128,"stencil":"5pt","shape":"square","procs":64}"#,
     ];
     let replies = roundtrip(addr, &lines);
-    assert_eq!(replies.len(), 4, "{replies:?}");
+    assert_eq!(replies.len(), 6, "{replies:?}");
 
     // The engine's own rendered lines are the byte-level reference.
     let engine = Engine::default();
@@ -64,6 +69,7 @@ fn queries_scatter_and_come_back_bit_identical_in_slot_order() {
     assert_eq!(replies[0], expect(optimize(256), 1));
     assert_eq!(replies[2], expect(optimize(128), 3));
     assert_eq!(replies[3], expect(optimize(256), 4));
+    assert_eq!(replies[5], expect(optimize(128), 6));
 
     // The garbage line answers its own slot and poisons nothing — in
     // the *current* wire shape (version + machine-readable error_kind),
@@ -75,6 +81,10 @@ fn queries_scatter_and_come_back_bit_identical_in_slot_order() {
     assert_eq!(err.get("version").unwrap().as_usize(), Some(2), "{}", replies[1]);
     assert_eq!(err.get("error_kind").unwrap().as_str(), Some("parse"), "{}", replies[1]);
     assert_eq!(err.get("line").unwrap().as_usize(), Some(2), "{}", replies[1]);
+    let err = jsonl::parse(&replies[4]).expect("reply is JSON");
+    assert_eq!(err.get("error_kind").unwrap().as_str(), Some("parse"), "{}", replies[4]);
+    assert_eq!(err.get("line").unwrap().as_usize(), Some(5), "{}", replies[4]);
+    assert!(replies[4].contains("-level limit"), "{}", replies[4]);
 
     router.shutdown();
 }

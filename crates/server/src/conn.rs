@@ -6,11 +6,12 @@
 //! connection therefore owns a [`Router`]: a reorder buffer keyed by the
 //! connection-local sequence number. Workers [`route`](ConnShared::route)
 //! replies as they finish; the router *releases* them strictly in
-//! sequence order, and the consumer (a TCP writer thread, or an
-//! in-process [`Client`](crate::Client) calling `recv`) pops from the
-//! released queue. A reply for seq 3 is held until 0, 1, and 2 have been
-//! released, so cross-batch completion races can never reorder — or
-//! cross-wire — a connection's reply stream.
+//! sequence order, and the consumer (the event loop writing a TCP
+//! connection, or an in-process [`Client`](crate::Client) calling
+//! `recv`) pops from the released queue. A reply for seq 3 is held
+//! until 0, 1, and 2 have been released, so cross-batch completion
+//! races can never reorder — or cross-wire — a connection's reply
+//! stream.
 
 use crate::metrics::{ns_between, ServerObs};
 use parspeed_engine::Response;
@@ -75,7 +76,7 @@ pub struct ConnShared {
     resilience: Option<Arc<ResilienceCounters>>,
     /// Called (outside the state lock) whenever `route` releases at
     /// least one reply — the event-loop frontend's "this connection has
-    /// output" signal. Blocking frontends leave it unset and rely on
+    /// output" signal. In-process clients leave it unset and block on
     /// the condvar alone.
     waker: Mutex<Option<Waker>>,
     state: Mutex<Router>,
@@ -199,8 +200,8 @@ impl ConnShared {
 
     /// Pops the next in-order reply, blocking until one is released.
     /// Returns `None` once the connection hit EOF and every allocated
-    /// sequence number has been released and consumed — the writer's
-    /// signal that the stream is fully flushed.
+    /// sequence number has been released and consumed — the stream is
+    /// fully flushed.
     pub fn next_released(&self) -> Option<(u64, Delivery)> {
         let mut r = self.state.lock().unwrap();
         loop {

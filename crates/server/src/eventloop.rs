@@ -1,14 +1,40 @@
-//! The readiness-driven TCP frontend: one thread, many connections.
+//! The TCP frontend: one readiness-driven thread serving every
+//! connection, and the one per-line wire dispatcher all of a tier's
+//! traffic crosses.
 //!
-//! The thread-per-connection frontend ([`net`](crate::net)) pays two OS
-//! threads plus a per-line `String` allocation per connection — a fixed
-//! per-client overhead that caps how many clients a shard can front.
-//! This module replaces it with a single event-loop thread multiplexed
-//! over every connection via [`parspeed_netio::Poller`] (epoll on
-//! Linux): nonblocking accept, reads into a **reusable per-connection
-//! buffer** that lines are sliced out of without allocating, and writes
-//! through a **reusable per-connection output buffer** with real
-//! backpressure.
+//! The wire is exactly `parspeed batch`'s wire-v2 JSONL (see
+//! `crates/engine/src/README.md`), streamed instead of slurped: one JSON
+//! request object per line in, one JSON response object per non-empty
+//! input line out, in input order. The same compatibility rules apply —
+//! v2 lines answer in v2 shape, v1-versioned (or unversioned) lines are
+//! accepted, counted, and answered in the legacy v1 shape, with one
+//! deprecation note logged per server connection at close, matching
+//! file mode's stderr note. A line that fails to parse answers
+//! `{"ok":false,"line":N,...}` in its own slot and poisons nothing: not
+//! the connection (later lines still answer) and not the batcher (other
+//! clients' in-flight requests never see it).
+//!
+//! Each tier adds serving-only ops ([`WireHandler::serving_op`]), all
+//! answered in the request's own reply slot without entering the
+//! engine. A server answers four: `{"op":"stats"}` answers the
+//! [`ServerStats`](crate::ServerStats) snapshot (byte-frozen shape);
+//! `{"op":"metrics"}` answers the full
+//! [`MetricsSnapshot`](crate::MetricsSnapshot) — the same counters plus
+//! engine time, the dedup factor, and one latency-histogram summary per
+//! pipeline stage; `{"op":"trace"}` answers the ring of recent request
+//! traces (empty unless the server runs with `--trace N`);
+//! `{"op":"health"}` answers the byte-frozen liveness record
+//! ([`health_to_json`](crate::health_to_json)) load-balancer probes
+//! poll without paying for a counter snapshot. The sharded router
+//! registers its own set.
+//!
+//! One event-loop thread is multiplexed over every connection via
+//! [`parspeed_netio::Poller`] (epoll on Linux, poll(2) on other Unixes):
+//! nonblocking accept, reads into a **reusable per-connection buffer**
+//! that lines are sliced out of without allocating, and writes through a
+//! **reusable per-connection output buffer** with real backpressure. A
+//! thousand connections cost a thousand sockets and their buffers, not
+//! two thousand OS threads.
 //!
 //! Backpressure is two watermarks on the output buffer, integrated with
 //! the batcher's overload semantics rather than bolted beside them:
@@ -37,10 +63,11 @@
 //!
 //! The loop is generic over a [`WireHandler`] so the sharded router
 //! frontend reuses the exact same accept/read/backpressure machinery
-//! with its own per-line dispatch.
+//! and the same line dispatcher, plugging in only its own ops and its
+//! own destination for queries.
 
 use crate::conn::{ConnShared, Delivery};
-use parspeed_engine::{jsonl, ParspeedError, WIRE_VERSION};
+use parspeed_engine::{jsonl, ParspeedError, Query, WIRE_VERSION};
 use parspeed_netio::{accept_nonblocking, Event, Interest, Poller, WakePipe};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -49,50 +76,125 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// What a serving tier plugs into the event loop: connection setup, the
-/// per-line wire dispatch, and the drain flag. The loop owns sockets,
-/// buffers, and backpressure; the handler owns wire semantics.
+/// What a serving tier plugs into the event loop: connection setup, its
+/// serving-only ops, where parsed queries go, and the drain flag. The
+/// loop owns sockets, buffers, backpressure, and the per-line dispatch
+/// (slot allocation, tokenizing, parse errors, deadlines).
 pub trait WireHandler: Send + Sync + 'static {
     /// Allocates the shared per-connection state (id, reorder buffer)
     /// for a newly accepted connection.
     fn connect(&self) -> Arc<ConnShared>;
 
-    /// Handles one trimmed, non-empty request line. `shed`, when
-    /// `Some`, is the loop's write-backpressure verdict: engine-bound
-    /// work must be refused in-slot with the overload answer carrying
-    /// this message (cheap serving-only ops may still answer).
-    fn line(
-        &self,
-        conn: &Arc<ConnShared>,
-        text: &str,
-        line_no: usize,
-        v1_lines: &mut u64,
-        shed: Option<&str>,
-    );
+    /// Answers the serving-only op `op` with its rendered reply line, or
+    /// declines with `None` so the line parses as an engine query.
+    /// `line_no` is the request's 1-based line on its connection, for
+    /// replies that are error slots.
+    fn serving_op(&self, op: &str, line_no: usize) -> Option<String>;
 
-    /// A request line exceeded [`EventLoopConfig::max_line`]: answer its
-    /// slot with a parse error naming the limit (the line itself is
-    /// being discarded and was never parsed, so it has no version to
-    /// honor — current wire shape, like any other unparseable line).
-    fn oversize(&self, conn: &Arc<ConnShared>, line_no: usize, max_line: usize) {
-        let seq = conn.alloc_seq();
-        let e = jsonl::LineError {
-            version: WIRE_VERSION,
-            error: ParspeedError::parse(format!(
-                "request line exceeded the {max_line}-byte limit; \
-                 excess discarded up to the next newline"
-            )),
-        };
-        conn.route(seq, Delivery::Line(jsonl::render_parse_error(&e, line_no)));
-    }
+    /// Takes one parsed query into the tier. `shed`, when `Some`, is
+    /// the loop's write-backpressure verdict: the query must be refused
+    /// in its slot with the overload answer carrying this message, not
+    /// evaluated (serving-only ops still answer under shed — a health
+    /// probe must work *especially* under overload).
+    fn admit(&self, conn: &Arc<ConnShared>, admission: Admission, shed: Option<&str>);
 
     /// The connection's read half ended (EOF, error, or server drain):
-    /// emit any per-connection notes and mark the reorder buffer EOF.
+    /// emit any per-connection notes (`v1_lines` counts the
+    /// connection's deprecated wire-v1 requests) and mark the reorder
+    /// buffer EOF.
     fn disconnect(&self, conn: &Arc<ConnShared>, v1_lines: u64);
 
     /// Whether the tier is draining for shutdown (checked every tick;
     /// the loop then stops accepting/reading, flushes, and exits).
     fn draining(&self) -> bool;
+}
+
+/// One parsed request line on its way into a tier: its reply slot, the
+/// query, and the clocks the dispatcher started for it.
+#[derive(Debug)]
+pub struct Admission {
+    /// The reply slot (connection-local sequence number).
+    pub seq: u64,
+    /// 1-based line number on the connection (error slots).
+    pub line_no: usize,
+    /// The parsed query.
+    pub query: Query,
+    /// The wire version the line spoke (rendering shape).
+    pub version: u32,
+    /// When the line was admitted: the deadline budget and the queue
+    /// clock start here.
+    pub admitted: Instant,
+    /// `admitted + deadline_ms`; `None` without a budget, and for a
+    /// budget too large to represent (`u64::MAX` ms is no deadline at
+    /// all, not an `Instant` overflow panic).
+    pub deadline: Option<Instant>,
+}
+
+/// Handles one trimmed, non-empty request line — the single dispatch
+/// path every line of every tier crosses. Allocates the line's reply
+/// slot and tokenizes once: a serving-only op the tier answers is
+/// intercepted from the parsed value (the engine's reader does not know
+/// those ops), everything else becomes a query from the same value.
+fn dispatch_line(
+    handler: &dyn WireHandler,
+    conn: &Arc<ConnShared>,
+    text: &str,
+    line_no: usize,
+    v1_lines: &mut u64,
+    shed: Option<&str>,
+) {
+    let seq = conn.alloc_seq();
+    let parsed = match jsonl::parse(text) {
+        Ok(v) => {
+            let op = v.get("op").and_then(jsonl::Json::as_str);
+            if let Some(reply) = op.and_then(|op| handler.serving_op(op, line_no)) {
+                conn.route(seq, Delivery::Line(reply));
+                return;
+            }
+            jsonl::parse_query_value(&v)
+        }
+        // A line that is not JSON at all has no version field to honor,
+        // so it answers in the *current* wire shape (carrying
+        // `error_kind`), not the legacy v1 one — v2 clients should
+        // never receive replies missing v2 machinery.
+        Err(e) => Err(jsonl::LineError { version: WIRE_VERSION, error: ParspeedError::parse(e) }),
+    };
+    match parsed {
+        Ok(parsed) => {
+            if parsed.version < WIRE_VERSION {
+                *v1_lines += 1;
+            }
+            let admitted = Instant::now();
+            let deadline =
+                parsed.deadline_ms.and_then(|ms| admitted.checked_add(Duration::from_millis(ms)));
+            let admission = Admission {
+                seq,
+                line_no,
+                query: parsed.query,
+                version: parsed.version,
+                admitted,
+                deadline,
+            };
+            handler.admit(conn, admission, shed);
+        }
+        Err(e) => conn.route(seq, Delivery::Line(jsonl::render_parse_error(&e, line_no))),
+    }
+}
+
+/// Answers the slot of a request line that exceeded
+/// [`EventLoopConfig::max_line`] with a parse error naming the limit.
+/// The line is discarded unparsed, so it has no version to honor —
+/// current wire shape, like any other unparseable line.
+fn answer_oversize(conn: &ConnShared, line_no: usize, max_line: usize) {
+    let seq = conn.alloc_seq();
+    let e = jsonl::LineError {
+        version: WIRE_VERSION,
+        error: ParspeedError::parse(format!(
+            "request line exceeded the {max_line}-byte limit; \
+             excess discarded up to the next newline"
+        )),
+    };
+    conn.route(seq, Delivery::Line(jsonl::render_parse_error(&e, line_no)));
 }
 
 /// Event-loop tuning. The defaults suit production serving; tests
@@ -391,9 +493,9 @@ impl EventLoop {
     }
 
     /// Slices and dispatches every complete line in the read buffer
-    /// (plus, `at_eof`, the unterminated final line — parity with the
-    /// blocking reader's `BufRead::lines`). The shed verdict is taken
-    /// per line from the output buffer's current backlog.
+    /// (plus, `at_eof`, the unterminated final line, as `BufRead::lines`
+    /// would). The shed verdict is taken per line from the output
+    /// buffer's current backlog.
     fn parse_lines(&mut self, slot: usize, at_eof: bool) {
         let handler = Arc::clone(&self.handler);
         let shed_limit = self.cfg.shed_watermark;
@@ -424,7 +526,7 @@ impl EventLoop {
                         // error naming the limit, then discard to the
                         // next newline.
                         c.line_no += 1;
-                        handler.oversize(&c.conn, c.line_no, max_line);
+                        answer_oversize(&c.conn, c.line_no, max_line);
                         c.rbuf.clear();
                         c.discarding = true;
                         start = 0;
@@ -432,8 +534,8 @@ impl EventLoop {
                     break;
                 }
             };
-            // Blank lines consume a line number but answer nothing —
-            // the blocking reader's exact behavior.
+            // Blank lines consume a line number but answer nothing, so
+            // error slots keep matching the client's own line count.
             c.line_no += 1;
             if !c.rbuf[start..end].iter().all(|b| b.is_ascii_whitespace()) {
                 let backlog = c.pending_out();
@@ -442,10 +544,14 @@ impl EventLoop {
                 // for valid UTF-8 (the lossy conversion only allocates
                 // on invalid bytes, which then answer a parse error).
                 let text = String::from_utf8_lossy(&c.rbuf[start..end]);
-                let line_no = c.line_no;
-                let mut v1 = c.v1_lines;
-                handler.line(&c.conn, text.trim(), line_no, &mut v1, shed_msg.as_deref());
-                c.v1_lines = v1;
+                dispatch_line(
+                    &*handler,
+                    &c.conn,
+                    text.trim(),
+                    c.line_no,
+                    &mut c.v1_lines,
+                    shed_msg.as_deref(),
+                );
             }
             if end == c.rbuf.len() {
                 start = end; // unterminated final line at EOF
@@ -511,8 +617,9 @@ impl EventLoop {
         }
 
         if dead {
-            // The peer stopped reading: tear the whole connection down
-            // (mirrors the blocking writer's `Shutdown::Both`).
+            // The peer stopped reading: tear the whole connection down,
+            // so no more requests are admitted whose replies nobody
+            // will ever consume.
             let handler = Arc::clone(&self.handler);
             let c = self.conns[slot].as_mut().expect("slot live");
             if !c.eof {

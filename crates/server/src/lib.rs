@@ -32,7 +32,8 @@
 //!   accepted request's reply, then tears connections down.
 //!
 //! Frontends: raw TCP with wire-v2 JSONL framing ([`Server::listen`] —
-//! the same schema as `parspeed batch`, streamed), and an in-process
+//! the same schema as `parspeed batch`, streamed, with every connection
+//! served by one readiness-driven event-loop thread), and an in-process
 //! [`Client`] handle ([`Server::client`]) that tests and embedders drive
 //! with typed [`Query`]s. The CLI exposes the whole thing as
 //! `parspeed serve`.
@@ -62,19 +63,19 @@ mod batcher;
 mod conn;
 mod eventloop;
 mod metrics;
-mod net;
 mod stats;
 
 pub use conn::{ConnShared, Delivery};
-pub use eventloop::{spawn_event_loop, EventLoopConfig, WireHandler};
+pub use eventloop::{spawn_event_loop, Admission, EventLoopConfig, WireHandler};
 pub use metrics::{resilience_to_json, MetricsSnapshot, ServerObs};
 pub use stats::{health_to_json, ServerStats};
 
-use batcher::{Job, Shared};
+use batcher::{deliver_overload, Job, Shared};
 use parspeed_engine::{Query, Response, Service, WIRE_VERSION};
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Mutex};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -108,34 +109,12 @@ pub struct ServerConfig {
     /// fleet, `None` (the default) for a standalone server, which
     /// reports `"shard":null`.
     pub shard: Option<usize>,
-    /// How long the acceptor sleeps between polls of a quiet listening
-    /// socket (`--accept-poll-us`). Bounds how fast a drain is noticed;
-    /// previously a hard-coded 200 µs.
-    pub accept_poll: Duration,
     /// Brownout (cache-only degradation) watermarks, `None` (the
     /// default) to disable. See [`BrownoutConfig`].
     pub brownout: Option<BrownoutConfig>,
-    /// Which TCP frontend [`Server::listen`] attaches (`--io`). The
-    /// default is the readiness-driven event loop; [`IoModel::Threads`]
-    /// keeps the original two-threads-per-connection frontend for
-    /// comparison and as a fallback.
-    pub io: IoModel,
-    /// Event-loop tuning (buffer watermarks, poll tick, line limit) —
-    /// ignored under [`IoModel::Threads`].
+    /// Tuning of the event loop [`Server::listen`] attaches (buffer
+    /// watermarks, poll tick, line limit).
     pub event_loop: EventLoopConfig,
-}
-
-/// How [`Server::listen`] drives accepted sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoModel {
-    /// One event-loop thread multiplexes every connection with
-    /// nonblocking I/O, reusable per-connection buffers, and write
-    /// backpressure ([`EventLoopConfig`]). The default.
-    #[default]
-    EventLoop,
-    /// Two OS threads (blocking reader + writer) per connection — the
-    /// original frontend, kept behind `--io threads`.
-    Threads,
 }
 
 /// Brownout watermarks: under queue pressure the server degrades to
@@ -165,21 +144,10 @@ impl Default for ServerConfig {
             observe: true,
             trace: 0,
             shard: None,
-            accept_poll: Duration::from_micros(200),
             brownout: None,
-            io: IoModel::default(),
             event_loop: EventLoopConfig::default(),
         }
     }
-}
-
-struct IoState {
-    /// Reader/writer threads of accepted connections.
-    conn_threads: Vec<JoinHandle<()>>,
-    /// One stream clone per accepted connection, for drain teardown.
-    streams: Vec<TcpStream>,
-    /// Next connection id (TCP and in-process clients share the space).
-    next_conn_id: u64,
 }
 
 /// The running server: batcher workers plus any frontends attached to
@@ -189,7 +157,6 @@ pub struct Server {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     acceptors: Vec<JoinHandle<()>>,
-    io: Arc<Mutex<IoState>>,
 }
 
 impl Server {
@@ -216,78 +183,31 @@ impl Server {
                     .expect("spawn batcher worker")
             })
             .collect();
-        Server {
-            shared,
-            workers,
-            acceptors: Vec::new(),
-            io: Arc::new(Mutex::new(IoState {
-                conn_threads: Vec::new(),
-                streams: Vec::new(),
-                next_conn_id: 0,
-            })),
-        }
-    }
-
-    fn new_conn(&self) -> Arc<ConnShared> {
-        alloc_conn(&self.shared, &mut self.io.lock().unwrap())
+        Server { shared, workers, acceptors: Vec::new() }
     }
 
     /// Opens an in-process connection: a typed client whose requests go
     /// through the same admission control, micro-batcher, and ordered
     /// reply routing as TCP traffic.
     pub fn client(&self) -> Client {
-        Client { conn: self.new_conn(), shared: Arc::clone(&self.shared) }
+        Client { conn: alloc_conn(&self.shared), shared: Arc::clone(&self.shared) }
     }
 
     /// Binds `addr` and starts accepting wire-v2 JSONL connections on a
-    /// background thread (the event loop, or the thread-per-connection
-    /// acceptor under [`IoModel::Threads`] — identical wire semantics
-    /// either way). Returns the bound address (so `:0` works).
+    /// background event-loop thread. Returns the bound address (so `:0`
+    /// works).
     pub fn listen(&mut self, addr: impl ToSocketAddrs) -> io::Result<SocketAddr> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        match self.shared.cfg.io {
-            IoModel::EventLoop => {
-                let handler: Arc<dyn WireHandler> = Arc::new(ServerHandler {
-                    shared: Arc::clone(&self.shared),
-                    io: Arc::clone(&self.io),
-                });
-                let thread = eventloop::spawn_event_loop(
-                    listener,
-                    handler,
-                    self.shared.cfg.event_loop,
-                    "parspeed-eventloop".into(),
-                )?;
-                self.acceptors.push(thread);
-            }
-            IoModel::Threads => {
-                // Non-blocking accept so the thread can notice the
-                // drain flag.
-                listener.set_nonblocking(true)?;
-                let shared = Arc::clone(&self.shared);
-                let io_state = Arc::clone(&self.io);
-                let acceptor = std::thread::Builder::new()
-                    .name("parspeed-accept".into())
-                    .spawn(move || loop {
-                        match listener.accept() {
-                            Ok((stream, _peer)) => {
-                                if let Err(e) = spawn_conn(stream, &shared, &io_state) {
-                                    eprintln!("note: dropping connection: {e}");
-                                }
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                if shared.is_draining() {
-                                    return;
-                                }
-                                std::thread::sleep(shared.cfg.accept_poll);
-                            }
-                            Err(_) => return,
-                        }
-                    })
-                    .expect("spawn acceptor");
-                self.acceptors.push(acceptor);
-            }
-        }
+        let handler: Arc<dyn WireHandler> =
+            Arc::new(ServerHandler { shared: Arc::clone(&self.shared) });
+        let thread = eventloop::spawn_event_loop(
+            listener,
+            handler,
+            self.shared.cfg.event_loop,
+            "parspeed-eventloop".into(),
+        )?;
+        self.acceptors.push(thread);
         Ok(local)
     }
 
@@ -340,21 +260,10 @@ impl Server {
         for worker in self.workers {
             let _ = worker.join();
         }
-        // Acceptors notice the drain flag on their next poll.
+        // Event loops notice the drain flag on their next tick, flush
+        // every connection, and close them.
         for acceptor in self.acceptors {
             let _ = acceptor.join();
-        }
-        // No new connections can appear now; unblock the readers of the
-        // live ones (EOF), which lets the writers flush and exit.
-        let (streams, conn_threads) = {
-            let mut io = self.io.lock().unwrap();
-            (std::mem::take(&mut io.streams), std::mem::take(&mut io.conn_threads))
-        };
-        for stream in &streams {
-            let _ = stream.shutdown(Shutdown::Read);
-        }
-        for thread in conn_threads {
-            let _ = thread.join();
         }
         // The engine may outlive this server; leave it reporting into a
         // no-op sink rather than our now-final stage set.
@@ -365,80 +274,82 @@ impl Server {
     }
 }
 
-/// Allocates a connection id (TCP and in-process clients share the
-/// space) and counts the connection. The one place both frontends go
-/// through, so the id scheme and counter can never diverge.
-fn alloc_conn(shared: &Shared, io: &mut IoState) -> Arc<ConnShared> {
-    let id = io.next_conn_id;
-    io.next_conn_id += 1;
-    shared.counters.add(&shared.counters.connections, 1);
+/// Allocates a connection and counts it. The connection count doubles
+/// as the id source, so TCP and in-process clients share one id space
+/// (`0..connections`) that can never diverge from the counter. Relaxed:
+/// the id publishes no other data, and the atomic increment alone makes
+/// it unique.
+fn alloc_conn(shared: &Shared) -> Arc<ConnShared> {
+    let id = shared.counters.connections.fetch_add(1, Ordering::Relaxed);
     Arc::new(
         ConnShared::with_obs(id, Arc::clone(&shared.obs))
             .with_resilience(Arc::clone(&shared.resilience)),
     )
 }
 
-/// Glues the event loop to the batcher: connections allocate through
-/// [`alloc_conn`] and lines dispatch through the same
-/// [`net::process_line`] the blocking reader uses, so the two frontends
-/// cannot drift apart in wire behavior.
+/// Glues the event loop to the batcher: the server's four serving-only
+/// ops answer from live state, and every parsed query becomes a batcher
+/// [`Job`].
 struct ServerHandler {
     shared: Arc<Shared>,
-    io: Arc<Mutex<IoState>>,
 }
 
 impl WireHandler for ServerHandler {
     fn connect(&self) -> Arc<ConnShared> {
-        alloc_conn(&self.shared, &mut self.io.lock().unwrap())
+        alloc_conn(&self.shared)
     }
 
-    fn line(
-        &self,
-        conn: &Arc<ConnShared>,
-        text: &str,
-        line_no: usize,
-        v1_lines: &mut u64,
-        shed: Option<&str>,
-    ) {
-        net::process_line(&self.shared, conn, text, line_no, v1_lines, shed);
+    fn serving_op(&self, op: &str, _line_no: usize) -> Option<String> {
+        let shared = &self.shared;
+        let reply = match op {
+            "stats" => shared.stats().to_json(),
+            "health" => shared.health(),
+            "metrics" => shared.metrics().to_json(),
+            "trace" => {
+                metrics::trace_to_json(&shared.obs.trace_events(), shared.obs.trace_capacity())
+            }
+            _ => return None,
+        };
+        Some(reply.render())
     }
 
+    fn admit(&self, conn: &Arc<ConnShared>, a: Admission, shed: Option<&str>) {
+        let shared = &self.shared;
+        if a.version < WIRE_VERSION {
+            shared.counters.add(&shared.counters.v1_lines, 1);
+        }
+        let job = Job {
+            conn: Arc::clone(conn),
+            seq: a.seq,
+            query: a.query,
+            version: a.version,
+            line_no: a.line_no,
+            render: true,
+            submitted: a.admitted,
+            deadline: a.deadline,
+        };
+        match shed {
+            Some(msg) => deliver_overload(&job, msg.to_string(), &shared.counters, &shared.obs),
+            None => shared.submit(job),
+        }
+    }
+
+    /// Logs the once-per-connection wire-v1 deprecation note (the same
+    /// one `parspeed batch` prints in file mode).
     fn disconnect(&self, conn: &Arc<ConnShared>, v1_lines: u64) {
-        net::note_v1_lines(conn.id, v1_lines);
+        if v1_lines > 0 {
+            eprintln!(
+                "note: connection {} sent {v1_lines} request line(s) using deprecated wire v1; \
+                 add \"version\":2 (see crates/engine/src/README.md)",
+                conn.id
+            );
+        }
         conn.mark_eof();
     }
 
     fn draining(&self) -> bool {
         self.shared.is_draining()
     }
-}
-
-/// Registers an accepted stream and spawns its reader/writer pair.
-fn spawn_conn(
-    stream: TcpStream,
-    shared: &Arc<Shared>,
-    io_state: &Arc<Mutex<IoState>>,
-) -> io::Result<()> {
-    let reader_stream = stream.try_clone()?;
-    let teardown_clone = stream.try_clone()?;
-    let mut io = io_state.lock().unwrap();
-    let conn = alloc_conn(shared, &mut io);
-    let id = conn.id;
-
-    let reader_conn = Arc::clone(&conn);
-    let reader_shared = Arc::clone(shared);
-    let reader = std::thread::Builder::new()
-        .name(format!("parspeed-read-{id}"))
-        .spawn(move || net::reader_loop(reader_stream, reader_conn, reader_shared))?;
-    let writer_conn = Arc::clone(&conn);
-    let writer = std::thread::Builder::new()
-        .name(format!("parspeed-write-{id}"))
-        .spawn(move || net::writer_loop(stream, writer_conn))?;
-
-    io.streams.push(teardown_clone);
-    io.conn_threads.push(reader);
-    io.conn_threads.push(writer);
-    Ok(())
 }
 
 /// An in-process connection: typed queries in, typed responses out,

@@ -1,13 +1,11 @@
 //! The event-loop frontend under load, over real TCP: one loop thread
-//! holds a thousand concurrent connections at flat memory (the whole
-//! point of replacing thread-per-connection readiness with threads), a
+//! holds a thousand concurrent connections at flat memory, and a
 //! stalled reader is shed with in-slot `overloaded` answers instead of
-//! stalling the loop or its neighbours, and the legacy thread frontend
-//! behind `--io threads` still speaks the identical wire.
+//! stalling the loop or its neighbours.
 
 use parspeed_engine::jsonl;
 use parspeed_engine::{jsonl::render_response, ArchKind, Engine, Query, Request, WIRE_VERSION};
-use parspeed_server::{EventLoopConfig, IoModel, Server, ServerConfig};
+use parspeed_server::{EventLoopConfig, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -299,41 +297,8 @@ fn oversize_line_answers_in_slot_and_connection_survives() {
     server.shutdown();
 }
 
-/// `--io threads` keeps the legacy thread-per-connection frontend alive
-/// behind the flag, speaking the identical wire: same replies, same
-/// error slots, same serving-only ops.
-#[test]
-fn threads_io_model_speaks_the_identical_wire() {
-    let (server, addr) = start_server(ServerConfig { io: IoModel::Threads, ..base_config() });
-
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    for line in soak_lines() {
-        stream.write_all(line.as_bytes()).expect("write");
-        stream.write_all(b"\n").expect("write");
-    }
-    stream.write_all(b"not json\n{\"op\":\"stats\"}\n").expect("write tail");
-    stream.shutdown(Shutdown::Write).expect("half-close");
-    let replies: Vec<String> = BufReader::new(stream).lines().map(|l| l.expect("read")).collect();
-    assert_eq!(replies.len(), 5, "{replies:?}");
-
-    let engine = Engine::default();
-    for (i, q) in soak_queries().iter().enumerate() {
-        let response = engine.run_batch(std::slice::from_ref(q)).responses.remove(0);
-        assert_eq!(replies[i], render_response(q, &response, WIRE_VERSION, i + 1));
-    }
-    // The malformed-line fix applies to both frontends: current wire
-    // shape, not legacy v1.
-    let v = jsonl::parse(&replies[3]).expect("reply is JSON");
-    assert_eq!(v.get("version").unwrap().as_usize(), Some(2), "{}", replies[3]);
-    assert_eq!(v.get("error_kind").unwrap().as_str(), Some("parse"), "{}", replies[3]);
-    let v = jsonl::parse(&replies[4]).expect("reply is JSON");
-    assert_eq!(v.get("op").unwrap().as_str(), Some("stats"), "{}", replies[4]);
-    server.shutdown();
-}
-
 /// Draining with a half-written reply stream flushes and closes clean
-/// (EOF), never a mid-line reset — the event loop's drain path honours
-/// the same contract the thread frontend had.
+/// (EOF), never a mid-line reset.
 #[test]
 fn shutdown_flushes_open_event_loop_connections() {
     let (server, addr) = start_server(base_config());

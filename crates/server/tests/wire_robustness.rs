@@ -46,19 +46,33 @@ const GOOD_V1: &str = r#"{"op":"minsize","variant":"sync-square","e":6.0,"k":1.0
 fn malformed_line_mid_stream_poisons_nothing() {
     let (server, addr) = start_tcp_server();
 
-    // Client A interleaves garbage between good lines; client B sends
-    // only good lines, concurrently.
+    // Client A interleaves garbage between good lines — including a
+    // 1 MB line nested past the parser's depth cap, and the router-only
+    // ops, which a server must answer as unknown; client B sends only
+    // good lines, concurrently.
     let a = std::thread::spawn(move || {
+        let deep = format!("{}{}", "[".repeat(500_000), "]".repeat(500_000));
         roundtrip(
             addr,
-            &[GOOD_V2, "this is not json", GOOD_V2, r#"{"op":"frobnicate","version":2}"#, GOOD_V2],
+            &[
+                GOOD_V2,
+                "this is not json",
+                GOOD_V2,
+                r#"{"op":"frobnicate","version":2}"#,
+                GOOD_V2,
+                &deep,
+                GOOD_V2,
+                r#"{"op":"topology","version":2}"#,
+                r#"{"op":"warmup","version":2}"#,
+                GOOD_V2,
+            ],
         )
     });
     let b = std::thread::spawn(move || roundtrip(addr, &[GOOD_V2; 5]));
     let a = a.join().unwrap();
     let b = b.join().unwrap();
 
-    assert_eq!(a.len(), 5, "connection A lost replies: {a:?}");
+    assert_eq!(a.len(), 10, "connection A lost replies: {a:?}");
     for (i, line) in a.iter().enumerate() {
         let v = jsonl::parse(line).expect("reply is JSON");
         match i {
@@ -74,12 +88,22 @@ fn malformed_line_mid_stream_poisons_nothing() {
                 assert_eq!(v.get("error_kind").unwrap().as_str(), Some("parse"), "{line}");
                 assert_eq!(v.get("line").unwrap().as_usize(), Some(2), "{line}");
             }
-            3 => {
+            3 | 7 | 8 => {
                 // Well-formed JSON, unknown op, declared v2 → v2 error
-                // shape with the machine-readable kind.
+                // shape with the machine-readable kind. `topology` and
+                // `warmup` are router ops: a server does not know them.
                 assert_eq!(v.get("ok"), Some(&jsonl::Json::Bool(false)), "{line}");
                 assert_eq!(v.get("error_kind").unwrap().as_str(), Some("parse"), "{line}");
-                assert_eq!(v.get("line").unwrap().as_usize(), Some(4), "{line}");
+                assert_eq!(v.get("line").unwrap().as_usize(), Some(i + 1), "{line}");
+                assert!(line.contains("unknown op"), "{line}");
+            }
+            5 => {
+                // Nested past the depth cap: not parseable JSON, so the
+                // current wire shape, with an error that names the cap.
+                assert_eq!(v.get("version").unwrap().as_usize(), Some(2), "{line}");
+                assert_eq!(v.get("error_kind").unwrap().as_str(), Some("parse"), "{line}");
+                assert_eq!(v.get("line").unwrap().as_usize(), Some(6), "{line}");
+                assert!(line.contains("-level limit"), "{line}");
             }
             _ => {
                 assert_eq!(
@@ -98,10 +122,10 @@ fn malformed_line_mid_stream_poisons_nothing() {
     }
 
     let stats = server.shutdown();
-    // 8 good queries answered; A's two bad lines answered outside the
+    // 10 good queries answered; A's five bad lines answered outside the
     // batcher and never counted as admitted work.
-    assert_eq!(stats.completed, 8);
-    assert_eq!(stats.submitted, 8);
+    assert_eq!(stats.completed, 10);
+    assert_eq!(stats.submitted, 10);
 }
 
 #[test]
@@ -160,9 +184,8 @@ fn unsupported_future_version_answers_in_its_slot_only() {
 fn huge_deadline_budget_saturates_instead_of_killing_the_connection() {
     let (server, addr) = start_tcp_server();
     // `Instant + u64::MAX ms` overflows; before the `checked_add` clamp
-    // this panicked the per-connection reader (thread frontend) or the
-    // whole event loop, silently dropping the connection — and every
-    // connection after it. Now an unrepresentable budget means "no
+    // this panicked the whole event loop, silently dropping the
+    // connection — and every connection after it. Now an unrepresentable budget means "no
     // deadline": the request evaluates, and later lines still answer.
     let huge = format!(
         r#"{{"op":"table1","version":2,"n":64,"stencil":"5pt","deadline_ms":{}}}"#,
