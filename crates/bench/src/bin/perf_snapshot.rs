@@ -1,4 +1,4 @@
-//! Machine-readable performance snapshot → `BENCH_PR10.json`.
+//! Machine-readable performance snapshot → `target/perf_snapshot.json`.
 //!
 //! Sections, each a paper-relevant hot path:
 //!
@@ -59,10 +59,17 @@
 //!   reply delivered) on a flat thread budget: process thread-count
 //!   growth while the connections are open stays at most 8, because one
 //!   loop thread multiplexes them all. Throughput per rung is recorded,
-//!   not gated.
+//!   not gated;
+//! * **pool**: the worker pool's thread count following problem size —
+//!   at each grid side, the 5-point row-parallel sweep against the fused
+//!   single-thread sweep, with the threads the pool chose, the compute
+//!   time (the single-thread sweep) and the calibrated fan-out/sync time
+//!   of that thread count reported separately. The parallel path must
+//!   never be slower than the fused one at any size (within a noise band)
+//!   and must stay bit-identical.
 //!
 //! ```text
-//! cargo run --release -p parspeed-bench --bin perf_snapshot            # n=1024 → BENCH_PR10.json
+//! cargo run --release -p parspeed-bench --bin perf_snapshot            # n=1024 → target/perf_snapshot.json
 //! cargo run --release -p parspeed-bench --bin perf_snapshot -- --quick --check --out target/smoke.json
 //! ```
 //!
@@ -78,8 +85,10 @@
 //! the predicted fleet size within ±1 of the measured best, the fault
 //! run drops zero requests with a reproducible event trace and recovers
 //! ≥ 0.7× the 3-shard baseline (≥ 0.5× under --quick noise), every
-//! event-loop rung is served complete on at most 8 extra threads, and
-//! everything is bit-identical; `--out PATH` overrides the output path.
+//! event-loop rung is served complete on at most 8 extra threads, the
+//! row-parallel sweep keeps at least 0.85× the fused rate at every pool
+//! rung (0.8× under --quick noise), and everything is bit-identical;
+//! `--out PATH` overrides the output path.
 
 use parspeed_chaos::FaultPlan;
 use parspeed_engine::jsonl::{self, Json};
@@ -89,7 +98,9 @@ use parspeed_grid::{Grid2D, Region, StripDecomposition};
 use parspeed_router::predict::{predict, FleetModel, SweepPoint, WorkloadProfile};
 use parspeed_router::{Router, RouterConfig, SupervisorPolicy};
 use parspeed_server::{Server, ServerConfig};
-use parspeed_solver::apply::{jacobi_sweep, jacobi_sweep_par, jacobi_sweep_region_generic};
+use parspeed_solver::apply::{
+    jacobi_sweep, jacobi_sweep_par, jacobi_sweep_region_generic, sweep_seconds,
+};
 use parspeed_solver::{CheckPolicy, JacobiSolver, PoissonProblem};
 use parspeed_stencil::Stencil;
 use std::hint::black_box;
@@ -115,6 +126,8 @@ struct Config {
     /// scaling curve, and requests per connection.
     io_conns: &'static [usize],
     io_requests_per_conn: usize,
+    /// pool section: the grid sides of the size-follows-work curve.
+    pool_sides: &'static [usize],
     quick: bool,
     check: bool,
     out: String,
@@ -144,9 +157,10 @@ fn parse_args() -> Config {
         shard_max: 8,
         io_conns: &[10, 100, 1000],
         io_requests_per_conn: 50,
+        pool_sides: &[31, 63, 127, 255, 511, 1023],
         quick: false,
         check: false,
-        out: "BENCH_PR10.json".into(),
+        out: "target/perf_snapshot.json".into(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -165,6 +179,7 @@ fn parse_args() -> Config {
                 cfg.shard_max = 4;
                 cfg.io_conns = &[5, 50, 500];
                 cfg.io_requests_per_conn = 10;
+                cfg.pool_sides = &[31, 127, 511];
                 cfg.quick = true;
             }
             "--check" => cfg.check = true,
@@ -184,9 +199,14 @@ fn setup(n: usize, halo: usize) -> (Grid2D, Grid2D) {
 
 /// Best observed sweep rate (million point updates per second) over
 /// `trials` timed windows of at least `min_time` seconds each.
-fn measure(cfg: &Config, mut sweep: impl FnMut()) -> f64 {
+fn measure(cfg: &Config, sweep: impl FnMut()) -> f64 {
+    measure_at(cfg, cfg.n, sweep)
+}
+
+/// [`measure`] for a sweep of an `n × n` grid.
+fn measure_at(cfg: &Config, n: usize, mut sweep: impl FnMut()) -> f64 {
     sweep(); // warm up caches and the rayon pool
-    let points = (cfg.n * cfg.n) as f64;
+    let points = (n * n) as f64;
     let mut best = 0.0f64;
     for _ in 0..cfg.trials {
         let mut reps = 0u64;
@@ -239,6 +259,76 @@ fn snapshot(cfg: &Config) -> (Vec<Row>, bool) {
         });
     }
     (rows, identical)
+}
+
+/// One grid side of the pool section.
+struct PoolRung {
+    n: usize,
+    /// Threads the pool chose for one sweep of this grid.
+    threads: usize,
+    fused_mpts: f64,
+    par_mpts: f64,
+    identical: bool,
+}
+
+impl PoolRung {
+    /// Compute time: one single-thread fused sweep, in µs.
+    fn compute_us(&self) -> f64 {
+        (self.n * self.n) as f64 / self.fused_mpts
+    }
+
+    /// The measured row-parallel sweep, in µs.
+    fn par_us(&self) -> f64 {
+        (self.n * self.n) as f64 / self.par_mpts
+    }
+}
+
+struct PoolBench {
+    fanout: rayon::Fanout,
+    rungs: Vec<PoolRung>,
+}
+
+impl PoolBench {
+    /// Calibrated fan-out/sync time of `threads` threads, in µs.
+    fn fanout_us(&self, threads: usize) -> f64 {
+        self.fanout.seconds(threads) * 1e6
+    }
+}
+
+/// The row-parallel 5-point sweep against the fused single-thread sweep
+/// at each grid side: the thread count the pool picks from the sweep's
+/// work, and what that choice buys.
+fn snapshot_pool(cfg: &Config) -> PoolBench {
+    let s = Stencil::five_point();
+    let rungs = cfg
+        .pool_sides
+        .iter()
+        .map(|&n| {
+            let (src, f) = setup(n, s.reach());
+            let h2 = 1e-4;
+            let mut fused_out = Grid2D::new(n, n, s.reach());
+            let mut par_out = Grid2D::new(n, n, s.reach());
+            jacobi_sweep(&s, &src, &mut fused_out, &f, h2);
+            jacobi_sweep_par(&s, &src, &mut par_out, &f, h2);
+            let threads = rayon::threads_for(sweep_seconds(n * n, s.flops_per_point()));
+            let mut dst = Grid2D::new(n, n, s.reach());
+            let fused_mpts =
+                measure_at(cfg, n, || jacobi_sweep(&s, black_box(&src), &mut dst, &f, h2));
+            let par_mpts =
+                measure_at(cfg, n, || jacobi_sweep_par(&s, black_box(&src), &mut dst, &f, h2));
+            PoolRung {
+                n,
+                threads,
+                fused_mpts,
+                par_mpts,
+                identical: fused_out.max_abs_diff(&par_out) == 0.0,
+            }
+        })
+        .collect();
+    // Uncalibrated (a box too busy for helpers to meet), every sweep ran
+    // inline: report a zero fan-out.
+    let fanout = rayon::fanout().unwrap_or(rayon::Fanout { per_thread: 0.0, fixed: 0.0 });
+    PoolBench { fanout, rungs }
 }
 
 struct SolverLoop {
@@ -1350,6 +1440,7 @@ fn to_json(
     rb: &RobustnessBench,
     heal: &SelfHealingBench,
     io: &ServerIoBench,
+    pool: &PoolBench,
 ) -> Json {
     let kernels = rows
         .iter()
@@ -1513,14 +1604,34 @@ fn to_json(
         ("requests_per_conn".into(), Json::Num(io.requests_per_conn as f64)),
         ("rungs".into(), Json::Arr(io.rungs.iter().map(io_rung).collect())),
     ]);
+    let pool_rung = |r: &PoolRung| {
+        Json::Obj(vec![
+            ("n".into(), Json::Num(r.n as f64)),
+            ("threads".into(), Json::Num(r.threads as f64)),
+            ("fused_mpts".into(), Json::Num(round3(r.fused_mpts))),
+            ("parallel_mpts".into(), Json::Num(round3(r.par_mpts))),
+            ("parallel_over_fused".into(), Json::Num(round3(r.par_mpts / r.fused_mpts))),
+            ("compute_us".into(), Json::Num(round3(r.compute_us()))),
+            ("fanout_us".into(), Json::Num(round3(pool.fanout_us(r.threads)))),
+            ("parallel_us".into(), Json::Num(round3(r.par_us()))),
+            ("bit_identical".into(), Json::Bool(r.identical)),
+        ])
+    };
+    let pool_json = Json::Obj(vec![
+        ("stencil".into(), Json::Str("5pt".into())),
+        ("fanout_per_thread_us".into(), Json::Num(round3(pool.fanout.per_thread * 1e6))),
+        ("fanout_fixed_us".into(), Json::Num(round3(pool.fanout.fixed * 1e6))),
+        ("rungs".into(), Json::Arr(pool.rungs.iter().map(pool_rung).collect())),
+    ]);
     Json::Obj(vec![
-        ("schema".into(), Json::Str("parspeed-perf-snapshot/v9".into())),
-        ("pr".into(), Json::Num(10.0)),
+        ("schema".into(), Json::Str("parspeed-perf-snapshot/v10".into())),
+        ("pr".into(), Json::Num(13.0)),
         (
             "bench".into(),
             Json::Str(
                 "Jacobi kernels, fused solver loop, deep halos, serving layer, observability, \
-                 sharded fleet, fault robustness, self-healing fleet, event-loop frontend"
+                 sharded fleet, fault robustness, self-healing fleet, event-loop frontend, \
+                 worker pool"
                     .into(),
             ),
         ),
@@ -1536,6 +1647,7 @@ fn to_json(
         ("robustness".into(), robustness),
         ("self_healing".into(), self_healing),
         ("server_io".into(), server_io),
+        ("pool".into(), pool_json),
     ])
 }
 
@@ -1554,9 +1666,10 @@ fn main() {
     let rb = snapshot_robustness(&cfg);
     let heal = snapshot_self_healing(&cfg);
     let io = snapshot_server_io(&cfg);
+    let pool = snapshot_pool(&cfg);
     // A drifted kernel must never produce a committable snapshot, with or
     // without --check: fail after writing (the file records the evidence).
-    let json = to_json(&cfg, &rows, identical, &lp, &dh, &sv, &ob, &sh, &rb, &heal, &io);
+    let json = to_json(&cfg, &rows, identical, &lp, &dh, &sv, &ob, &sh, &rb, &heal, &io, &pool);
     let text = json.render();
     if let Some(dir) = std::path::Path::new(&cfg.out).parent() {
         if !dir.as_os_str().is_empty() {
@@ -1698,6 +1811,24 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     );
+    println!(
+        "worker pool (5-point sweep; fan-out γ = {:.2} µs/thread, β = {:.2} µs): {}",
+        pool.fanout.per_thread * 1e6,
+        pool.fanout.fixed * 1e6,
+        pool.rungs
+            .iter()
+            .map(|r| format!(
+                "n={} {} thread(s) compute {:.1} µs + fan-out {:.1} µs → {:.1} µs ({:.2}× fused)",
+                r.n,
+                r.threads,
+                r.compute_us(),
+                pool.fanout_us(r.threads),
+                r.par_us(),
+                r.par_mpts / r.fused_mpts
+            ))
+            .collect::<Vec<_>>()
+            .join("; ")
+    );
     println!("wrote {}", cfg.out);
     assert!(identical, "fused kernels must be bit-identical to generic (snapshot records details)");
     assert!(lp.identical, "fused solver loop must be bit-identical to the three-pass loop");
@@ -1706,6 +1837,10 @@ fn main() {
     assert!(sh.identical, "routed replies must be bit-identical to serial dispatch");
     assert!(rb.identical, "failed-over replies must be bit-identical to serial dispatch");
     assert!(heal.identical, "healed-fleet replies must be bit-identical to serial dispatch");
+    assert!(
+        pool.rungs.iter().all(|r| r.identical),
+        "row-parallel sweeps must be bit-identical to fused at every pool rung"
+    );
 
     if cfg.check {
         let reparsed = jsonl::parse(&std::fs::read_to_string(&cfg.out).expect("re-read snapshot"))
@@ -1828,6 +1963,33 @@ fn main() {
             );
             loop_threads = loop_threads.max(extra);
         }
+        let poolj = reparsed.get("pool").expect("pool section");
+        let pool_rungs = poolj.get("rungs").and_then(Json::as_arr).expect("pool rungs");
+        assert_eq!(pool_rungs.len(), cfg.pool_sides.len(), "snapshot lost pool rungs");
+        // The pool may only pick threads that pay: the parallel path is
+        // never slower than fused, up to the box's run-to-run noise and the
+        // inline path's fixed cost per call (~0.1 µs, a tenth of a 31²
+        // sweep).
+        let pool_floor = if cfg.quick { 0.8 } else { 0.85 };
+        let mut pool_worst = f64::INFINITY;
+        for rung in pool_rungs {
+            let n = rung.get("n").and_then(Json::as_f64).expect("pool rung n");
+            let ratio = rung
+                .get("parallel_over_fused")
+                .and_then(Json::as_f64)
+                .expect("parallel_over_fused");
+            assert!(
+                ratio >= pool_floor,
+                "row-parallel sweep at n={n} runs {ratio:.3}× fused (≥ {pool_floor}×): \
+                 the pool fanned out where the work does not pay"
+            );
+            assert_eq!(
+                rung.get("bit_identical"),
+                Some(&Json::Bool(true)),
+                "pool rung n={n} lost bit-identity"
+            );
+            pool_worst = pool_worst.min(ratio);
+        }
         for (section, ok) in [
             ("solver_loop", sl.get("bit_identical")),
             ("deep_halo", dhj.get("bit_identical")),
@@ -1848,8 +2010,9 @@ fn main() {
              dropped nothing at {recovery:.2}× ≥ {recovery_floor}× recovery with a \
              reproducible trace, the self-healed fleet dropped nothing at \
              {rejoin:.2}× ≥ {rejoin_floor}× post-rejoin throughput after {heal_respawns:.0} \
-             respawn(s), and the event loop served every rung up to {} connections \
-             complete on ≤ +{loop_threads:.0} thread(s)",
+             respawn(s), the event loop served every rung up to {} connections \
+             complete on ≤ +{loop_threads:.0} thread(s), and the row-parallel sweep kept \
+             ≥ {pool_worst:.2}× ≥ {pool_floor}× the fused rate at every grid side",
             overhead * 100.0,
             overhead_ceiling * 100.0,
             cfg.io_conns.last().expect("at least one server_io rung")

@@ -31,7 +31,7 @@ never abort the rest of the batch.
   --cache-capacity N   cached results kept across the run (default 65536;
                        --cache is a deprecated alias)
   --shards N           cache shards (default 16)
-  --threads N          worker threads; 0 = machine default (default 0)";
+  --threads N          worker threads; 0 = sized per operation from its work (default 0)";
 
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<String, CliError> {

@@ -95,7 +95,7 @@ minimizes — quantization, memory floor, and infeasibility included.
   --workers N          per-shard batcher workers (default 2)
   --queue-depth N      per-shard submission-queue bound (default 4096)
   --cache-capacity N   per-shard result-cache entries (default 65536)
-  --threads N          per-shard engine executor threads (0 = default)
+  --threads N          per-shard engine executor threads (0 = sized per operation)
   --poll-ms N          gather/park poll interval in milliseconds
                        (default 50)
   --wbuf-shed-kib N    per-connection write-buffer KiB above which new

@@ -70,7 +70,7 @@ result is produced the slot answers \"error_kind\":\"deadline_exceeded\"
                        the overloaded error (default 4096)
   --cache-capacity N   engine result cache size (default 65536)
   --shards N           cache shards (default 16)
-  --threads N          engine executor threads; 0 = machine default
+  --threads N          engine executor threads; 0 = sized per operation from its work
   --trace N            keep the last N request traces (default 0 = off);
                        served by `{\"op\":\"trace\"}` and flushed as
                        JSONL to stderr on drain

@@ -1,5 +1,6 @@
 //! The executor: evaluates unique keys, fanning misses out across a
-//! rayon-style thread pool, and runs impure effects sequentially.
+//! rayon-style thread pool when the batch's work pays for it, and runs
+//! impure effects sequentially.
 //!
 //! [`evaluate`] is the single source of truth for what a key *means*: it
 //! reconstructs the exact call a direct caller would make — into
@@ -34,6 +35,7 @@ use parspeed_solver::{
 };
 use rayon::prelude::*;
 use rayon::ThreadPool;
+use std::time::Instant;
 
 /// Halo depth for `solver=parallel` runs: one exchange funds up to this
 /// many local sub-iterations. Results and check schedules are identical
@@ -312,10 +314,12 @@ pub fn run_effect(effect: &EffectKey, runner: Option<ExperimentRunner>) -> EvalO
 
 /// Evaluates `keys` in parallel, returning outcomes in input order.
 ///
-/// `pool` is the caller's long-lived worker pool ([`crate::Engine`] builds
-/// one at construction so the per-batch hot path never pays pool setup);
-/// `None` uses the machine-default parallelism. Single-key batches skip
-/// the pool entirely.
+/// `pool` pins the thread count (an engine built with
+/// [`threads`](crate::EngineBuilder::threads)); with `None` the first key
+/// runs inline and its time, times the keys left, is the batch's work
+/// estimate — so a batch of cheap model keys stays on the calling thread
+/// and a batch of solves fans out. Single-key batches skip the pool
+/// entirely.
 pub fn evaluate_all(keys: &[EvalKey], pool: Option<&ThreadPool>) -> Vec<EvalOutcome> {
     evaluate_all_ckpt(keys, pool, None)
 }
@@ -337,11 +341,14 @@ pub fn evaluate_all_ckpt(
     if keys.len() <= 1 {
         return keys.iter().map(eval).collect();
     }
-    let run = || keys.par_iter().map(eval).collect();
-    match pool {
-        Some(pool) => pool.install(run),
-        None => run(),
+    if let Some(pool) = pool {
+        return pool.install(|| keys.par_iter().map(eval).collect());
     }
+    let start = Instant::now();
+    let first = eval(&keys[0]);
+    let work = start.elapsed().as_secs_f64() * (keys.len() - 1) as f64;
+    let rest: Vec<EvalOutcome> = keys[1..].par_iter().with_work(work).map(eval).collect();
+    std::iter::once(first).chain(rest).collect()
 }
 
 #[cfg(test)]

@@ -167,8 +167,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Executor worker threads; 0 (default) uses the machine parallelism,
-    /// 1 runs strictly sequentially.
+    /// Executor worker threads; 0 (default) sizes every parallel operation
+    /// from its own work (`rayon::threads_for`), 1 runs strictly
+    /// sequentially, and any other count pins that many threads.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -240,7 +241,7 @@ impl Default for Engine {
 impl Engine {
     /// Starts a configuration builder. Defaults: a result cache of
     /// [`DEFAULT_CACHE_CAPACITY`] (65 536) outcomes across 16 shards,
-    /// machine-default executor parallelism, and no experiment runner.
+    /// executor parallelism sized per operation, and no experiment runner.
     pub fn builder() -> EngineBuilder {
         EngineBuilder::default()
     }

@@ -3,7 +3,8 @@
 //! Each partition owns local double-buffered grids with a halo of
 //! `depth × reach` (depth 1 unless built
 //! [`PartitionedJacobi::with_depth`]). One block of up to `depth`
-//! iterations is two rayon phases:
+//! iterations is two rayon phases, each on as many pool threads as its
+//! work pays for:
 //!
 //! 1. **publish** — every halo copy of the (deep) exchange plan extracts
 //!    its rectangle from the owner's current grid (read-only, parallel
@@ -30,7 +31,7 @@ use crate::adaptive::CheckScheduler;
 use crate::CheckPolicy;
 use parspeed_grid::halo::{plan_deep, CopySpec};
 use parspeed_grid::{Decomposition, Grid2D, Region};
-use parspeed_solver::apply::jacobi_sweep_region;
+use parspeed_solver::apply::{jacobi_sweep_region, sweep_seconds};
 use parspeed_solver::{Boundary, Checkpoint, CheckpointCtx, PoissonProblem};
 use parspeed_stencil::Stencil;
 use rayon::prelude::*;
@@ -170,9 +171,11 @@ impl PartitionedJacobi {
         // Phase 1: publish halo rectangles from the owners' current grids
         // (whole row segments at a time — no per-point indexing).
         let parts = &self.parts;
+        let halo_values = self.copies.iter().map(|c| c.src_region.area()).sum();
         let published: Vec<Vec<f64>> = self
             .copies
             .par_iter()
+            .with_work(sweep_seconds(halo_values, 1.0))
             .map(|c| {
                 let src = &parts[c.src];
                 let mut buf = Vec::with_capacity(c.src_region.area());
@@ -195,10 +198,12 @@ impl PartitionedJacobi {
         let h2 = self.h2;
         let n = self.n;
         let reach = stencil.reach();
+        let work = sweep_seconds(block * n * n, stencil.flops_per_point());
         let diffs: Vec<f64> = self
             .parts
             .par_iter_mut()
             .enumerate()
+            .with_work(work)
             .map(|(i, part)| {
                 for &ci in &incoming[i] {
                     let c = &copies[ci];

@@ -57,6 +57,7 @@ proptest! {
         depth in 1usize..5,
         stencil_idx in 0usize..4,
         raw_blocks in prop::collection::vec(1usize..5, 1..5),
+        threads in 1usize..5,
     ) {
         let s = &Stencil::catalog()[stencil_idx];
         let parts = parts.min(n);
@@ -66,9 +67,11 @@ proptest! {
         let mut total = 0usize;
         let mut last_diff = 0.0f64;
         let blocks = raw_blocks.len();
+        // A pinned pool: grids this small would otherwise run inline.
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
         for b in raw_blocks {
             let b = b.min(depth);
-            last_diff = exec.iterate_block(b, true).unwrap();
+            last_diff = pool.install(|| exec.iterate_block(b, true)).unwrap();
             total += b;
         }
         prop_assert_eq!(exec.iterations(), total);

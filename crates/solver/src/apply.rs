@@ -16,7 +16,8 @@
 //! equal to the generic path — the property every equivalence test in this
 //! workspace leans on. [`jacobi_sweep_par`] runs the same sweep
 //! row-parallel under rayon (Jacobi reads only `src`, so parallelism
-//! cannot change results either).
+//! cannot change results either), on as many pool threads as its work
+//! [`sweep_seconds`] pays for: the paper's optimal `P` for the grid's size.
 //!
 //! [`jacobi_sweep_blend`] (and its `_region`/`_par` variants) additionally
 //! fuses the ω-blend and the max-norm update reduction into the same pass
@@ -33,12 +34,45 @@
 use parspeed_grid::{Grid2D, Region};
 use parspeed_stencil::{KernelKind, Stencil};
 use rayon::prelude::*;
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Column-tile width of the fused traversal. A tile bounds the reuse
 /// distance between the padded source rows two consecutive output rows
 /// share, keeping them L1-resident even when a full row (8·`n` bytes) no
 /// longer fits.
 const COL_TILE: usize = 512;
+
+/// Seconds per flop of the fused sweep on this machine — the paper's
+/// `t_fp` — measured once: the fastest of nine 5-point sweeps of a 128²
+/// grid (noise only ever adds time).
+fn flop_seconds() -> f64 {
+    static T_FP: OnceLock<f64> = OnceLock::new();
+    *T_FP.get_or_init(|| {
+        let (n, s) = (128, Stencil::five_point());
+        let mut src = Grid2D::new(n, n, 1);
+        src.fill(1.0);
+        let mut dst = src.clone();
+        let f = Grid2D::new(n, n, 0);
+        jacobi_sweep(&s, &src, &mut dst, &f, 1e-4);
+        let fastest = (0..9)
+            .map(|_| {
+                let t = Instant::now();
+                jacobi_sweep(&s, std::hint::black_box(&src), &mut dst, &f, 1e-4);
+                t.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min);
+        fastest / ((n * n) as f64 * s.flops_per_point())
+    })
+}
+
+/// The serial work `W`, in seconds, of `points` updates costing
+/// `flops_per_point` each (`W = points · E · t_fp`): what the row-parallel
+/// kernels declare to the pool, which weighs it against its fan-out cost
+/// to pick their thread count.
+pub fn sweep_seconds(points: usize, flops_per_point: f64) -> f64 {
+    points as f64 * flops_per_point * flop_seconds()
+}
 
 /// Generic Jacobi sweep over the whole interior of `src` into `dst`.
 pub fn jacobi_sweep(stencil: &Stencil, src: &Grid2D, dst: &mut Grid2D, f: &Grid2D, h2: f64) {
@@ -48,7 +82,7 @@ pub fn jacobi_sweep(stencil: &Stencil, src: &Grid2D, dst: &mut Grid2D, f: &Grid2
 
 /// Rayon row-parallel full-interior sweep; bit-identical to
 /// [`jacobi_sweep`] (each worker writes disjoint `dst` rows computed from
-/// the immutable `src`).
+/// the immutable `src`). Small grids run inline: see [`sweep_seconds`].
 pub fn jacobi_sweep_par(stencil: &Stencil, src: &Grid2D, dst: &mut Grid2D, f: &Grid2D, h2: f64) {
     let region = Region::new(0, src.rows(), 0, src.cols());
     let rs_h2 = stencil.rhs_scale() * h2;
@@ -56,7 +90,8 @@ pub fn jacobi_sweep_par(stencil: &Stencil, src: &Grid2D, dst: &mut Grid2D, f: &G
     let kind = fusable(stencil, src, dst, f, &region, (0, 0));
     let (rows, cols) = (src.rows(), src.cols());
     let (dst_halo, stride) = (dst.halo(), dst.stride());
-    dst.as_mut_slice().par_chunks_mut(stride).enumerate().for_each(|(pr, row)| {
+    let work = sweep_seconds(rows * cols, stencil.flops_per_point());
+    dst.as_mut_slice().par_chunks_mut(stride).enumerate().with_work(work).for_each(|(pr, row)| {
         if pr < dst_halo || pr >= dst_halo + rows {
             return;
         }
@@ -209,6 +244,7 @@ pub fn jacobi_sweep_blend_par(
     dst.as_mut_slice()
         .par_chunks_mut(stride)
         .enumerate()
+        .with_work(sweep_seconds(rows * cols, stencil.flops_per_point()))
         .map(|(pr, row)| {
             if pr < dst_halo || pr >= dst_halo + rows {
                 return 0.0;
@@ -717,6 +753,7 @@ mod tests {
 
     #[test]
     fn parallel_sweep_is_bit_identical_to_sequential() {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         for s in Stencil::catalog() {
             let n = 19;
             let halo = s.reach();
@@ -724,9 +761,24 @@ mod tests {
             let mut seq = Grid2D::new(n, n, halo);
             let mut par = Grid2D::new(n, n, halo);
             jacobi_sweep(&s, &src, &mut seq, &f, 0.004);
-            jacobi_sweep_par(&s, &src, &mut par, &f, 0.004);
+            pool.install(|| jacobi_sweep_par(&s, &src, &mut par, &f, 0.004));
             assert_eq!(seq.max_abs_diff(&par), 0.0, "{}", s.name());
         }
+    }
+
+    #[test]
+    fn sweep_work_follows_the_problem_size() {
+        let t_fp = flop_seconds();
+        assert!(t_fp > 0.0 && t_fp < 1e-6, "t_fp = {t_fp} s");
+        let e = Stencil::five_point().flops_per_point();
+        assert_eq!(sweep_seconds(0, e), 0.0);
+        assert_eq!(sweep_seconds(400, e), 4.0 * sweep_seconds(100, e));
+        // Against a fan-out of 10 µs a thread, a 15² sweep stays inline
+        // and a 2047² one takes every thread on offer.
+        let cost = rayon::Fanout { per_thread: 1e-5, fixed: 0.0 };
+        let per_point = t_fp * e;
+        assert_eq!(cost.best_threads(225.0 * per_point, 4), 1);
+        assert_eq!(cost.best_threads(sweep_seconds(2047 * 2047, e), 4), 4);
     }
 
     #[test]
@@ -843,7 +895,9 @@ mod tests {
                 assert_eq!(fused.max_abs_diff(&reference), 0.0, "{} ω={omega}", s.name());
                 assert_eq!(d_fused, src.max_abs_diff(&reference), "{} ω={omega}", s.name());
                 let mut par = Grid2D::new(n, n, halo);
-                let d_par = jacobi_sweep_blend_par(s, &src, &mut par, &f, 0.004, omega, true);
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+                let d_par = pool
+                    .install(|| jacobi_sweep_blend_par(s, &src, &mut par, &f, 0.004, omega, true));
                 assert_eq!(par.max_abs_diff(&fused), 0.0, "{} ω={omega}", s.name());
                 assert_eq!(d_par, d_fused, "{} ω={omega}", s.name());
             }

@@ -2,10 +2,12 @@
 //!
 //! The sequential forms are the references (deterministic summation
 //! order); the parallel forms are what a production solver would use for
-//! convergence checks. Parallel L2 sums may differ from sequential by
-//! floating-point reassociation, so equality tests use the max-norm (exact
-//! under any association) and tolerance elsewhere.
+//! convergence checks, fanned out only as far as the grid's size pays for.
+//! Parallel L2 sums may differ from sequential by floating-point
+//! reassociation, so equality tests use the max-norm (exact under any
+//! association) and tolerance elsewhere.
 
+use crate::apply::sweep_seconds;
 use parspeed_grid::Grid2D;
 use rayon::prelude::*;
 
@@ -32,6 +34,7 @@ fn interior_rows(g: &Grid2D) -> impl IndexedParallelIterator<Item = &[f64]> {
         .par_chunks(stride)
         .skip(halo)
         .take(g.rows())
+        .with_work(sweep_seconds(g.rows() * cols, 1.0))
         .map(move |row| &row[halo..halo + cols])
 }
 

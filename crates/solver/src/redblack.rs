@@ -9,11 +9,11 @@
 //!
 //! Each half-sweep computes new values into a scratch grid (rayon over
 //! rows, reading the current grid immutably) and then scatters them back
-//! (rayon over disjoint row slices). Because colour-χ updates never read
-//! colour-χ cells, this is bit-identical to the in-place sequential
-//! red-black sweep.
+//! (rayon over disjoint row slices), each phase on as many pool threads as
+//! its work pays for. Because colour-χ updates never read colour-χ cells,
+//! this is bit-identical to the in-place sequential red-black sweep.
 
-use crate::apply::relax_update;
+use crate::apply::{relax_update, sweep_seconds};
 use crate::{PoissonProblem, SolveStatus};
 use parspeed_grid::Grid2D;
 use rayon::prelude::*;
@@ -89,12 +89,16 @@ impl RedBlackSolver {
             }
             worst
         };
+        // Half the grid per colour: a 5-point update plus the relaxation
+        // (10 flops) to compute, one move to scatter.
+        let cells = n * n / 2;
         let diff =
             if self.parallel {
                 scratch
                     .as_mut_slice()
                     .par_chunks_mut(stride)
                     .enumerate()
+                    .with_work(sweep_seconds(cells, 10.0))
                     .map(|(pr, row)| {
                         if pr < halo || pr >= halo + n {
                             0.0
@@ -129,6 +133,7 @@ impl RedBlackSolver {
             u.as_mut_slice()
                 .par_chunks_mut(stride)
                 .enumerate()
+                .with_work(sweep_seconds(cells, 1.0))
                 .for_each(|(pr, row)| scatter_row(pr, row, scratch));
         } else {
             for (pr, row) in u.as_mut_slice().chunks_mut(stride).enumerate() {
@@ -173,10 +178,14 @@ mod tests {
         let p = PoissonProblem::manufactured(n, Manufactured::SinSin);
         let par = RedBlackSolver::gauss_seidel(1e-9);
         let seq = RedBlackSolver::gauss_seidel(1e-9).sequential();
-        let (up, sp) = par.solve(&p);
         let (us, ss) = seq.solve(&p);
-        assert_eq!(sp.iterations, ss.iterations);
-        assert_eq!(up.max_abs_diff(&us), 0.0, "parallel differs from sequential");
+        // Self-sized (inline at this n) and on pinned pools of 2 and 3.
+        for threads in [0, 2, 3] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let (up, sp) = pool.install(|| par.solve(&p));
+            assert_eq!(sp.iterations, ss.iterations, "{threads} threads");
+            assert_eq!(up.max_abs_diff(&us), 0.0, "parallel differs from sequential");
+        }
     }
 
     #[test]

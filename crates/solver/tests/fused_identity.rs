@@ -48,12 +48,15 @@ fn assert_bitwise(a: &Grid2D, b: &Grid2D, label: &str) -> Result<(), TestCaseErr
 
 proptest! {
     /// Full-interior sweeps: fused (sequential and rayon row-parallel)
-    /// match generic bitwise, for all four stencils, down to n = 1.
+    /// match generic bitwise, for all four stencils, down to n = 1. The
+    /// row-parallel sweep runs on a pinned pool (grids this small would
+    /// otherwise run inline), so every split of the rows is covered.
     #[test]
     fn full_sweep_fused_matches_generic(
         n in 1usize..24,
         stencil_idx in 0usize..4,
         seed in 0u64..1_000_000,
+        threads in 1usize..5,
     ) {
         let s = &Stencil::catalog()[stencil_idx];
         prop_assert!(s.kernel_kind().is_some(), "catalogue stencil must fuse");
@@ -68,7 +71,8 @@ proptest! {
         jacobi_sweep(s, &src, &mut fused, &f, h2);
         assert_bitwise(&fused, &generic, s.name())?;
         let mut par = Grid2D::new(n, n, halo);
-        jacobi_sweep_par(s, &src, &mut par, &f, h2);
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        pool.install(|| jacobi_sweep_par(s, &src, &mut par, &f, h2));
         assert_bitwise(&par, &generic, s.name())?;
     }
 

@@ -87,12 +87,14 @@ proptest! {
     }
 
     /// The parallel (rayon) path under the same policies is bitwise
-    /// identical too (no temporal tiling, but the fused blend/diff pass).
+    /// identical too (no temporal tiling, but the fused blend/diff pass),
+    /// on every pinned pool size.
     #[test]
     fn parallel_policy_solve_matches_plain_loop(
         n in 1usize..14,
         stencil_idx in 0usize..4,
         max_iters in 1usize..20,
+        threads in 1usize..5,
     ) {
         let s = &Stencil::catalog()[stencil_idx];
         let p = PoissonProblem::manufactured(n, Manufactured::SinSin);
@@ -103,7 +105,8 @@ proptest! {
             omega: 0.8,
             parallel: true,
         };
-        let (u, status) = solver.solve(&p, s);
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        let (u, status) = pool.install(|| solver.solve(&p, s));
         prop_assert_eq!(status.iterations, max_iters);
         let (reference, _) = reference_iterates(&p, s, 0.8, max_iters);
         assert_bitwise(&u, &reference, s.name())?;
