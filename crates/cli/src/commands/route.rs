@@ -21,7 +21,6 @@ pub const KEYS: &[&str] = &[
     "queue-depth",
     "cache-capacity",
     "threads",
-    "poll-ms",
     "deadline-ms",
     "retry-max",
     "backoff-base-ms",
@@ -48,7 +47,7 @@ pub const SWITCHES: &[&str] = &["predict", "stats"];
 pub const USAGE: &str = "parspeed route [--addr HOST:PORT] [--shards N] [--replicas N]
                [--window-us N] [--max-batch N] [--workers N]
                [--queue-depth N] [--cache-capacity N] [--threads N]
-               [--poll-ms N] [--deadline-ms N]
+               [--deadline-ms N]
                [--retry-max N] [--backoff-base-ms N] [--backoff-cap-ms N]
                [--breaker-threshold N] [--probe-after-ms N]
                [--stall-after-ms N] [--fault-plan SPEC] [--fault-seed N]
@@ -76,7 +75,9 @@ stdin reaches EOF (Ctrl-D), drains every in-flight reply, and exits.
 A lost or tripped shard does not lose requests: in-flight idempotent
 work fails over around the ring with capped, deterministically jittered
 backoff; per-shard circuit breakers open on consecutive failures or a
-reply stall and readmit the shard through a half-open probe. Requests
+reply stall and readmit the shard through a half-open probe. Backoff
+waits and the stall check run on the router's one timer thread, so no
+connection ever waits behind another request's recovery. Requests
 may carry \"deadline_ms\"; an expired budget answers its own slot with
 \"error_kind\":\"deadline_exceeded\".
 
@@ -96,8 +97,6 @@ minimizes — quantization, memory floor, and infeasibility included.
   --queue-depth N      per-shard submission-queue bound (default 4096)
   --cache-capacity N   per-shard result-cache entries (default 65536)
   --threads N          per-shard engine executor threads (0 = sized per operation)
-  --poll-ms N          gather/park poll interval in milliseconds
-                       (default 50)
   --wbuf-shed-kib N    per-connection write-buffer KiB above which new
                        requests shed as overloaded (default 256)
   --wbuf-stop-kib N    write-buffer KiB above which the connection stops
@@ -186,7 +185,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         shards: args.usize_or("shards", 4)?,
         replicas: args.usize_or("replicas", 64)?,
         backend,
-        poll: Duration::from_millis(args.usize_or("poll-ms", 50)? as u64),
         default_deadline: args.usize_opt("deadline-ms")?.map(|ms| Duration::from_millis(ms as u64)),
         retry: RetryPolicy {
             max_attempts: args.usize_or("retry-max", retry_defaults.max_attempts as usize)? as u32,

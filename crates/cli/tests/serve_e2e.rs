@@ -59,9 +59,11 @@ fn serve_round_trips_drains_and_reports_stats() {
 #[test]
 fn serve_and_route_refuse_the_removed_frontend_flags() {
     // One frontend only: the frontend selector and its accept-poll knob
-    // are unknown flags at both tiers, refused before anything binds.
+    // are unknown flags at both tiers, refused before anything binds —
+    // and so is the router's old reply-poll knob, now that replies
+    // settle their own slots.
     for command in ["serve", "route"] {
-        for (flag, value) in [("--io", "threads"), ("--accept-poll-us", "50")] {
+        for (flag, value) in [("--io", "threads"), ("--accept-poll-us", "50"), ("--poll-ms", "5")] {
             let out = Command::new(env!("CARGO_BIN_EXE_parspeed"))
                 .args([command, flag, value])
                 .stdin(Stdio::null())

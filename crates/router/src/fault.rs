@@ -9,7 +9,8 @@
 //!   ring successor. The first failover is immediate; later attempts
 //!   back off on the deterministic schedule of
 //!   [`parspeed_chaos::backoff_ms`], so the same seed replays the same
-//!   waits.
+//!   waits. The router's timer thread holds a backing-off request; no
+//!   other thread ever sleeps the wait.
 //! * **Per-shard circuit breaker** ([`BreakerPolicy`]):
 //!   a shard that stalls (its oldest in-flight request exceeds
 //!   `stall_after` with no reply) or fails repeatedly (consecutive
@@ -125,14 +126,14 @@ impl Default for SupervisorPolicy {
 /// armed) by default.
 #[derive(Debug, Default)]
 pub(crate) struct LaneFaults {
-    /// Milliseconds to stall the next reply (one-shot).
+    /// Milliseconds the timer holds the next reply back (one-shot).
     pub(crate) delay_ms: AtomicU64,
     /// Replies to drop (the slot redispatches).
     pub(crate) drop_next: AtomicU64,
     /// Replies to treat as duplicated (the second copy is suppressed).
     pub(crate) dup_next: AtomicU64,
-    /// The lane stops consuming replies entirely, like a hung
-    /// connection — only the stall breaker gets it out.
+    /// The lane holds every reply back, like a hung connection — only
+    /// the stall trip gets its slots out.
     pub(crate) wedged: AtomicBool,
     /// Upcoming respawn attempts to deny (each denial burns one attempt
     /// from the respawn budget).

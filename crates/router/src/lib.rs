@@ -19,10 +19,11 @@
 //!
 //! The serving guarantees are the server's, extended across the fleet:
 //!
-//! * **per-connection ordered replies** — gathered backend replies go
-//!   through the exact seq-keyed reorder machinery
-//!   ([`parspeed_server::ConnShared`]) a local server uses,
-//!   so scattering across shards never reorders a connection's stream;
+//! * **per-connection ordered replies** — a backend reply settles its
+//!   own origin slot, straight from the shard's batcher worker that
+//!   produced it, through the exact seq-keyed reorder machinery
+//!   ([`parspeed_server::ConnShared`]) a local server uses, so
+//!   scattering across shards never reorders a connection's stream;
 //! * **shard loss fails over, not disconnects** — killing a shard
 //!   rebalances the ring (only the lost shard's keys move) and
 //!   *redispatches* every retry-safe request in flight on it to the
@@ -42,6 +43,13 @@
 //!   first healthy reply (failed probes double the interval);
 //! * **graceful drain** — router shutdown refuses new work in-slot,
 //!   flushes every in-flight reply, then drains each backend.
+//!
+//! Nothing waits on a thread other requests wait on: failover backoff,
+//! replies held by an injected delay, and the stall check all live on
+//! the router's one timer thread. Besides the shards' batcher workers,
+//! a router runs that timer, one event-loop thread per
+//! [`Router::listen`], and — with a [`SupervisorPolicy`] — the
+//! supervisor, whose respawn probes and warm-up replays block it.
 //!
 //! Every recovery action counts into the fleet-level
 //! [`parspeed_obs::ResilienceCounters`], answered on the wire by the
@@ -75,15 +83,15 @@ use parspeed_engine::{
 };
 use parspeed_obs::ResilienceCounters;
 use parspeed_server::{
-    health_to_json, spawn_event_loop, Admission, Client, ConnShared, Delivery, EventLoopConfig,
+    health_to_json, spawn_event_loop, Admission, Client, ConnShared, EventLoopConfig, ReplyShape,
     Server, ServerConfig, ServerStats, WireHandler,
 };
 use ring::HashRing;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -100,9 +108,6 @@ pub struct RouterConfig {
     /// The configuration every shard's server runs with
     /// ([`ServerConfig::shard`] is overridden per backend).
     pub backend: ServerConfig,
-    /// Park/poll interval for the gather threads and the shutdown drain
-    /// (`--poll-ms`) — formerly three hard-coded 50 ms constants.
-    pub poll: Duration,
     /// Deadline granted to every request that does not carry its own
     /// `deadline_ms` (`--deadline-ms`); `None` means no default.
     pub default_deadline: Option<Duration>,
@@ -127,7 +132,6 @@ impl Default for RouterConfig {
             shards: 4,
             replicas: 64,
             backend: ServerConfig::default(),
-            poll: Duration::from_millis(50),
             default_deadline: None,
             retry: RetryPolicy::default(),
             breaker: BreakerPolicy::default(),
@@ -142,69 +146,74 @@ impl Default for RouterConfig {
 /// so the memory bound is a ring of queries, not a result cache.
 const HOT_KEYS_PER_SHARD: usize = 128;
 
+/// How often the supervisor scans for lost shards.
+const SUPERVISOR_TICK: Duration = Duration::from_millis(10);
+
 /// One scattered request waiting for its shard's reply: the origin
 /// reply slot plus everything needed to render into it — and the
-/// resilience state (deadline budget, attempt count, jitter token) that
-/// travels with the slot across failovers.
+/// resilience state (deadline budget, attempt count) that travels with
+/// the slot across failovers.
 struct Pending {
     conn: Arc<ConnShared>,
     seq: u64,
     query: Query,
-    version: u32,
-    line_no: usize,
-    render: bool,
+    shape: ReplyShape,
     /// Absolute budget: expire answers `deadline_exceeded` in-slot.
     deadline: Option<Instant>,
     /// Dispatch attempts already burned (0 on first dispatch).
     attempts: u32,
-    /// Stable per-request token feeding the deterministic backoff
-    /// jitter — the same request retries on the same schedule.
-    token: u64,
     /// When this slot was last submitted to a lane (stall detection).
     submitted: Instant,
 }
 
-/// Routes one response into its origin reply slot, rendering for TCP
-/// connections — the router-side twin of the batcher's `deliver`.
-fn deliver(p: &Pending, response: Response) {
-    let delivery = if p.render {
-        Delivery::Line(jsonl::render_response(&p.query, &response, p.version, p.line_no))
-    } else {
-        Delivery::Typed(response)
-    };
-    p.conn.route(p.seq, delivery);
-}
+impl Pending {
+    /// A request's first dispatch into origin slot `seq` of `conn`.
+    fn new(
+        conn: &Arc<ConnShared>,
+        seq: u64,
+        query: Query,
+        shape: ReplyShape,
+        deadline: Option<Instant>,
+    ) -> Pending {
+        let (attempts, submitted) = (0, Instant::now());
+        Pending { conn: Arc::clone(conn), seq, query, shape, deadline, attempts, submitted }
+    }
 
-fn deliver_refusal(p: &Pending, msg: String) {
-    deliver(p, Response::Invalid(ParspeedError::overloaded(msg)));
-}
+    /// Stable per-request token feeding the deterministic backoff
+    /// jitter — the same request retries on the same schedule.
+    fn token(&self) -> u64 {
+        mix(self.conn.id).wrapping_add(self.seq)
+    }
 
-fn deliver_deadline(p: &Pending, msg: String) {
-    deliver(p, Response::Invalid(ParspeedError::deadline_exceeded(msg)));
+    /// Answers the origin reply slot.
+    fn answer(self, response: Response) {
+        self.conn.answer(self.seq, &self.query, response, self.shape);
+    }
+
+    fn refuse(self, msg: String) {
+        self.answer(Response::Invalid(ParspeedError::overloaded(msg)));
+    }
+
+    fn expire(self, msg: String) {
+        self.answer(Response::Invalid(ParspeedError::deadline_exceeded(msg)));
+    }
 }
 
 /// One shard's scatter lane: the in-process client into its server plus
-/// the FIFO of origin slots awaiting replies. The backend answers a
-/// connection's requests in submission order, so pushing and submitting
-/// under one lock keeps `inflight` aligned with the reply stream — the
-/// gather thread pops the front for each reply.
+/// the requests in flight on it.
 struct Lane {
-    shard: usize,
     /// The in-process client into this shard's *current* server. A
     /// respawn swaps it for a client into the replacement; readers take
     /// the lock only long enough to clone the `Arc`.
     client: Mutex<Arc<Client>>,
-    inflight: Mutex<VecDeque<Pending>>,
-    /// Signals the gather thread (work arrived) and the drain loop
-    /// (lane emptied).
-    cv: Condvar,
-    /// The shard was killed: the ring no longer routes here, every
-    /// pending slot has been answered, late backend replies are noise.
+    /// Requests in flight here by router request id (drawn under this
+    /// lock, so the first entry is the oldest). A reply, a kill, a trip,
+    /// and the stall check each take an entry at most once; a reply
+    /// that finds its entry gone is late and is dropped.
+    inflight: Mutex<BTreeMap<u64, Pending>>,
+    /// The shard was killed: the ring no longer routes here and every
+    /// pending slot has been taken for redispatch.
     lost: AtomicBool,
-    /// Backend replies to discard on arrival: answers for slots a
-    /// breaker trip already redispatched. Skipping them keeps the FIFO
-    /// aligned with the reply stream after readmission.
-    skip: AtomicU64,
     /// Bounded ring of the most recent distinct keys routed here,
     /// newest at the back (see [`HOT_KEYS_PER_SHARD`]): the warmup set
     /// a replacement shard replays before rejoining the ring.
@@ -218,6 +227,23 @@ impl Lane {
     fn client(&self) -> Arc<Client> {
         Arc::clone(&self.client.lock().unwrap())
     }
+
+    /// Takes every entry, oldest first (a kill or a breaker trip).
+    fn take_all(&self) -> Vec<Pending> {
+        std::mem::take(&mut *self.inflight.lock().unwrap()).into_values().collect()
+    }
+}
+
+/// Work the router timer runs when it is due: a failover waiting out
+/// its backoff, or a reply held back by an injected `delay:S:MS`.
+type Deferred = Box<dyn FnOnce(&Core) + Send>;
+
+/// The timer's queue: deferred work by due time (ties in arrival
+/// order), plus the stop flag the shutdown drain raises.
+#[derive(Default)]
+struct TimerQueue {
+    due: Vec<(Instant, Deferred)>,
+    stop: bool,
 }
 
 /// Per-shard supervision state (under `Core::sup`).
@@ -243,11 +269,15 @@ struct WarmupStatus {
     replayed: u64,
 }
 
-/// Everything the dispatchers, gather threads, and frontends share.
+/// Everything the dispatchers, settling backend workers, the timer,
+/// and the frontends share.
 struct Core {
+    /// This core, for the completions handed to backends (weak: a queued
+    /// completion must not keep a dropped router alive).
+    me: Weak<Core>,
     cfg: RouterConfig,
     ring: Mutex<HashRing>,
-    lanes: Vec<Arc<Lane>>,
+    lanes: Vec<Lane>,
     /// Each shard's engine; a respawn swaps in the replacement's.
     engines: Vec<Mutex<Arc<Engine>>>,
     servers: Mutex<Vec<Option<Server>>>,
@@ -268,10 +298,14 @@ struct Core {
     sup: Mutex<Vec<SupState>>,
     /// Per-shard warmup progress.
     warmups: Vec<Mutex<WarmupStatus>>,
-    /// Gather threads spawned for respawned shards, joined at shutdown.
-    extra_gathers: Mutex<Vec<JoinHandle<()>>>,
     /// Next connection id (TCP and in-process clients share the space).
     next_conn_id: AtomicU64,
+    /// Next router request id (one per submission to a lane).
+    next_request_id: AtomicU64,
+    /// Deferred failovers and held replies (see [`Core::timer_loop`]).
+    timer: Mutex<TimerQueue>,
+    /// Wakes the timer for a new earliest deadline or to stop.
+    timer_cv: Condvar,
 }
 
 impl Core {
@@ -295,10 +329,8 @@ impl Core {
     /// never drops a slot.
     fn dispatch(&self, mut pending: Pending) {
         if self.draining.load(Ordering::SeqCst) {
-            deliver_refusal(
-                &pending,
-                "router is draining for shutdown; request refused (not evaluated)".into(),
-            );
+            pending
+                .refuse("router is draining for shutdown; request refused (not evaluated)".into());
             return;
         }
         if pending.attempts == 0 {
@@ -315,8 +347,7 @@ impl Core {
         self.admit_probes();
         if pending.deadline.is_some_and(|d| Instant::now() >= d) {
             ResilienceCounters::bump(&self.resilience.deadline_missed);
-            deliver_deadline(
-                &pending,
+            pending.expire(
                 "deadline expired before any shard was reached; \
                  request refused (not evaluated)"
                     .into(),
@@ -326,8 +357,7 @@ impl Core {
         let hash = routing_hash(&pending.query);
         loop {
             let Some(shard) = self.ring.lock().unwrap().route(hash) else {
-                deliver_refusal(
-                    &pending,
+                pending.refuse(
                     "no shard available: every backend was lost; \
                      request refused (not evaluated)"
                         .into(),
@@ -336,20 +366,27 @@ impl Core {
             };
             let lane = &self.lanes[shard];
             self.record_hot(lane, hash, &pending.query);
-            let mut q = lane.inflight.lock().unwrap();
+            let mut inflight = lane.inflight.lock().unwrap();
             if lane.lost.load(Ordering::SeqCst) {
                 // Lost between the ring lookup and the lane lock; the
                 // ring has already rebalanced — route again.
                 continue;
             }
-            // Submit under the lane lock: the backend replies to this
-            // client in submission order, so the FIFO and the reply
-            // stream can never disagree. The remaining deadline budget
-            // travels with the submission.
+            // Relaxed: the id publishes no data, and the lane lock orders
+            // a lane's draws.
+            let id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
             pending.submitted = Instant::now();
-            lane.client().submit_with_deadline(pending.query.clone(), pending.deadline);
-            q.push_back(pending);
-            lane.cv.notify_all();
+            let (query, deadline) = (pending.query.clone(), pending.deadline);
+            inflight.insert(id, pending);
+            drop(inflight);
+            // Outside the lane lock: a refusing backend settles before
+            // `submit_then` returns. The deadline budget travels along.
+            let core = Weak::clone(&self.me);
+            lane.client().submit_then(query, deadline, id, move |response| {
+                if let Some(core) = core.upgrade() {
+                    core.settle(shard, id, response);
+                }
+            });
             return;
         }
     }
@@ -493,8 +530,9 @@ impl Core {
     }
 
     /// Trips one shard's breaker open: out of the ring, in-flight slots
-    /// redispatched, stale backend replies marked for skipping. The
-    /// shard's server keeps running — readmission is the probe's job.
+    /// redispatched (their late backend replies will find nothing to
+    /// settle). The shard's server keeps running — readmission is the
+    /// probe's job.
     fn trip_shard(&self, shard: usize, why: &str) {
         let lane = &self.lanes[shard];
         if lane.lost.load(Ordering::SeqCst) {
@@ -518,16 +556,7 @@ impl Core {
             }
         }
         ResilienceCounters::bump(&self.resilience.breaker_opened);
-        let drained: Vec<Pending> = {
-            let mut q = lane.inflight.lock().unwrap();
-            // The backend will still answer these submissions
-            // eventually; skip those stale replies so the FIFO stays
-            // aligned when the shard is readmitted.
-            lane.skip.fetch_add(q.len() as u64, Ordering::SeqCst);
-            let v: Vec<Pending> = q.drain(..).collect();
-            lane.cv.notify_all();
-            v
-        };
+        let drained = lane.take_all();
         if let Some(plan) = self.plan() {
             plan.record(format!(
                 "router: breaker opened on shard {shard} ({why}); \
@@ -541,21 +570,19 @@ impl Core {
     }
 
     /// Retries one slot whose shard failed under it: immediate failover
-    /// on the first attempt, deterministic capped backoff after, with
-    /// the documented in-slot refusals when the budget, the attempt
-    /// cap, or retry-safety says stop.
+    /// on the first attempt, deterministic capped backoff after — held
+    /// on the timer, never slept on the caller's thread — with the
+    /// documented in-slot refusals when the budget, the attempt cap, or
+    /// retry-safety says stop.
     fn redispatch(&self, mut p: Pending, from_shard: usize) {
         p.attempts += 1;
         let r = self.cfg.retry;
         if p.deadline.is_some_and(|d| Instant::now() >= d) {
             ResilienceCounters::bump(&self.resilience.deadline_missed);
-            deliver_deadline(
-                &p,
-                format!(
-                    "deadline expired while failing over from shard {from_shard}; \
-                     result not produced (the request may or may not have been evaluated)"
-                ),
-            );
+            p.expire(format!(
+                "deadline expired while failing over from shard {from_shard}; \
+                 result not produced (the request may or may not have been evaluated)"
+            ));
             return;
         }
         // The client-facing hint: the deterministic wait the next
@@ -566,30 +593,24 @@ impl Core {
             r.backoff_cap_ms,
             p.attempts + 1,
             r.seed,
-            p.token,
+            p.token(),
         )
         .max(1);
         if !p.query.retry_safe() {
-            deliver_refusal(
-                &p,
-                format!(
-                    "shard {from_shard} was lost with the request in flight; not evaluated — \
-                     this query measures wall-clock time and is not retry-safe; \
-                     the ring has rebalanced, retry_after_ms={hint}"
-                ),
-            );
+            p.refuse(format!(
+                "shard {from_shard} was lost with the request in flight; not evaluated — \
+                 this query measures wall-clock time and is not retry-safe; \
+                 the ring has rebalanced, retry_after_ms={hint}"
+            ));
             return;
         }
         if p.attempts >= r.max_attempts {
-            deliver_refusal(
-                &p,
-                format!(
-                    "shard {from_shard} was lost with the request in flight; not evaluated — \
-                     {} dispatch attempts exhausted; \
-                     the ring has rebalanced, retry_after_ms={hint}",
-                    p.attempts
-                ),
-            );
+            let attempts = p.attempts;
+            p.refuse(format!(
+                "shard {from_shard} was lost with the request in flight; not evaluated — \
+                 {attempts} dispatch attempts exhausted; \
+                 the ring has rebalanced, retry_after_ms={hint}"
+            ));
             return;
         }
         ResilienceCounters::bump(&self.resilience.retries);
@@ -603,12 +624,14 @@ impl Core {
             r.backoff_cap_ms,
             p.attempts,
             r.seed,
-            p.token,
+            p.token(),
         );
         if wait > 0 {
-            std::thread::sleep(Duration::from_millis(wait));
+            let at = Instant::now() + Duration::from_millis(wait);
+            self.defer(at, Box::new(move |core| core.dispatch(p)));
+        } else {
+            self.dispatch(p);
         }
-        self.dispatch(p);
     }
 
     /// Kills one shard: ring removal, in-flight redispatch, backend
@@ -624,16 +647,10 @@ impl Core {
             ring.remove(shard);
         }
         let lane = &self.lanes[shard];
-        let drained: Vec<Pending> = {
-            // Flag and drain under the lane lock: dispatchers that chose
-            // this shard before the ring update re-route instead of
-            // enqueueing behind a dead backend.
-            let mut q = lane.inflight.lock().unwrap();
-            lane.lost.store(true, Ordering::SeqCst);
-            let v: Vec<Pending> = q.drain(..).collect();
-            lane.cv.notify_all();
-            v
-        };
+        // Flag, then drain: a racing dispatcher either inserted before
+        // the drain or sees the flag under the lane lock and re-routes.
+        lane.lost.store(true, Ordering::SeqCst);
+        let drained = lane.take_all();
         if let Some(plan) = self.plan() {
             plan.record(format!(
                 "router: shard {shard} lost; {} in-flight slot(s) redispatched",
@@ -749,127 +766,110 @@ impl Core {
         ])
     }
 
-    /// Trips the stall breaker if the lane's oldest in-flight slot has
-    /// waited past the stall threshold with no reply at all.
-    fn check_stall(&self, lane: &Lane) {
-        let stalled = {
-            let q = lane.inflight.lock().unwrap();
-            !lane.lost.load(Ordering::SeqCst)
-                && q.front().is_some_and(|p| p.submitted.elapsed() >= self.cfg.breaker.stall_after)
-        };
-        if stalled {
-            self.trip_shard(lane.shard, "reply stall");
+    /// Settles request `id` with its backend reply, on the backend
+    /// worker that produced it, applying any armed injected faults on
+    /// the way.
+    fn settle(&self, shard: usize, id: u64, response: Response) {
+        let lane = &self.lanes[shard];
+        // An injected wedge: the lane holds its replies back, as a hung
+        // backend connection would — only the stall trip (which
+        // redispatches the waiting slots) gets them out.
+        if lane.faults.wedged.load(Ordering::SeqCst) {
+            return;
+        }
+        // Gone means a kill or trip already redispatched the slot.
+        let Some(p) = lane.inflight.lock().unwrap().remove(&id) else { return };
+        if take_one(&lane.faults.drop_next) {
+            // Injected reply drop: the backend's answer evaporates;
+            // the slot retries instead of waiting forever.
+            ResilienceCounters::bump(&self.resilience.replies_dropped);
+            if let Some(plan) = self.plan() {
+                plan.record(format!("router: dropped a reply on lane {shard}; slot redispatched"));
+            }
+            self.redispatch(p, shard);
+            return;
+        }
+        if take_one(&lane.faults.dup_next) {
+            // Injected duplicate: the reply "arrives twice"; the
+            // second copy is suppressed — every slot is delivered
+            // exactly once, never routed twice.
+            ResilienceCounters::bump(&self.resilience.duplicates_suppressed);
+            if let Some(plan) = self.plan() {
+                plan.record(format!("router: suppressed a duplicate reply on lane {shard}"));
+            }
+        }
+        let delay = lane.faults.delay_ms.swap(0, Ordering::SeqCst);
+        if delay > 0 {
+            let at = Instant::now() + Duration::from_millis(delay);
+            self.defer(at, Box::new(move |core| core.finish(shard, p, response)));
+            return;
+        }
+        self.finish(shard, p, response);
+    }
+
+    /// Delivers one settled reply into its origin slot.
+    fn finish(&self, shard: usize, p: Pending, response: Response) {
+        // Book-keep before delivering: a closed-loop client that just
+        // saw its reply must also see the counters it caused.
+        let healthy = !matches!(&response, Response::Invalid(e) if e.kind() == "internal");
+        self.note_reply(shard, healthy);
+        p.answer(response);
+    }
+
+    /// Holds `work` on the timer until `at`, waking the timer only when
+    /// `at` is its new earliest deadline.
+    fn defer(&self, at: Instant, work: Deferred) {
+        let mut timer = self.timer.lock().unwrap();
+        let i = timer.due.partition_point(|&(due, _)| due <= at);
+        timer.due.insert(i, (at, work));
+        drop(timer);
+        if i == 0 {
+            self.timer_cv.notify_one();
         }
     }
 
-    /// Gather: pump one lane's replies back into their origin slots, in
-    /// lane-FIFO order, applying any armed injected faults on the way.
-    /// Exits when the lane is lost, or when the router is draining and
-    /// nothing is in flight.
-    fn gather_loop(&self, lane: &Lane) {
-        let poll = self.cfg.poll;
-        // The client can only change between gather generations (a
-        // respawn swaps it after this loop has exited on `lost`), so
-        // one clone up front is safe.
-        let client = lane.client();
+    /// The timer thread: runs deferred work when due and trips stalled
+    /// lanes. It sleeps until its earliest deadline but never longer
+    /// than half the stall threshold, so dispatch never has to wake it.
+    /// Exits once the shutdown drain raised `stop` and nothing is held.
+    fn timer_loop(&self) {
+        let nap = (self.cfg.breaker.stall_after / 2).max(Duration::from_millis(1));
+        let mut timer = self.timer.lock().unwrap();
         loop {
-            // Park until something is in flight (or the lane is done).
-            {
-                let mut q = lane.inflight.lock().unwrap();
-                loop {
-                    if lane.lost.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    if !q.is_empty() {
-                        break;
-                    }
-                    if self.draining.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    q = lane.cv.wait_timeout(q, poll).unwrap().0;
-                }
-            }
-            // An injected wedge: stop consuming replies, as a hung
-            // backend connection would — only the stall breaker (which
-            // redispatches the waiting slots) gets the lane out.
-            if lane.faults.wedged.load(Ordering::SeqCst) {
-                self.check_stall(lane);
-                std::thread::sleep(poll.min(Duration::from_millis(5)));
+            let now = Instant::now();
+            if timer.due.first().is_some_and(|&(at, _)| at <= now) {
+                let (_, work) = timer.due.remove(0);
+                drop(timer);
+                work(self);
+                timer = self.timer.lock().unwrap();
                 continue;
             }
-            // Short poll, not a blocking recv: a kill can answer the
-            // pending slots out from under us, and the next park
-            // iteration must notice the lost flag.
-            let Some((_, response)) = client.recv_timeout(poll) else {
-                // No reply inside the window: a slow backend is fine,
-                // a stalled one must trip.
-                self.check_stall(lane);
-                continue;
-            };
-            let delay = lane.faults.delay_ms.swap(0, Ordering::SeqCst);
-            if delay > 0 {
-                std::thread::sleep(Duration::from_millis(delay));
+            if timer.stop && timer.due.is_empty() {
+                return;
             }
-            enum Got {
-                Deliver(Box<Pending>),
-                Stale,
-                Done,
-            }
-            let got = {
-                let mut q = lane.inflight.lock().unwrap();
-                if lane.lost.load(Ordering::SeqCst) {
-                    // The kill already answered every pending slot;
-                    // this reply (flushed by the backend's drain) has
-                    // no waiter.
-                    Got::Done
-                } else if take_one(&lane.skip) {
-                    // A stale answer for a slot a breaker trip already
-                    // redispatched: discard to keep the FIFO aligned.
-                    Got::Stale
-                } else {
-                    Got::Deliver(Box::new(
-                        q.pop_front().expect("backend reply without a pending request"),
-                    ))
-                }
-            };
-            let p = match got {
-                Got::Done => return,
-                Got::Stale => continue,
-                Got::Deliver(p) => *p,
-            };
-            if take_one(&lane.faults.drop_next) {
-                // Injected reply drop: the backend's answer evaporates;
-                // the slot retries instead of waiting forever.
-                ResilienceCounters::bump(&self.resilience.replies_dropped);
-                if let Some(plan) = self.plan() {
-                    plan.record(format!(
-                        "router: dropped a reply on lane {}; slot redispatched",
-                        lane.shard
-                    ));
-                }
-                self.redispatch(p, lane.shard);
-                lane.cv.notify_all();
-                continue;
-            }
-            if take_one(&lane.faults.dup_next) {
-                // Injected duplicate: the reply "arrives twice"; the
-                // second copy is suppressed — every slot is delivered
-                // exactly once, never routed twice.
-                ResilienceCounters::bump(&self.resilience.duplicates_suppressed);
-                if let Some(plan) = self.plan() {
-                    plan.record(format!(
-                        "router: suppressed a duplicate reply on lane {}",
-                        lane.shard
-                    ));
-                }
-            }
-            // Book-keep before delivering: a closed-loop client that
-            // just saw its reply must also see the counters it caused.
-            let healthy = !matches!(&response, Response::Invalid(e) if e.kind() == "internal");
-            self.note_reply(lane.shard, healthy);
-            deliver(&p, response);
-            lane.cv.notify_all();
+            drop(timer);
+            let wake = self.trip_stalls(now, now + nap);
+            timer = self.timer.lock().unwrap();
+            let wake = timer.due.first().map_or(wake, |&(at, _)| wake.min(at));
+            let left = wake.saturating_duration_since(Instant::now());
+            timer = self.timer_cv.wait_timeout(timer, left).unwrap().0;
         }
+    }
+
+    /// Trips every lane whose oldest in-flight request has waited the
+    /// stall threshold with no reply at all; returns the earlier of
+    /// `wake` and the next time a lane could stall.
+    fn trip_stalls(&self, now: Instant, mut wake: Instant) -> Instant {
+        for (shard, lane) in self.lanes.iter().enumerate() {
+            let oldest = lane.inflight.lock().unwrap().values().next().map(|p| p.submitted);
+            let Some(at) = oldest.map(|t| t + self.cfg.breaker.stall_after) else { continue };
+            if at <= now {
+                self.trip_shard(shard, "reply stall");
+            } else {
+                wake = wake.min(at);
+            }
+        }
+        wake
     }
 
     /// The supervisor thread: scans for lost shards and heals them.
@@ -877,20 +877,19 @@ impl Core {
     /// stall breaker already trips, probes, and recloses those; the
     /// supervisor handles the one failure the breaker cannot: the
     /// server is *gone*.
-    fn supervisor_loop(self: &Arc<Self>) {
+    fn supervisor_loop(&self) {
         let Some(policy) = self.cfg.supervisor else { return };
-        let tick = self.cfg.poll.min(Duration::from_millis(10));
         while !self.draining.load(Ordering::SeqCst) {
             for shard in 0..self.cfg.shards {
                 self.supervise_shard(shard, policy);
             }
-            std::thread::sleep(tick);
+            std::thread::sleep(SUPERVISOR_TICK);
         }
     }
 
     /// One supervision step for one shard: observe loss, debounce,
     /// spend (or exhaust) the respawn budget, respawn.
-    fn supervise_shard(self: &Arc<Self>, shard: usize, policy: SupervisorPolicy) {
+    fn supervise_shard(&self, shard: usize, policy: SupervisorPolicy) {
         let lane = &self.lanes[shard];
         if !lane.lost.load(Ordering::SeqCst) {
             self.sup.lock().unwrap()[shard].lost_at = None;
@@ -952,7 +951,7 @@ impl Core {
     /// abandons the replacement and leaves the ring exactly as it was:
     /// the ring changes at most once per successful respawn, never
     /// half-way.
-    fn respawn_shard(self: &Arc<Self>, shard: usize, attempt: u32, policy: SupervisorPolicy) {
+    fn respawn_shard(&self, shard: usize, attempt: u32, policy: SupervisorPolicy) {
         let lane = &self.lanes[shard];
         let abandon = |server: Server, why: &str| {
             server.shutdown();
@@ -1000,29 +999,19 @@ impl Core {
         self.warmups[shard].lock().unwrap().active = false;
 
         // Install: server and client in place, injected faults cleared,
-        // breaker closed, gather thread running — and only then the
-        // ring readmission that routes traffic here.
+        // breaker closed — and only then the ring readmission that
+        // routes traffic here.
         self.servers.lock().unwrap()[shard] = Some(server);
         *self.engines[shard].lock().unwrap() = engine;
         *lane.client.lock().unwrap() = Arc::new(client);
         // Faults armed against the lost server die with it; denials and
         // crash-loops stay armed for the supervisor's next attempts.
-        lane.skip.store(0, Ordering::SeqCst);
         lane.faults.delay_ms.store(0, Ordering::SeqCst);
         lane.faults.drop_next.store(0, Ordering::SeqCst);
         lane.faults.dup_next.store(0, Ordering::SeqCst);
         lane.faults.wedged.store(false, Ordering::SeqCst);
         *self.breakers[shard].lock().unwrap() = BreakerState::Closed { failures: 0 };
         lane.lost.store(false, Ordering::SeqCst);
-        let gather = {
-            let core = Arc::clone(self);
-            let lane = Arc::clone(&self.lanes[shard]);
-            std::thread::Builder::new()
-                .name(format!("parspeed-gather-{shard}-r{attempt}"))
-                .spawn(move || core.gather_loop(&lane))
-                .expect("spawn gather thread")
-        };
-        self.extra_gathers.lock().unwrap().push(gather);
         {
             let mut ring = self.ring.lock().unwrap();
             if !ring.members().contains(&shard) {
@@ -1086,12 +1075,13 @@ impl Core {
     }
 }
 
-/// The running router: shard servers, gather threads, and any TCP
-/// frontends attached. Dropping it without [`shutdown`](Router::shutdown)
-/// leaks the fleet's threads — call `shutdown`.
+/// The running router: shard servers, the timer, the supervisor, and
+/// any TCP frontends attached. Dropping it without
+/// [`shutdown`](Router::shutdown) leaks the fleet's threads — call
+/// `shutdown`.
 pub struct Router {
     core: Arc<Core>,
-    gathers: Vec<JoinHandle<()>>,
+    timer: JoinHandle<()>,
     supervisor: Option<JoinHandle<()>>,
     acceptors: Vec<JoinHandle<()>>,
 }
@@ -1123,18 +1113,16 @@ impl Router {
             let client = server.client();
             engines.push(Mutex::new(engine));
             servers.push(Some(server));
-            lanes.push(Arc::new(Lane {
-                shard,
+            lanes.push(Lane {
                 client: Mutex::new(Arc::new(client)),
-                inflight: Mutex::new(VecDeque::new()),
-                cv: Condvar::new(),
+                inflight: Mutex::new(BTreeMap::new()),
                 lost: AtomicBool::new(false),
-                skip: AtomicU64::new(0),
                 hot: Mutex::new(VecDeque::new()),
                 faults: LaneFaults::default(),
-            }));
+            });
         }
-        let core = Arc::new(Core {
+        let core = Arc::new_cyclic(|me| Core {
+            me: Weak::clone(me),
             cfg: config,
             ring: Mutex::new(HashRing::with_shards(config.shards, config.replicas)),
             lanes,
@@ -1150,21 +1138,18 @@ impl Router {
             factory: Box::new(factory),
             sup: Mutex::new(vec![SupState::default(); config.shards]),
             warmups: (0..config.shards).map(|_| Mutex::new(WarmupStatus::default())).collect(),
-            extra_gathers: Mutex::new(Vec::new()),
             next_conn_id: AtomicU64::new(0),
+            next_request_id: AtomicU64::new(0),
+            timer: Mutex::new(TimerQueue::default()),
+            timer_cv: Condvar::new(),
         });
-        let gathers = core
-            .lanes
-            .iter()
-            .map(|lane| {
-                let core = Arc::clone(&core);
-                let lane = Arc::clone(lane);
-                std::thread::Builder::new()
-                    .name(format!("parspeed-gather-{}", lane.shard))
-                    .spawn(move || core.gather_loop(&lane))
-                    .expect("spawn gather thread")
-            })
-            .collect();
+        let timer = {
+            let core = Arc::clone(&core);
+            std::thread::Builder::new()
+                .name("parspeed-router-timer".into())
+                .spawn(move || core.timer_loop())
+                .expect("spawn router timer thread")
+        };
         let supervisor = core.cfg.supervisor.is_some().then(|| {
             let core = Arc::clone(&core);
             std::thread::Builder::new()
@@ -1172,7 +1157,7 @@ impl Router {
                 .spawn(move || core.supervisor_loop())
                 .expect("spawn supervisor thread")
         });
-        Router { core, gathers, supervisor, acceptors: Vec::new() }
+        Router { core, timer, supervisor, acceptors: Vec::new() }
     }
 
     /// The fleet configuration this router was started with.
@@ -1279,30 +1264,29 @@ impl Router {
         if let Some(supervisor) = self.supervisor {
             let _ = supervisor.join();
         }
-        // Wait for every live lane to flush: backends are still running,
-        // so every pending slot gets its real reply.
-        let poll = self.core.cfg.poll;
+        // Wait for every lane to settle: backends are still running, so
+        // every in-flight request gets its real reply (a wedged lane's
+        // stall trip answers its slots).
         for lane in &self.core.lanes {
-            if lane.lost.load(Ordering::SeqCst) {
-                continue;
-            }
-            let mut q = lane.inflight.lock().unwrap();
-            while !q.is_empty() {
-                q = lane.cv.wait_timeout(q, poll).unwrap().0;
+            while !lane.inflight.lock().unwrap().is_empty() {
+                std::thread::sleep(Duration::from_millis(1));
             }
         }
-        for gather in self.gathers {
-            let _ = gather.join();
-        }
-        for gather in std::mem::take(&mut *self.core.extra_gathers.lock().unwrap()) {
-            let _ = gather.join();
-        }
+        // Drain the backends before stopping the timer: their workers,
+        // still finishing a reply that just left its lane, are the only
+        // other threads that defer (a held reply, a dropped reply's retry).
         let servers = std::mem::take(&mut *self.core.servers.lock().unwrap());
-        servers
+        let stats = servers
             .into_iter()
             .enumerate()
             .filter_map(|(shard, server)| server.map(|s| (shard, s.shutdown())))
-            .collect()
+            .collect();
+        // Held work still runs when due (a deferred failover now answers
+        // the draining refusal); the timer exits once nothing is held.
+        self.core.timer.lock().unwrap().stop = true;
+        self.core.timer_cv.notify_one();
+        let _ = self.timer.join();
+        stats
     }
 }
 
@@ -1329,38 +1313,19 @@ impl RouterClient {
     /// `deadline_exceeded` kind instead of blocking forever.
     pub fn submit_with_deadline(&self, query: Query, deadline: Option<Instant>) -> u64 {
         let seq = self.conn.alloc_seq();
-        self.core.dispatch(Pending {
-            conn: Arc::clone(&self.conn),
-            seq,
-            query,
-            version: WIRE_VERSION,
-            line_no: seq as usize + 1,
-            render: false,
-            deadline,
-            attempts: 0,
-            token: mix(self.conn.id).wrapping_add(seq),
-            submitted: Instant::now(),
-        });
+        self.core.dispatch(Pending::new(&self.conn, seq, query, ReplyShape::Typed, deadline));
         seq
     }
 
     /// Receives the next reply in submission order, blocking until it
     /// is released. Panics if nothing is outstanding.
     pub fn recv(&self) -> (u64, Response) {
-        assert!(!self.conn.idle(), "recv with no outstanding submission");
-        match self.conn.next_released() {
-            Some((seq, Delivery::Typed(response))) => (seq, response),
-            Some((_, Delivery::Line(_))) => unreachable!("rendered delivery on a typed client"),
-            None => unreachable!("in-process connections never reach EOF"),
-        }
+        self.conn.recv_typed(None).expect("in-process connections never reach EOF")
     }
 
     /// [`recv`](Self::recv) with a deadline; `None` on timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<(u64, Response)> {
-        match self.conn.next_released_timeout(timeout)? {
-            (seq, Delivery::Typed(response)) => Some((seq, response)),
-            (_, Delivery::Line(_)) => unreachable!("rendered delivery on a typed client"),
-        }
+        self.conn.recv_typed(Some(timeout))
     }
 
     /// Submit one query and wait for its reply.
@@ -1421,20 +1386,10 @@ impl WireHandler for RouterHandler {
     }
 
     fn admit(&self, conn: &Arc<ConnShared>, a: Admission, shed: Option<&str>) {
-        let pending = Pending {
-            conn: Arc::clone(conn),
-            seq: a.seq,
-            query: a.query,
-            version: a.version,
-            line_no: a.line_no,
-            render: true,
-            deadline: a.deadline,
-            attempts: 0,
-            token: mix(conn.id).wrapping_add(a.seq),
-            submitted: a.admitted,
-        };
+        let shape = ReplyShape::Line { version: a.version, line_no: a.line_no };
+        let pending = Pending::new(conn, a.seq, a.query, shape, a.deadline);
         match shed {
-            Some(msg) => deliver_refusal(&pending, msg.to_string()),
+            Some(msg) => pending.refuse(msg.to_string()),
             None => self.core.dispatch(pending),
         }
     }

@@ -41,7 +41,6 @@ fn fast_config(shards: usize) -> RouterConfig {
             max_batch: 4096,
             ..ServerConfig::default()
         },
-        poll: Duration::from_millis(5),
         ..RouterConfig::default()
     }
 }
@@ -109,7 +108,7 @@ fn default_deadline_budget_applies_to_bare_submissions() {
 fn the_deadline_budget_travels_to_the_backend() {
     // One slow backend: the router dispatches instantly, the budget
     // expires inside the shard's batching window, and the *backend*
-    // answers the deadline kind through the gather path.
+    // answers the deadline kind, which settles the router's slot.
     let config = RouterConfig {
         shards: 1,
         backend: ServerConfig {
@@ -117,7 +116,6 @@ fn the_deadline_budget_travels_to_the_backend() {
             workers: 1,
             ..ServerConfig::default()
         },
-        poll: Duration::from_millis(5),
         ..RouterConfig::default()
     };
     let router = Router::start(config);
@@ -155,8 +153,8 @@ fn a_wedged_lane_trips_the_breaker_and_the_probe_recloses_it() {
     assert_eq!(snap.failovers, 1);
 
     // After the probe interval the shard is readmitted half-open; its
-    // stale wedged-era reply is skipped (FIFO stays aligned) and the
-    // next healthy reply recloses the breaker.
+    // wedged-era reply was held back and its slot redispatched by the
+    // trip, and the next healthy reply recloses the breaker.
     std::thread::sleep(Duration::from_millis(150));
     assert_eq!(client.call(query(side)), expect);
     assert_eq!(router.resilience().snapshot().breaker_reclosed, 1);

@@ -31,7 +31,6 @@ fn supervised_config(shards: usize) -> RouterConfig {
             max_batch: 4096,
             ..ServerConfig::default()
         },
-        poll: Duration::from_millis(5),
         supervisor: Some(SupervisorPolicy {
             respawn_after: Duration::from_millis(10),
             max_respawns: 3,

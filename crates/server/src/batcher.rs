@@ -19,7 +19,7 @@
 //! that cannot be replied to. Draining behaves the same way: accepted
 //! requests are all flushed, late ones get the overload answer.
 
-use crate::conn::{ConnShared, Delivery};
+use crate::conn::{ConnShared, ReplyShape};
 use crate::metrics::{ns_between, MetricsSnapshot, ServerObs};
 use crate::stats::{Counters, ServerStats};
 use crate::ServerConfig;
@@ -34,27 +34,30 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// One admitted (or about-to-be-refused) request on its way to the
-/// engine: the query plus everything needed to route and render its
-/// reply.
+/// engine: the query plus everything needed to route its reply.
 pub(crate) struct Job {
-    /// The submitting connection.
+    /// The submitting connection (its id tags the query for the engine).
     pub conn: Arc<ConnShared>,
-    /// Connection-local sequence number (reply slot address).
+    /// Connection-local sequence number: the reply slot, or for a
+    /// [`ReplyTo::Complete`] job the submitter's tag.
     pub seq: u64,
     /// The parsed query.
     pub query: Query,
-    /// The wire version the request line spoke (rendering shape).
-    pub version: u32,
-    /// 1-based input line number on the connection (error slots).
-    pub line_no: usize,
-    /// Render the reply to a JSONL line (TCP) instead of keeping it
-    /// typed (in-process clients).
-    pub render: bool,
+    /// Where the reply goes.
+    pub reply_to: ReplyTo,
     /// When admission accepted the request (`queue` stage start).
     pub submitted: Instant,
     /// Absolute expiry: past it, the slot answers `deadline_exceeded`
     /// instead of entering the engine (`None` = no deadline).
     pub deadline: Option<Instant>,
+}
+
+/// Where a job's reply goes.
+pub(crate) enum ReplyTo {
+    /// The connection's reorder slot `seq`, in the slot's shape.
+    Slot(ReplyShape),
+    /// A completion the worker runs with the reply; no reorder slot.
+    Complete(Box<dyn FnOnce(Response) + Send>),
 }
 
 #[derive(Default)]
@@ -177,7 +180,7 @@ impl Shared {
             }
             Some(msg) => {
                 drop(q);
-                deliver_overload(&job, msg, &self.counters, &self.obs);
+                deliver_overload(job, msg, &self.counters, &self.obs);
             }
         }
     }
@@ -327,7 +330,7 @@ impl Shared {
         if !expired.is_empty() {
             let _group = c.batch_group();
             c.add(&c.completed, expired.len() as u64);
-            for job in &expired {
+            for job in expired {
                 ResilienceCounters::bump(&self.resilience.deadline_missed);
                 deliver(
                     job,
@@ -380,7 +383,7 @@ impl Shared {
                     c.raise(&c.max_batch_fill, jobs.len() as u64);
                     c.add(&c.completed, jobs.len() as u64);
                 }
-                for job in &jobs {
+                for job in jobs {
                     deliver(
                         job,
                         Response::Invalid(ParspeedError::Internal(
@@ -436,7 +439,7 @@ impl Shared {
                     }
                 }
                 debug_assert_eq!(reply.replies.len(), jobs.len());
-                for (job, (slot, response)) in jobs.iter().zip(reply.replies) {
+                for (job, (slot, response)) in jobs.into_iter().zip(reply.replies) {
                     debug_assert_eq!(slot, SlotAddr { client: job.conn.id, seq: job.seq });
                     deliver(job, response, &self.obs);
                 }
@@ -452,7 +455,7 @@ impl Shared {
                     c.raise(&c.max_batch_fill, jobs.len() as u64);
                     c.add(&c.completed, jobs.len() as u64);
                 }
-                for job in &jobs {
+                for job in jobs {
                     deliver(job, Response::Invalid(e.clone()), &self.obs);
                 }
             }
@@ -460,22 +463,21 @@ impl Shared {
     }
 }
 
-/// Routes one response to its job's slot, rendering for TCP connections.
-/// The single delivery funnel — every reply passes here, so the one
-/// end-to-end latency sample per request (admission to reply routed,
-/// the `metrics` op's SLO percentiles) can never be missed or doubled.
-pub(crate) fn deliver(job: &Job, response: Response, obs: &ServerObs) {
+/// Routes one response to its job's slot, or hands it to the job's
+/// completion. The single delivery funnel — every reply passes here, so
+/// the one end-to-end latency sample per request (admission to reply
+/// routed, the `metrics` op's SLO percentiles) can never be missed or
+/// doubled.
+pub(crate) fn deliver(job: Job, response: Response, obs: &ServerObs) {
     obs.record_latency(ns_between(job.submitted, Instant::now()));
-    let delivery = if job.render {
-        Delivery::Line(jsonl::render_response(&job.query, &response, job.version, job.line_no))
-    } else {
-        Delivery::Typed(response)
-    };
-    job.conn.route(job.seq, delivery);
+    match job.reply_to {
+        ReplyTo::Slot(shape) => job.conn.answer(job.seq, &job.query, response, shape),
+        ReplyTo::Complete(done) => done(response),
+    }
 }
 
 /// Answers a refused job's slot with the documented `overloaded` error.
-pub(crate) fn deliver_overload(job: &Job, msg: String, counters: &Counters, obs: &ServerObs) {
+pub(crate) fn deliver_overload(job: Job, msg: String, counters: &Counters, obs: &ServerObs) {
     counters.add(&counters.overloaded, 1);
     deliver(job, Response::Invalid(ParspeedError::overloaded(msg)), obs);
 }

@@ -4,17 +4,18 @@
 //! single batch answers slots from many connections at once — but every
 //! connection must see its replies in its own submission order. Each
 //! connection therefore owns a [`Router`]: a reorder buffer keyed by the
-//! connection-local sequence number. Workers [`route`](ConnShared::route)
-//! replies as they finish; the router *releases* them strictly in
-//! sequence order, and the consumer (the event loop writing a TCP
-//! connection, or an in-process [`Client`](crate::Client) calling
-//! `recv`) pops from the released queue. A reply for seq 3 is held
-//! until 0, 1, and 2 have been released, so cross-batch completion
-//! races can never reorder — or cross-wire — a connection's reply
-//! stream.
+//! connection-local sequence number. Workers
+//! [`answer`](ConnShared::answer) slots as they finish; the router
+//! *releases* them strictly in sequence order, and the consumer (the
+//! event loop writing a TCP connection, or an in-process
+//! [`Client`](crate::Client) calling
+//! [`recv_typed`](ConnShared::recv_typed)) pops from the released
+//! queue. A reply for seq 3 is held until 0, 1, and 2 have been
+//! released, so cross-batch completion races can never reorder — or
+//! cross-wire — a connection's reply stream.
 
 use crate::metrics::{ns_between, ServerObs};
-use parspeed_engine::Response;
+use parspeed_engine::{jsonl, Query, Response};
 use parspeed_obs::{ResilienceCounters, Stage};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -23,17 +24,30 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// One reply on its way back to a connection: typed for in-process
-/// clients, a pre-rendered JSONL line for TCP connections.
-///
-/// Public (with [`ConnShared`]) so sharded frontends — the
-/// `parspeed-router` scatter/gather tier — can feed gathered backend
-/// replies through the exact reorder machinery a local server uses.
+/// clients, a pre-rendered JSONL line for TCP connections — the form a
+/// reply takes in [`ConnShared`]'s reorder buffer.
 #[derive(Debug)]
-pub enum Delivery {
+pub(crate) enum Delivery {
     /// A typed response (in-process clients).
     Typed(Response),
     /// A rendered JSONL response line, newline excluded (TCP).
     Line(String),
+}
+
+/// How a reply slot wants its answer: typed for an in-process client,
+/// rendered for a TCP connection.
+#[derive(Debug, Clone, Copy)]
+pub enum ReplyShape {
+    /// A typed [`Response`] (in-process clients).
+    Typed,
+    /// A JSONL reply line in the request's wire `version`, numbered
+    /// `line_no` for error slots (TCP).
+    Line {
+        /// The wire version the request line spoke.
+        version: u32,
+        /// 1-based input line number on the connection.
+        line_no: usize,
+    },
 }
 
 #[derive(Debug, Default)]
@@ -57,10 +71,14 @@ struct Router {
 ///
 /// Public so other frontends (the consistent-hash router) reuse the
 /// same seq-keyed reorder buffer instead of reinventing ordered reply
-/// delivery: allocate with [`alloc_seq`](ConnShared::alloc_seq), route
-/// replies as they arrive — from any thread, in any order — and consume
-/// them strictly in sequence with
-/// [`next_released`](ConnShared::next_released).
+/// delivery: allocate with [`alloc_seq`](ConnShared::alloc_seq),
+/// [`answer`](ConnShared::answer) each slot as its reply arrives — from
+/// any thread, in any order, in the slot's [`ReplyShape`] — and receive
+/// typed replies strictly in sequence with
+/// [`recv_typed`](ConnShared::recv_typed). `answer` is the only public
+/// way in, so every tier's replies are rendered in one place. The router
+/// answers its origin slots straight from the shard's batcher worker
+/// that produced the reply.
 #[derive(Debug)]
 pub struct ConnShared {
     /// Frontend-assigned connection id (the [`SlotAddr::client`]
@@ -118,10 +136,10 @@ impl ConnShared {
         self
     }
 
-    /// Installs the wake callback [`route`](Self::route) invokes after
-    /// releasing replies. The event-loop frontend sets it right after
-    /// registering the connection — before any request is submitted, so
-    /// no release can slip by unseen.
+    /// Installs the wake callback that runs whenever an
+    /// [`answer`](Self::answer) releases replies. The event-loop
+    /// frontend sets it right after registering the connection — before
+    /// any request is submitted, so no release can slip by unseen.
     pub fn set_waker(&self, wake: Arc<dyn Fn() + Send + Sync>) {
         *self.waker.lock().unwrap() = Some(Waker(wake));
     }
@@ -142,7 +160,7 @@ impl ConnShared {
     /// answer wins: a duplicate is dropped — never silently overwriting
     /// the original — and counted in the resilience `reorder_drops`
     /// field so the `metrics` op surfaces the bug machine-readably.
-    pub fn route(&self, seq: u64, delivery: Delivery) {
+    pub(crate) fn route(&self, seq: u64, delivery: Delivery) {
         let produced = Instant::now();
         let mut r = self.state.lock().unwrap();
         if seq < r.next_emit || r.pending.contains_key(&seq) {
@@ -176,6 +194,18 @@ impl ConnShared {
         }
     }
 
+    /// Answers slot `seq` — the reply to `query` — in the slot's
+    /// `shape`. Every tier's replies funnel through here.
+    pub fn answer(&self, seq: u64, query: &Query, response: Response, shape: ReplyShape) {
+        let delivery = match shape {
+            ReplyShape::Typed => Delivery::Typed(response),
+            ReplyShape::Line { version, line_no } => {
+                Delivery::Line(jsonl::render_response(query, &response, version, line_no))
+            }
+        };
+        self.route(seq, delivery);
+    }
+
     /// Whether nothing is outstanding: no released reply waiting and
     /// every allocated sequence number already consumed. Used by the
     /// in-process client to turn a would-be-forever wait into a panic.
@@ -194,15 +224,16 @@ impl ConnShared {
     /// nothing is released right now. The event-loop frontend's
     /// consumer: it learns about releases from the waker, never by
     /// parking a thread here.
-    pub fn try_released(&self) -> Option<(u64, Delivery)> {
+    pub(crate) fn try_released(&self) -> Option<(u64, Delivery)> {
         self.state.lock().unwrap().released.pop_front()
     }
 
-    /// Pops the next in-order reply, blocking until one is released.
-    /// Returns `None` once the connection hit EOF and every allocated
-    /// sequence number has been released and consumed — the stream is
-    /// fully flushed.
-    pub fn next_released(&self) -> Option<(u64, Delivery)> {
+    /// Pops the next in-order reply, blocking until one is released —
+    /// for at most `timeout`, if given. `None` means timed out, or the
+    /// connection hit EOF with every allocated sequence number released
+    /// and consumed: the stream is fully flushed.
+    pub(crate) fn next_released(&self, timeout: Option<Duration>) -> Option<(u64, Delivery)> {
+        let deadline = timeout.map(|t| Instant::now() + t);
         let mut r = self.state.lock().unwrap();
         loop {
             if let Some(out) = r.released.pop_front() {
@@ -211,27 +242,28 @@ impl ConnShared {
             if r.eof && r.next_emit == r.allocated {
                 return None;
             }
-            r = self.cv.wait(r).unwrap();
+            r = match deadline {
+                None => self.cv.wait(r).unwrap(),
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return None;
+                    }
+                    self.cv.wait_timeout(r, left).unwrap().0
+                }
+            };
         }
     }
 
-    /// [`next_released`](Self::next_released) with a deadline; `None`
-    /// means flushed-and-done *or* timed out.
-    pub fn next_released_timeout(&self, timeout: Duration) -> Option<(u64, Delivery)> {
-        let deadline = Instant::now() + timeout;
-        let mut r = self.state.lock().unwrap();
-        loop {
-            if let Some(out) = r.released.pop_front() {
-                return Some(out);
-            }
-            if r.eof && r.next_emit == r.allocated {
-                return None;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            (r, _) = self.cv.wait_timeout(r, deadline - now).unwrap();
+    /// An in-process client's next reply (its replies are all typed),
+    /// in order: blocks until one is released — for at most `timeout`,
+    /// if given (`None` on expiry). Waiting without a timeout on a
+    /// connection with nothing outstanding panics: it would never end.
+    pub fn recv_typed(&self, timeout: Option<Duration>) -> Option<(u64, Response)> {
+        assert!(timeout.is_some() || !self.idle(), "recv with no outstanding submission");
+        match self.next_released(timeout)? {
+            (seq, Delivery::Typed(response)) => Some((seq, response)),
+            (_, Delivery::Line(_)) => unreachable!("rendered delivery on a typed client"),
         }
     }
 }
@@ -261,13 +293,13 @@ mod tests {
         conn.route(2, typed("c"));
         conn.route(0, typed("a"));
         // seq 1 still missing: only seq 0 may be released.
-        let (seq, d) = conn.next_released_timeout(Duration::from_millis(10)).unwrap();
+        let (seq, d) = conn.next_released(Some(Duration::from_millis(10))).unwrap();
         assert_eq!((seq, marker_of(&d).as_str()), (0, "a"));
-        assert!(conn.next_released_timeout(Duration::from_millis(10)).is_none());
+        assert!(conn.next_released(Some(Duration::from_millis(10))).is_none());
         conn.route(1, typed("b"));
-        let (seq, d) = conn.next_released().unwrap();
+        let (seq, d) = conn.next_released(None).unwrap();
         assert_eq!((seq, marker_of(&d).as_str()), (1, "b"));
-        let (seq, d) = conn.next_released().unwrap();
+        let (seq, d) = conn.next_released(None).unwrap();
         assert_eq!((seq, marker_of(&d).as_str()), (2, "c"));
     }
 
@@ -277,8 +309,8 @@ mod tests {
         let seq = conn.alloc_seq();
         conn.route(seq, typed("only"));
         conn.mark_eof();
-        assert!(conn.next_released().is_some());
-        assert!(conn.next_released().is_none());
+        assert!(conn.next_released(None).is_some());
+        assert!(conn.next_released(None).is_none());
     }
 
     #[test]
@@ -294,9 +326,9 @@ mod tests {
         conn.route(0, typed("dup-of-released"));
         conn.route(1, typed("second"));
         conn.route(1, typed("dup-of-released-2"));
-        let (_, d) = conn.next_released().unwrap();
+        let (_, d) = conn.next_released(None).unwrap();
         assert_eq!(marker_of(&d), "first");
-        let (_, d) = conn.next_released().unwrap();
+        let (_, d) = conn.next_released(None).unwrap();
         assert_eq!(marker_of(&d), "second");
         assert_eq!(counters.snapshot().reorder_drops, 2);
         assert!(conn.idle(), "duplicates must not occupy reply slots");
@@ -315,9 +347,9 @@ mod tests {
         conn.route(1, typed("pending-dup"));
         assert_eq!(counters.snapshot().reorder_drops, 1);
         conn.route(0, typed("a"));
-        let (_, d) = conn.next_released().unwrap();
+        let (_, d) = conn.next_released(None).unwrap();
         assert_eq!(marker_of(&d), "a");
-        let (_, d) = conn.next_released().unwrap();
+        let (_, d) = conn.next_released(None).unwrap();
         assert_eq!(marker_of(&d), "pending-original");
     }
 
@@ -352,9 +384,9 @@ mod tests {
         conn.alloc_seq();
         conn.mark_eof();
         // Allocated but unrouted: the stream is not flushed yet.
-        assert!(conn.next_released_timeout(Duration::from_millis(10)).is_none());
+        assert!(conn.next_released(Some(Duration::from_millis(10))).is_none());
         conn.route(0, typed("late"));
-        assert!(conn.next_released().is_some());
-        assert!(conn.next_released().is_none());
+        assert!(conn.next_released(None).is_some());
+        assert!(conn.next_released(None).is_none());
     }
 }

@@ -65,12 +65,12 @@ mod eventloop;
 mod metrics;
 mod stats;
 
-pub use conn::{ConnShared, Delivery};
+pub use conn::{ConnShared, ReplyShape};
 pub use eventloop::{spawn_event_loop, Admission, EventLoopConfig, WireHandler};
 pub use metrics::{resilience_to_json, MetricsSnapshot, ServerObs};
 pub use stats::{health_to_json, ServerStats};
 
-use batcher::{deliver_overload, Job, Shared};
+use batcher::{deliver_overload, Job, ReplyTo, Shared};
 use parspeed_engine::{Query, Response, Service, WIRE_VERSION};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -322,14 +322,12 @@ impl WireHandler for ServerHandler {
             conn: Arc::clone(conn),
             seq: a.seq,
             query: a.query,
-            version: a.version,
-            line_no: a.line_no,
-            render: true,
+            reply_to: ReplyTo::Slot(ReplyShape::Line { version: a.version, line_no: a.line_no }),
             submitted: a.admitted,
             deadline: a.deadline,
         };
         match shed {
-            Some(msg) => deliver_overload(&job, msg.to_string(), &shared.counters, &shared.obs),
+            Some(msg) => deliver_overload(job, msg.to_string(), &shared.counters, &shared.obs),
             None => shared.submit(job),
         }
     }
@@ -377,17 +375,29 @@ impl Client {
     /// request never occupies engine time.
     pub fn submit_with_deadline(&self, query: Query, deadline: Option<Instant>) -> u64 {
         let seq = self.conn.alloc_seq();
-        self.shared.submit(Job {
-            conn: Arc::clone(&self.conn),
-            seq,
-            query,
-            version: WIRE_VERSION,
-            line_no: seq as usize + 1,
-            render: false,
-            submitted: Instant::now(),
-            deadline,
-        });
+        self.push(seq, query, deadline, ReplyTo::Slot(ReplyShape::Typed));
         seq
+    }
+
+    /// [`submit_with_deadline`](Self::submit_with_deadline) without a
+    /// reply slot: the worker that produces the reply (result, refusal,
+    /// or deadline answer) calls `done` with it on its own thread — or,
+    /// for a refusal, on the caller's before this returns. `tag` stands
+    /// in for the sequence number in the engine's slot tag and the
+    /// trace ring. The sharded router settles its requests this way.
+    pub fn submit_then(
+        &self,
+        query: Query,
+        deadline: Option<Instant>,
+        tag: u64,
+        done: impl FnOnce(Response) + Send + 'static,
+    ) {
+        self.push(tag, query, deadline, ReplyTo::Complete(Box::new(done)));
+    }
+
+    fn push(&self, seq: u64, query: Query, deadline: Option<Instant>, reply_to: ReplyTo) {
+        let (conn, submitted) = (Arc::clone(&self.conn), Instant::now());
+        self.shared.submit(Job { conn, seq, query, reply_to, submitted, deadline });
     }
 
     /// Receives the next reply in submission order, blocking until it
@@ -395,20 +405,12 @@ impl Client {
     /// (there would be nothing to wait for). The check is a snapshot —
     /// with the usual one-thread-per-client pattern it is exact.
     pub fn recv(&self) -> (u64, Response) {
-        assert!(!self.conn.idle(), "recv with no outstanding submission");
-        match self.conn.next_released() {
-            Some((seq, Delivery::Typed(response))) => (seq, response),
-            Some((_, Delivery::Line(_))) => unreachable!("rendered delivery on a typed client"),
-            None => unreachable!("in-process connections never reach EOF"),
-        }
+        self.conn.recv_typed(None).expect("in-process connections never reach EOF")
     }
 
     /// [`recv`](Self::recv) with a deadline; `None` on timeout.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<(u64, Response)> {
-        match self.conn.next_released_timeout(timeout)? {
-            (seq, Delivery::Typed(response)) => Some((seq, response)),
-            (_, Delivery::Line(_)) => unreachable!("rendered delivery on a typed client"),
-        }
+        self.conn.recv_typed(Some(timeout))
     }
 
     /// Submit one query and wait for its reply.
