@@ -48,7 +48,7 @@ pub fn run(arch: &str, args: &Args) -> Result<String, CliError> {
             .shape(select::shape_key(args.str_or("shape", "square")).expect("validated above"))
             .query()
     };
-    let responses = service_call(procs.iter().map(|&p| query(p)).collect())?;
+    let responses = service_call(procs.iter().map(|&p| query(p)).collect());
     let mut thresholds = Vec::with_capacity(procs.len());
     for (&p, response) in procs.iter().zip(responses) {
         let n = match response {

@@ -47,7 +47,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
             Request::minsize(mv, n_procs).machine(machine_spec).e(e).k(k).query()
         })
         .collect();
-    let responses = service_call(queries)?;
+    let responses = service_call(queries);
 
     let mut t = Table::new(
         format!("Minimal grid using all {n_procs} processors · {}", stencil.name()),

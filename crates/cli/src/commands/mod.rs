@@ -1,10 +1,11 @@
 //! Subcommand dispatch, and the one road from commands to the models:
 //! every subcommand builds [`Query`] values and routes them through the
-//! process-wide [`Engine`](parspeed_engine::Engine)'s [`Service`] surface,
-//! so every entry point is planned, deduplicated, and cached.
+//! process-wide [`Engine`](parspeed_engine::Engine)'s
+//! [`run_batch`](parspeed_engine::Engine::run_batch), so every entry point
+//! is planned, deduplicated, and cached.
 
 use crate::args::{err, Args, CliError};
-use parspeed_engine::{EvalOutcome, EvalValue, PointLabel, Query, Request, Response, Service as _};
+use parspeed_engine::{EvalOutcome, EvalValue, PointLabel, Query, Response};
 
 pub mod batch;
 pub mod compare;
@@ -47,19 +48,16 @@ COMMANDS:
 Architectures: hypercube, mesh, sync-bus, async-bus, scheduled-bus, banyan.
 Stencils: 5pt, 9pt-box, 9pt-star, 13pt. Shapes: strip, square.";
 
-/// Routes a batch of queries through the process-wide engine's service
-/// surface; responses come back in query order. Envelope-level failures
-/// (which the CLI cannot produce — it always speaks the current version)
-/// surface as command errors.
-pub(crate) fn service_call(queries: Vec<Query>) -> Result<Vec<Response>, CliError> {
-    let reply = crate::engine().call(&Request::new(queries)).map_err(|e| err(e.to_string()))?;
-    Ok(reply.responses)
+/// Routes a batch of queries through the process-wide engine; responses
+/// come back in query order.
+pub(crate) fn service_call(queries: Vec<Query>) -> Vec<Response> {
+    crate::engine().run_batch(&queries).responses
 }
 
 /// One atomic query → its successful value; planner and model errors
 /// become command errors carrying the engine's message verbatim.
 pub(crate) fn eval_single(query: Query) -> Result<EvalValue, CliError> {
-    match service_call(vec![query])?.remove(0) {
+    match service_call(vec![query]).remove(0) {
         Response::Single(Ok(value)) => Ok(value),
         Response::Single(Err(e)) | Response::Invalid(e) => Err(err(e.to_string())),
         Response::Sweep(_) => Err(err("internal: unexpected multi-point response")),
@@ -68,7 +66,14 @@ pub(crate) fn eval_single(query: Query) -> Result<EvalValue, CliError> {
 
 /// One macro-query (sweep, compare) → its expanded points.
 pub(crate) fn eval_points(query: Query) -> Result<Vec<(PointLabel, EvalOutcome)>, CliError> {
-    match service_call(vec![query])?.remove(0) {
+    expanded_points(service_call(vec![query]).remove(0))
+}
+
+/// A macro-query's response → its expanded points.
+pub(crate) fn expanded_points(
+    response: Response,
+) -> Result<Vec<(PointLabel, EvalOutcome)>, CliError> {
+    match response {
         Response::Sweep(points) => Ok(points),
         Response::Invalid(e) => Err(err(e.to_string())),
         Response::Single(_) => Err(err("internal: unexpected single response")),

@@ -2,16 +2,16 @@
 //! grows (the paper's central question).
 //!
 //! The sweep is one [`Query::Sweep`](parspeed_engine::Query::Sweep)
-//! macro-query through the service surface: the engine expands, dedups,
-//! and fans the grid across its thread pool, and this command renders the
-//! points. Engine responses are bit-identical to the direct model calls
-//! this command used to make, so the rendered table is unchanged.
+//! macro-query through the engine: it expands, dedups, and fans the grid
+//! across its thread pool, and this command renders the points. Engine
+//! responses are bit-identical to the direct model calls this command
+//! used to make, so the rendered table is unchanged.
 
 use crate::args::{Args, CliError};
-use crate::commands::eval_points;
+use crate::commands::expanded_points;
 use crate::select;
 use parspeed_bench::report::Table;
-use parspeed_engine::{EvalValue, Query, Request, Response, Service as _};
+use parspeed_engine::{Engine, EvalValue, Query, Request};
 
 pub const KEYS: &[&str] = &[
     "stencil",
@@ -62,19 +62,10 @@ pub fn run(arch: &str, args: &Args) -> Result<String, CliError> {
 
     // --cache-capacity isolates this sweep on a dedicated engine; the
     // default path shares the process-wide cache with every other command.
-    let points = match args.usize_opt("cache-capacity")? {
-        None => eval_points(query)?,
-        Some(capacity) => {
-            let engine = parspeed_engine::Engine::builder().cache_capacity(capacity).build();
-            let reply =
-                engine.call(&Request::single(query)).map_err(|e| CliError(e.to_string()))?;
-            match reply.responses.into_iter().next().expect("one response") {
-                Response::Sweep(points) => points,
-                Response::Invalid(e) => return Err(CliError(e.to_string())),
-                Response::Single(_) => unreachable!("sweep queries produce sweep responses"),
-            }
-        }
-    };
+    let dedicated =
+        args.usize_opt("cache-capacity")?.map(|c| Engine::builder().cache_capacity(c).build());
+    let engine = dedicated.as_ref().unwrap_or_else(|| crate::engine());
+    let points = expanded_points(engine.run_batch(&[query]).responses.remove(0))?;
 
     let mut t = Table::new(
         format!("{} scaling sweep · {} · {}", model.name(), stencil.name(), shape.name()),

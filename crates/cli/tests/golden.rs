@@ -1,8 +1,8 @@
 //! Golden stdout tests: every CLI command's output, byte-for-byte.
 //!
 //! The expected files under `tests/golden/` were captured from the binary
-//! *before* the commands were rerouted through the engine's `Service`
-//! surface; these tests prove the reroute changed nothing a user sees.
+//! *before* the commands were rerouted through the query engine; these
+//! tests prove the reroute changed nothing a user sees.
 //! (`threads` is excluded — it prints wall-clock measurements — and the
 //! `batch` golden pins the legacy wire-v1 response shape, which v1 request
 //! lines must keep receiving under the v2 schema.)

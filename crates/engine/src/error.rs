@@ -4,7 +4,7 @@
 //! own shape: `parspeed-core` returned [`Infeasible`] structs, the planner
 //! and JSONL reader returned bare `String`s, and the CLI wrapped whatever
 //! it caught in its own error type. [`ParspeedError`] replaces all of
-//! those at the service boundary: every error a [`Request`](crate::Request)
+//! those at the service boundary: every error a [`Query`](crate::Query)
 //! can produce is one of seven kinds, each kind has a stable wire name
 //! ([`ParspeedError::kind`]), and the human-readable message is preserved
 //! verbatim so rerouting a caller through the service never changes what

@@ -307,12 +307,17 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> 
                         *pos += 1;
                     }
                     Some(_) => {
-                        // Consume one UTF-8 scalar.
-                        let rest = std::str::from_utf8(&b[*pos..])
+                        // Copy the run up to the next quote or escape in
+                        // one piece, validating only that run, so a long
+                        // string costs linear time.
+                        let run = b[*pos..]
+                            .iter()
+                            .position(|&c| c == b'"' || c == b'\\')
+                            .map_or(b.len(), |n| *pos + n);
+                        let text = std::str::from_utf8(&b[*pos..run])
                             .map_err(|_| "invalid UTF-8 in string")?;
-                        let ch = rest.chars().next().expect("nonempty");
-                        s.push(ch);
-                        *pos += ch.len_utf8();
+                        s.push_str(text);
+                        *pos = run;
                     }
                 }
             }
@@ -984,6 +989,39 @@ mod tests {
         let s = "line1\nline2\t\"quoted\" \\ done";
         let rendered = Json::Str(s.into()).render();
         assert_eq!(parse(&rendered).unwrap().as_str(), Some(s));
+    }
+
+    /// A long string parses exactly and in one linear pass. The wire
+    /// parses on the event-loop thread every connection waits on, so a
+    /// quadratic here lets one long line stall the whole server. (The
+    /// bound is ~100× what a linear pass takes on a 256 KiB string.)
+    #[test]
+    fn long_strings_parse_exactly_in_linear_time() {
+        let unit = "ascii é€𝄞 \"q\" \\ \n";
+        let s = unit.repeat((256 << 10) / unit.len());
+        let rendered = Json::Str(s.clone()).render();
+        let start = std::time::Instant::now();
+        assert_eq!(parse(&rendered).unwrap().as_str(), Some(s.as_str()));
+        let took = start.elapsed();
+        assert!(took < std::time::Duration::from_secs(2), "256 KiB string took {took:?}");
+    }
+
+    /// A string run that reaches the end of the input without its
+    /// closing quote is refused, however long the run and whether it
+    /// ends in plain text, a multi-byte scalar, or a dangling escape.
+    #[test]
+    fn unterminated_strings_are_refused() {
+        let long = "y".repeat(64 << 10);
+        for (input, want) in [
+            ("\"abc".to_string(), "unterminated string"),
+            (format!("\"{long}"), "unterminated string"),
+            (format!("{{\"op\":\"{long}é"), "unterminated string"),
+            ("\"𝄞".to_string(), "unterminated string"),
+            (format!("[\"{long}\\"), "bad escape"),
+        ] {
+            let err = parse(&input).unwrap_err();
+            assert!(err.contains(want), "{err} for a {}-byte input", input.len());
+        }
     }
 
     #[test]

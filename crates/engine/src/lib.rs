@@ -1,4 +1,4 @@
-//! `parspeed-engine` — the versioned service surface of the workspace: a
+//! `parspeed-engine` — the service surface of the workspace: a
 //! batched, cached, parallel query engine over the models, simulators,
 //! and solvers of the Nicol & Willard reproduction.
 //!
@@ -8,10 +8,10 @@
 //! of such queries, most of them near-duplicates. This crate turns the
 //! whole workspace into one serving-shaped subsystem:
 //!
-//! 1. **Service** ([`service`]) — the public surface: a wire-versioned
-//!    [`Request`] envelope of [`Query`]s, builder-style constructors
-//!    (`Request::optimize(arch, n).procs(64).build()`), and the
-//!    [`Service`] trait [`Engine`] implements;
+//! 1. **Queries** ([`request`], [`service`]) — the public surface: typed
+//!    [`Query`] values, built directly or with the builder-style
+//!    constructors (`Request::optimize(arch, n).procs(64).query()`), and
+//!    answered in batches by [`Engine::run_batch`];
 //! 2. **Planner** ([`plan`]) — expands macro-queries (grid sweeps,
 //!    all-architecture compares) into atomic evaluations, canonicalizes
 //!    each into an [`EvalKey`] (floats keyed by bit pattern; presets,
@@ -77,11 +77,8 @@ pub use request::{
     MinSizeVariant, Query, ShapeKey, SimArchKind, SolverKind, StencilKey, StencilSpec,
     WorkloadSpec,
 };
-pub use service::{
-    Request, Service, ServiceReply, SlotAddr, TaggedReply, TaggedRequest, MIN_WIRE_VERSION,
-    WIRE_VERSION,
-};
-pub use telemetry::{BatchTelemetry, EngineReport};
+pub use service::{Request, WIRE_VERSION};
+pub use telemetry::BatchTelemetry;
 
 use cache::ShardedLru;
 use std::sync::{Arc, RwLock};
@@ -217,8 +214,8 @@ impl EngineBuilder {
 }
 
 /// The query engine: owns the result cache; stateless otherwise. Batches
-/// may be submitted from multiple threads (`&self`). Implements
-/// [`Service`], which is how callers should reach it.
+/// may be submitted from multiple threads (`&self`) through
+/// [`run_batch`](Engine::run_batch), the one way in.
 pub struct Engine {
     cache: ShardedLru<EvalKey, EvalOutcome>,
     threads: usize,
@@ -226,7 +223,7 @@ pub struct Engine {
     experiment_runner: Option<ExperimentRunner>,
     checkpoints: Option<(Arc<CheckpointStore>, CheckpointPolicy)>,
     /// Per-stage latency recorder, installed by a serving layer (or any
-    /// embedder) through [`Service::install_recorder`]. `None` — the
+    /// embedder) through [`Engine::set_recorder`]. `None` — the
     /// default — skips every clock read in [`run_batch`](Engine::run_batch),
     /// so the library path costs nothing when observability is off.
     recorder: RwLock<Option<Arc<dyn Recorder>>>,
@@ -246,11 +243,13 @@ impl Engine {
         EngineBuilder::default()
     }
 
-    /// Runs one batch through plan → cache → execute → assemble. Impure
-    /// effect queries (thread measurements, experiments) execute
-    /// sequentially after the parallel phase.
+    /// Runs one batch through plan → cache → execute → assemble and
+    /// answers one response per query, in input order. This is the one
+    /// way into the engine: the CLI and the serving tier's batcher both
+    /// call it. Impure effect queries (thread measurements, experiments)
+    /// execute sequentially after the parallel phase.
     ///
-    /// With a [`Recorder`] installed (see [`Service::install_recorder`])
+    /// With a [`Recorder`] installed (see [`set_recorder`](Engine::set_recorder))
     /// the phases report per-stage wall time: `plan` (expansion +
     /// canonicalization), `dedup` (interning), `cache` (probes +
     /// insertions), and `exec` (parallel evaluation + sequential
@@ -347,9 +346,9 @@ impl Engine {
     }
 
     /// Installs (or, with `None`, removes) the per-stage latency
-    /// recorder [`run_batch`](Engine::run_batch) reports through. Most
-    /// callers go through [`Service::install_recorder`]; this is the
-    /// typed entry point for embedders holding a concrete [`Engine`].
+    /// recorder [`run_batch`](Engine::run_batch) reports through. A
+    /// serving layer installs its stage set here, so the engine never
+    /// learns the server exists, and removes it when it shuts down.
     pub fn set_recorder(&self, recorder: Option<Arc<dyn Recorder>>) {
         *self.recorder.write().unwrap() = recorder;
     }

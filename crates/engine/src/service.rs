@@ -1,25 +1,20 @@
-//! The versioned service surface: one typed request/response envelope
-//! covering every capability of the workspace.
+//! Builder-style constructors for [`Query`] values, and the wire version.
 //!
-//! A [`Request`] is a wire-versioned batch of [`Query`]s; a [`Service`]
-//! turns it into a [`ServiceReply`] whose responses line up with the
-//! request's queries in order. [`Engine`] is the canonical implementation:
-//! every query — analytic point queries, macro-queries, event-level
-//! simulations, real numerical solves, wall-clock measurements, experiment
-//! regenerations — goes through the same plan → dedup → cache → parallel
-//! execute pipeline, so there is no longer a fast path and a slow path
-//! into the models, just *the* path.
-//!
-//! Requests are built either directly (`Request::new(queries)`) or through
-//! the builder-style constructors, which mirror the CLI's defaults:
+//! [`Request`] is a namespace: each constructor starts a builder whose
+//! defaults mirror the CLI's, and the builder's `query()` finishes it.
+//! Queries go into the engine one way,
+//! [`Engine::run_batch`](crate::Engine::run_batch): analytic
+//! point queries, macro-queries, event-level simulations, real numerical
+//! solves, wall-clock measurements and experiment regenerations all cross
+//! the same plan → dedup → cache → parallel execute pipeline.
 //!
 //! ```
-//! use parspeed_engine::{ArchKind, Engine, EvalValue, Request, Response, Service};
+//! use parspeed_engine::{ArchKind, Engine, EvalValue, Request, Response};
 //!
 //! let engine = Engine::builder().build();
-//! let request = Request::optimize(ArchKind::SyncBus, 256).procs(64).build();
-//! let reply = engine.call(&request).unwrap();
-//! match &reply.responses[0] {
+//! let query = Request::optimize(ArchKind::SyncBus, 256).procs(64).query();
+//! let out = engine.run_batch(&[query]);
+//! match &out.responses[0] {
 //!     Response::Single(Ok(EvalValue::Optimum { processors, .. })) => {
 //!         assert_eq!(*processors, 14); // the paper's §6.1 anchor
 //!     }
@@ -29,54 +24,24 @@
 //!
 //! # Versioning
 //!
-//! The envelope carries an explicit `version`. [`WIRE_VERSION`] (2) is
-//! current; version 1 — the PR-1 era implicit schema — is still accepted,
-//! and the reply's `deprecation` field says so. Versions above 2 are
-//! refused with [`ParspeedError::Unsupported`].
+//! [`WIRE_VERSION`] (2) is the current JSONL schema. The version gate is
+//! the wire reader's ([`jsonl`](crate::jsonl)): v1 lines are still
+//! accepted and answered in the legacy shape, newer ones are refused in
+//! their own slot. Typed queries carry no version.
 
-use crate::error::ParspeedError;
 use crate::request::{
     ArchKind, CheckSpec, Lever, MachineSpec, MinSizeVariant, Query, ShapeKey, SimArchKind,
     SolverKind, StencilSpec, WorkloadSpec,
 };
-use crate::telemetry::BatchTelemetry;
-use crate::{Engine, Response};
-use std::sync::Arc;
 
-/// The current wire/envelope schema version.
+/// The current JSONL wire schema version.
 pub const WIRE_VERSION: u32 = 2;
 
-/// The oldest version still accepted (with a deprecation note).
-pub const MIN_WIRE_VERSION: u32 = 1;
-
-/// A versioned batch of queries — the one request shape every capability
-/// goes through.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Request {
-    /// Envelope schema version (see [`WIRE_VERSION`]).
-    pub version: u32,
-    /// The queries, answered in order.
-    pub queries: Vec<Query>,
-}
+/// The namespace of the query builders (`Request::optimize(..)`, …);
+/// it has no values.
+pub enum Request {}
 
 impl Request {
-    /// A current-version request over a batch of queries.
-    pub fn new(queries: Vec<Query>) -> Self {
-        Request { version: WIRE_VERSION, queries }
-    }
-
-    /// A current-version request over one query.
-    pub fn single(query: Query) -> Self {
-        Request::new(vec![query])
-    }
-
-    /// The same request re-stamped with another version (for talking to a
-    /// service on an older schema, or testing version handling).
-    pub fn with_version(mut self, version: u32) -> Self {
-        self.version = version;
-        self
-    }
-
     /// Builder: optimal processor count and speedup for one instance.
     pub fn optimize(arch: ArchKind, n: usize) -> OptimizeBuilder {
         OptimizeBuilder {
@@ -202,16 +167,6 @@ macro_rules! setter {
     };
 }
 
-macro_rules! finishers {
-    () => {
-        /// Wraps the built query in a single-query current-version
-        /// [`Request`].
-        pub fn build(self) -> Request {
-            Request::single(self.query())
-        }
-    };
-}
-
 /// Builds a [`Query::Optimize`].
 #[derive(Debug, Clone, Copy)]
 pub struct OptimizeBuilder {
@@ -255,8 +210,6 @@ impl OptimizeBuilder {
             memory_words: self.memory_words,
         }
     }
-
-    finishers!();
 }
 
 /// Builds a [`Query::MinSize`].
@@ -287,8 +240,6 @@ impl MinSizeBuilder {
             procs: self.procs,
         }
     }
-
-    finishers!();
 }
 
 /// Builds a [`Query::Isoefficiency`].
@@ -321,8 +272,6 @@ impl IsoeffBuilder {
             efficiency: self.efficiency,
         }
     }
-
-    finishers!();
 }
 
 /// Builds a [`Query::Leverage`].
@@ -361,8 +310,6 @@ impl LeverageBuilder {
             factor: self.factor,
         }
     }
-
-    finishers!();
 }
 
 /// Builds a [`Query::Table1`].
@@ -383,8 +330,6 @@ impl Table1Builder {
     pub fn query(self) -> Query {
         Query::Table1 { machine: self.machine, n: self.n, stencil: self.stencil }
     }
-
-    finishers!();
 }
 
 /// Builds a [`Query::Compare`].
@@ -419,8 +364,6 @@ impl CompareBuilder {
             procs: self.procs,
         }
     }
-
-    finishers!();
 }
 
 /// Builds a [`Query::Simulate`].
@@ -451,8 +394,6 @@ impl SimulateBuilder {
             procs: self.procs,
         }
     }
-
-    finishers!();
 }
 
 /// Builds a [`Query::Solve`].
@@ -503,8 +444,6 @@ impl SolveBuilder {
             check: self.check,
         }
     }
-
-    finishers!();
 }
 
 /// Builds a [`Query::Threads`].
@@ -541,8 +480,6 @@ impl ThreadsBuilder {
             repeats: self.repeats,
         }
     }
-
-    finishers!();
 }
 
 /// Builds a [`Query::Sweep`].
@@ -581,8 +518,6 @@ impl SweepBuilder {
             n_to: self.n_to,
         }
     }
-
-    finishers!();
 }
 
 /// Builds a [`Query::Experiment`].
@@ -600,149 +535,13 @@ impl ExperimentBuilder {
     pub fn query(self) -> Query {
         Query::Experiment { id: self.id, quick: self.quick }
     }
-
-    finishers!();
-}
-
-/// A service's answer: responses in request order plus batch telemetry.
-#[derive(Debug, Clone)]
-pub struct ServiceReply {
-    /// The schema version the service speaks (always [`WIRE_VERSION`]).
-    pub version: u32,
-    /// Present when the request used a deprecated (but accepted) version.
-    pub deprecation: Option<String>,
-    /// One response per request query, in request order.
-    pub responses: Vec<Response>,
-    /// What the pipeline did.
-    pub telemetry: BatchTelemetry,
-}
-
-/// The slot address of one query inside a multi-client batch: which
-/// client submitted it and where it sits in that client's submission
-/// order. Concurrent frontends (the `parspeed-server` micro-batcher) tag
-/// every query with one of these before coalescing traffic from many
-/// connections into a single engine batch, so each reply can be routed
-/// back to exactly the slot that asked for it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SlotAddr {
-    /// The submitting client/connection, by frontend-assigned id.
-    pub client: u64,
-    /// The query's 0-based sequence number within that client's stream.
-    pub seq: u64,
-}
-
-/// A batch of pre-tagged queries from (potentially) many clients — the
-/// input shape of [`Service::call_tagged`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TaggedRequest {
-    /// Envelope schema version (see [`WIRE_VERSION`]).
-    pub version: u32,
-    /// The tagged queries, answered in order.
-    pub queries: Vec<(SlotAddr, Query)>,
-}
-
-impl TaggedRequest {
-    /// A current-version tagged batch.
-    pub fn new(queries: Vec<(SlotAddr, Query)>) -> Self {
-        TaggedRequest { version: WIRE_VERSION, queries }
-    }
-}
-
-/// A service's answer to a [`TaggedRequest`]: slot-addressed replies in
-/// request order plus the batch telemetry.
-#[derive(Debug, Clone)]
-pub struct TaggedReply {
-    /// One `(slot, response)` pair per tagged query, in request order —
-    /// each response carries the exact tag its query arrived with.
-    pub replies: Vec<(SlotAddr, Response)>,
-    /// Present when the request used a deprecated (but accepted) version.
-    pub deprecation: Option<String>,
-    /// What the pipeline did for the whole coalesced batch.
-    pub telemetry: BatchTelemetry,
-}
-
-/// Anything that can answer a [`Request`]. [`Engine`] is the canonical
-/// implementation; wrap it to add authentication, rate limiting, remoting —
-/// the envelope stays the same.
-pub trait Service {
-    /// Answers every query of the request, in order. `Err` is reserved for
-    /// envelope-level failures (unsupported version); per-query failures
-    /// come back as [`Response::Invalid`] or error outcomes in their own
-    /// slots.
-    fn call(&self, request: &Request) -> Result<ServiceReply, ParspeedError>;
-
-    /// Answers a pre-tagged multi-client batch with slot-addressed
-    /// replies. This is the entry point concurrent frontends funnel
-    /// coalesced cross-client traffic through: the queries run as *one*
-    /// batch (so dedup and the result cache amortize across clients), and
-    /// every response comes back paired with the [`SlotAddr`] its query
-    /// arrived with, in request order. The default implementation
-    /// delegates to [`Service::call`], so every service gets slot
-    /// addressing for free.
-    fn call_tagged(&self, request: &TaggedRequest) -> Result<TaggedReply, ParspeedError> {
-        let queries: Vec<Query> = request.queries.iter().map(|(_, q)| q.clone()).collect();
-        let reply = self.call(&Request { version: request.version, queries })?;
-        debug_assert_eq!(reply.responses.len(), request.queries.len());
-        let replies = request.queries.iter().map(|(slot, _)| *slot).zip(reply.responses).collect();
-        Ok(TaggedReply { replies, deprecation: reply.deprecation, telemetry: reply.telemetry })
-    }
-
-    /// Installs a per-stage latency [`Recorder`](crate::Recorder) —
-    /// how a serving layer asks the service to attribute
-    /// plan/dedup/cache/exec time without the engine depending on the
-    /// server. The default is a no-op (most services have nothing to
-    /// attribute); [`Engine`] stores the recorder and reports through
-    /// it on every subsequent batch.
-    fn install_recorder(&self, _recorder: Arc<dyn crate::Recorder>) {}
-
-    /// True when `query` would be answered entirely from warm state (for
-    /// [`Engine`], the result cache) without fresh evaluation. Serving
-    /// layers use this as the brownout probe: under pressure they keep
-    /// answering warm queries and shed cold ones as `overloaded`. Must
-    /// be cheap and side-effect free — it runs on the admission path.
-    /// The default says nothing is warm, which degrades brownout to
-    /// plain shedding.
-    fn probe_cached(&self, _query: &Query) -> bool {
-        false
-    }
-}
-
-impl Service for Engine {
-    fn call(&self, request: &Request) -> Result<ServiceReply, ParspeedError> {
-        let deprecation = match request.version {
-            WIRE_VERSION => None,
-            MIN_WIRE_VERSION => Some(format!(
-                "request used deprecated wire v{MIN_WIRE_VERSION}; migrate to v{WIRE_VERSION}"
-            )),
-            v => {
-                return Err(ParspeedError::unsupported(format!(
-                    "unsupported request version {v}; this service speaks v{WIRE_VERSION} \
-                     (v{MIN_WIRE_VERSION} still accepted)"
-                )))
-            }
-        };
-        let out = self.run_batch(&request.queries);
-        Ok(ServiceReply {
-            version: WIRE_VERSION,
-            deprecation,
-            responses: out.responses,
-            telemetry: out.telemetry,
-        })
-    }
-
-    fn install_recorder(&self, recorder: Arc<dyn crate::Recorder>) {
-        self.set_recorder(Some(recorder));
-    }
-
-    fn probe_cached(&self, query: &Query) -> bool {
-        self.is_cached(query)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::request::EvalValue;
+    use crate::{Engine, Response};
 
     #[test]
     fn builders_fill_cli_defaults() {
@@ -771,11 +570,8 @@ mod tests {
     #[test]
     fn engine_serves_a_builder_request() {
         let engine = Engine::builder().build();
-        let reply =
-            engine.call(&Request::optimize(ArchKind::SyncBus, 256).procs(64).build()).unwrap();
-        assert_eq!(reply.version, WIRE_VERSION);
-        assert!(reply.deprecation.is_none());
-        match &reply.responses[0] {
+        let out = engine.run_batch(&[Request::optimize(ArchKind::SyncBus, 256).procs(64).query()]);
+        match &out.responses[0] {
             Response::Single(Ok(EvalValue::Optimum { processors, .. })) => {
                 assert_eq!(*processors, 14);
             }
@@ -783,69 +579,39 @@ mod tests {
         }
     }
 
+    /// The server hands each response to the job whose query sat at
+    /// that position, so a batch interleaving several clients' queries
+    /// must answer each query at its own index, exactly as if it ran
+    /// alone, with duplicates coalesced onto one evaluation.
     #[test]
-    fn v1_is_accepted_with_a_deprecation_note() {
+    fn interleaved_batches_answer_by_position_and_share_duplicates() {
         let engine = Engine::builder().build();
-        let req = Request::table1(256).build().with_version(1);
-        let reply = engine.call(&req).unwrap();
-        assert!(reply.deprecation.as_deref().unwrap().contains("deprecated"));
-        assert!(matches!(&reply.responses[0], Response::Single(Ok(EvalValue::Table1 { .. }))));
-    }
-
-    #[test]
-    fn future_versions_are_refused() {
-        let engine = Engine::builder().build();
-        let req = Request::table1(256).build().with_version(3);
-        let err = engine.call(&req).unwrap_err();
-        assert_eq!(err.kind(), "unsupported");
-        assert!(err.to_string().contains("version 3"));
-    }
-
-    #[test]
-    fn tagged_batches_return_slot_addressed_replies() {
-        let engine = Engine::builder().build();
-        // Interleaved clients with non-monotonic tags: each reply must
-        // carry its own tag and answer its own query, in request order.
-        let tagged: Vec<(SlotAddr, Query)> = vec![
-            (SlotAddr { client: 2, seq: 0 }, Request::optimize(ArchKind::SyncBus, 256).query()),
-            (SlotAddr { client: 0, seq: 7 }, Request::table1(512).query()),
-            (SlotAddr { client: 2, seq: 1 }, Request::optimize(ArchKind::SyncBus, 256).query()),
-            (SlotAddr { client: 1, seq: 3 }, Request::compare(128).query()),
+        let batch = [
+            Request::optimize(ArchKind::SyncBus, 256).query(),
+            Request::table1(512).query(),
+            Request::optimize(ArchKind::SyncBus, 256).query(),
+            Request::compare(128).query(),
         ];
-        let reply = engine.call_tagged(&TaggedRequest::new(tagged.clone())).unwrap();
-        assert_eq!(reply.replies.len(), 4);
-        for ((slot, _), (got_slot, _)) in tagged.iter().zip(&reply.replies) {
-            assert_eq!(slot, got_slot);
+        let out = engine.run_batch(&batch);
+        assert_eq!(out.responses.len(), batch.len());
+        for (i, query) in batch.iter().enumerate() {
+            let alone = Engine::builder().build().run_batch(std::slice::from_ref(query));
+            assert_eq!(out.responses[i], alone.responses[0], "slot {i}");
         }
-        // The two duplicated optimize slots coalesced onto one evaluation
-        // and answer identically.
-        assert_eq!(reply.replies[0].1, reply.replies[2].1);
-        assert_eq!(reply.telemetry.unique, reply.telemetry.atoms - 1);
-        assert!(reply.deprecation.is_none());
-    }
-
-    #[test]
-    fn tagged_batches_respect_the_version_gate() {
-        let engine = Engine::builder().build();
-        let mut req = TaggedRequest::new(vec![(
-            SlotAddr { client: 0, seq: 0 },
-            Request::table1(256).query(),
-        )]);
-        req.version = 3;
-        assert_eq!(engine.call_tagged(&req).unwrap_err().kind(), "unsupported");
+        assert_eq!(out.responses[0], out.responses[2]);
+        assert_eq!(out.telemetry.unique, out.telemetry.atoms - 1);
     }
 
     #[test]
     fn mixed_kind_requests_answer_in_order() {
         let engine = Engine::builder().build();
-        let req = Request::new(vec![
+        let out = engine.run_batch(&[
             Request::table1(512).query(),
             Request::compare(128).query(),
             Request::minsize(MinSizeVariant::SyncSquare, 14).query(),
         ]);
-        let reply = engine.call(&req).unwrap();
-        assert!(matches!(&reply.responses[0], Response::Single(Ok(EvalValue::Table1 { .. }))));
-        assert!(matches!(&reply.responses[1], Response::Sweep(points) if points.len() == 6));
-        assert!(matches!(&reply.responses[2], Response::Single(Ok(EvalValue::MinSize { .. }))));
+        assert!(matches!(&out.responses[0], Response::Single(Ok(EvalValue::Table1 { .. }))));
+        assert!(matches!(&out.responses[1], Response::Sweep(points) if points.len() == 6));
+        assert!(matches!(&out.responses[2], Response::Single(Ok(EvalValue::MinSize { .. }))));
     }
 }

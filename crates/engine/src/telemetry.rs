@@ -1,6 +1,5 @@
 //! Per-batch telemetry: what the pipeline did and how fast.
 
-use crate::cache::CacheStatsSnapshot;
 use std::fmt;
 
 /// Measurements for one [`run_batch`](crate::Engine::run_batch) call.
@@ -71,15 +70,6 @@ impl fmt::Display for BatchTelemetry {
             self.queries_per_second(),
         )
     }
-}
-
-/// Telemetry plus the cumulative cache counters at batch end.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngineReport {
-    /// The batch measurements.
-    pub batch: BatchTelemetry,
-    /// Cumulative cache counters (across the engine's lifetime).
-    pub cache: CacheStatsSnapshot,
 }
 
 #[cfg(test)]

@@ -24,10 +24,10 @@
 //!   ([`ShardedHistogram`]), exact counts, p50/p90/p99/p999 estimation,
 //!   and deterministic text rendering;
 //! * [`stage`] — the pipeline vocabulary: [`Stage`], the [`Recorder`]
-//!   trait instrumented code reports through (no-op by default, so the
-//!   library path costs nothing when disabled), [`StageClock`] for
-//!   lap-style attribution, and [`StageSet`] aggregating one histogram
-//!   per stage;
+//!   trait instrumented code reports through (the engine holds none by
+//!   default, so the library path costs nothing when disabled),
+//!   [`StageClock`] for lap-style attribution, and [`StageSet`]
+//!   aggregating one histogram per stage;
 //! * [`trace`] — [`TraceRing`], a bounded ring of per-request
 //!   [`TraceEvent`]s rendered as JSONL;
 //! * [`render`] — the shared Prometheus-style text exposition used by
@@ -51,5 +51,5 @@ pub mod trace;
 pub use histogram::{Histogram, HistogramSnapshot, ShardedHistogram, BUCKETS};
 pub use render::{render_exposition, render_exposition_labeled};
 pub use resilience::{ResilienceCounters, ResilienceSnapshot};
-pub use stage::{NoopRecorder, Recorder, Stage, StageClock, StageSet, StageSummary};
+pub use stage::{Recorder, Stage, StageClock, StageSet, StageSummary};
 pub use trace::{TraceEvent, TraceRing};

@@ -86,16 +86,6 @@ pub trait Recorder: Send + Sync {
     fn record(&self, stage: Stage, nanos: u64);
 }
 
-/// The default recorder: does nothing. Code instrumented against an
-/// `Option<Arc<dyn Recorder>>` (the engine) skips even the clock reads
-/// when no recorder is installed, so the library path costs nothing.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn record(&self, _stage: Stage, _nanos: u64) {}
-}
-
 /// A lap timer for attributing consecutive phases of one code path:
 /// each [`lap`](StageClock::lap) returns the nanoseconds since the
 /// previous lap (or construction) and restarts the interval.
@@ -237,10 +227,5 @@ mod tests {
         assert!(a >= 1_000_000, "first lap covers the first sleep: {a}");
         assert!(b >= 1_000_000, "second lap covers the second sleep: {b}");
         assert!(clock.elapsed_ns() >= a + b, "laps never exceed total elapsed");
-    }
-
-    #[test]
-    fn noop_recorder_is_callable() {
-        NoopRecorder.record(Stage::Plan, 1);
     }
 }

@@ -1,6 +1,6 @@
 //! The cross-client micro-batcher: a bounded submission queue with a
 //! time/size window, drained by worker threads into single
-//! [`Service::call_tagged`] batches.
+//! [`Engine::run_batch`] batches.
 //!
 //! The window trades latency for problem size, exactly the paper's
 //! optimal-speedup tradeoff applied to the serving layer: the first
@@ -24,7 +24,7 @@ use crate::metrics::{ns_between, MetricsSnapshot, ServerObs};
 use crate::stats::{Counters, ServerStats};
 use crate::ServerConfig;
 use parspeed_chaos::{FaultAction, FaultPlan};
-use parspeed_engine::{jsonl, ParspeedError, Query, Response, Service, SlotAddr, TaggedRequest};
+use parspeed_engine::{jsonl, Engine, ParspeedError, Query, Response};
 use parspeed_obs::{ResilienceCounters, Stage, TraceEvent};
 use std::collections::HashSet;
 use std::collections::VecDeque;
@@ -36,7 +36,7 @@ use std::time::Instant;
 /// One admitted (or about-to-be-refused) request on its way to the
 /// engine: the query plus everything needed to route its reply.
 pub(crate) struct Job {
-    /// The submitting connection (its id tags the query for the engine).
+    /// The submitting connection.
     pub conn: Arc<ConnShared>,
     /// Connection-local sequence number: the reply slot, or for a
     /// [`ReplyTo::Complete`] job the submitter's tag.
@@ -74,7 +74,7 @@ struct SubmissionQueue {
 
 /// Everything the workers, submitters, and frontends share.
 pub(crate) struct Shared {
-    pub service: Arc<dyn Service + Send + Sync>,
+    pub engine: Arc<Engine>,
     pub cfg: ServerConfig,
     pub counters: Counters,
     /// Per-stage histograms, trace ring, batch ids. Shared with every
@@ -99,12 +99,12 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    pub fn new(service: Arc<dyn Service + Send + Sync>, cfg: ServerConfig) -> Self {
+    pub fn new(engine: Arc<Engine>, cfg: ServerConfig) -> Self {
         if let Some(b) = cfg.brownout {
             assert!(b.exit < b.enter, "brownout exit watermark must be below enter");
         }
         Shared {
-            service,
+            engine,
             cfg,
             counters: Counters::default(),
             obs: Arc::new(ServerObs::new(cfg.observe, cfg.trace)),
@@ -129,9 +129,9 @@ impl Shared {
     ///
     /// With brownout watermarks configured, pressure degrades service
     /// before refusing it outright: once the queue reaches the `enter`
-    /// watermark, only requests the service says are warm
-    /// ([`Service::probe_cached`]) are admitted — cold ones shed with
-    /// the overload answer — until the queue falls back to `exit`.
+    /// watermark, only requests the engine's result cache holds
+    /// ([`Engine::is_cached`]) are admitted — cold ones shed with the
+    /// overload answer — until the queue falls back to `exit`.
     pub fn submit(&self, job: Job) {
         self.counters.add(&self.counters.submitted, 1);
         if let Some(plan) = self.faults.lock().unwrap().clone() {
@@ -140,7 +140,7 @@ impl Shared {
         // The cache probe takes cache-shard locks and (for sweeps) a
         // plan expansion — do it before the queue lock, and only when
         // brownout is configured at all.
-        let warm = self.cfg.brownout.is_some() && self.service.probe_cached(&job.query);
+        let warm = self.cfg.brownout.is_some() && self.engine.is_cached(&job.query);
         let mut q = self.queue.lock().unwrap();
         if let Some(b) = self.cfg.brownout {
             if q.jobs.len() >= b.enter {
@@ -302,16 +302,16 @@ impl Shared {
         }
     }
 
-    /// Runs one coalesced batch through the service and routes every
+    /// Runs one coalesced batch through the engine and routes every
     /// reply to its slot. `popped` is when the batch left the queue
     /// (the per-request `queue` stage end, used for trace events).
     ///
     /// Two failure paths resolve here, both in-slot: a job whose
     /// deadline expired while it queued answers `deadline_exceeded`
-    /// without entering the engine, and a worker panic mid-service
-    /// (a service bug, or an injected `panic` fault) is caught by a
-    /// panic shield that answers every slot with the `internal` error
-    /// and keeps the worker alive — an admitted request is answered no
+    /// without entering the engine, and a worker panic mid-batch (an
+    /// engine bug, or an injected `panic` fault) is caught by a panic
+    /// shield that answers every slot with the `internal` error and
+    /// keeps the worker alive — an admitted request is answered no
     /// matter what happens to its batch.
     fn execute(&self, jobs: Vec<Job>, popped: Instant) {
         let c = &self.counters;
@@ -348,11 +348,7 @@ impl Shared {
 
         let batch_id = self.obs.next_batch_id();
         let clients: HashSet<u64> = jobs.iter().map(|j| j.conn.id).collect();
-
-        let tagged: Vec<(SlotAddr, Query)> = jobs
-            .iter()
-            .map(|j| (SlotAddr { client: j.conn.id, seq: j.seq }, j.query.clone()))
-            .collect();
+        let queries: Vec<Query> = jobs.iter().map(|j| j.query.clone()).collect();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let armed = self
                 .pending_panics
@@ -361,104 +357,76 @@ impl Shared {
             if armed {
                 panic!("injected worker panic (fault plan)");
             }
-            self.service.call_tagged(&TaggedRequest::new(tagged))
+            self.engine.run_batch(&queries)
         }));
-        let result = match outcome {
-            Ok(result) => result,
-            Err(_) => {
-                // The shield: the batch died mid-service, but every
-                // admitted slot still answers, and this worker thread
-                // survives to serve the next batch.
-                ResilienceCounters::bump(&self.resilience.worker_panics);
-                if let Some(plan) = self.faults.lock().unwrap().clone() {
-                    plan.record(format!(
-                        "server: worker panic caught; {} slot(s) answered internal",
-                        jobs.len()
-                    ));
-                }
-                {
-                    let _group = c.batch_group();
-                    c.add(&c.batches, 1);
-                    c.add(&c.batched_requests, jobs.len() as u64);
-                    c.raise(&c.max_batch_fill, jobs.len() as u64);
-                    c.add(&c.completed, jobs.len() as u64);
-                }
-                for job in jobs {
-                    deliver(
-                        job,
-                        Response::Invalid(ParspeedError::Internal(
-                            "worker panicked while serving the batch; the request may or may \
-                             not have been evaluated"
-                                .into(),
-                        )),
-                        &self.obs,
-                    );
-                }
-                return;
+        let out = outcome.ok();
+        if out.is_none() {
+            // The shield: the batch died mid-run, but every admitted
+            // slot still answers, and this worker thread survives to
+            // serve the next batch.
+            ResilienceCounters::bump(&self.resilience.worker_panics);
+            if let Some(plan) = self.faults.lock().unwrap().clone() {
+                plan.record(format!(
+                    "server: worker panic caught; {} slot(s) answered internal",
+                    jobs.len()
+                ));
             }
+        }
+        let telemetry = out.as_ref().map(|out| out.telemetry);
+        let engine_nanos = telemetry.map_or(0, |t| (t.wall_seconds * 1e9) as u64);
+        {
+            // Post the whole batch's counters as one unit: a snapshot
+            // either sees all of this batch or none.
+            let _group = c.batch_group();
+            c.add(&c.batches, 1);
+            c.add(&c.batched_requests, jobs.len() as u64);
+            c.raise(&c.max_batch_fill, jobs.len() as u64);
+            if let Some(t) = telemetry {
+                c.add(&c.atoms, t.atoms as u64);
+                c.add(&c.unique, t.unique as u64);
+                c.add(&c.cache_hits, t.cache_hits as u64);
+                c.add(&c.engine_nanos, engine_nanos);
+                if clients.len() > 1 {
+                    c.add(&c.cross_client_batches, 1);
+                    c.add(&c.cross_client_dedup_hits, (t.atoms - t.unique) as u64);
+                }
+            }
+            c.add(&c.completed, jobs.len() as u64);
+        }
+        let Some(out) = out else {
+            for job in jobs {
+                deliver(
+                    job,
+                    Response::Invalid(ParspeedError::Internal(
+                        "worker panicked while serving the batch; the request may or may \
+                         not have been evaluated"
+                            .into(),
+                    )),
+                    &self.obs,
+                );
+            }
+            return;
         };
-        match result {
-            Ok(reply) => {
-                let engine_nanos = (reply.telemetry.wall_seconds * 1e9) as u64;
-                {
-                    // Post the whole batch's counters as one unit: a
-                    // snapshot either sees all of this batch or none.
-                    let _group = c.batch_group();
-                    c.add(&c.batches, 1);
-                    c.add(&c.batched_requests, jobs.len() as u64);
-                    c.raise(&c.max_batch_fill, jobs.len() as u64);
-                    c.add(&c.atoms, reply.telemetry.atoms as u64);
-                    c.add(&c.unique, reply.telemetry.unique as u64);
-                    c.add(&c.cache_hits, reply.telemetry.cache_hits as u64);
-                    c.add(&c.engine_nanos, engine_nanos);
-                    if clients.len() > 1 {
-                        c.add(&c.cross_client_batches, 1);
-                        c.add(
-                            &c.cross_client_dedup_hits,
-                            (reply.telemetry.atoms - reply.telemetry.unique) as u64,
-                        );
-                    }
-                    c.add(&c.completed, jobs.len() as u64);
-                }
-                if self.obs.tracing() {
-                    // Cache-hit attribution is batch-level: after dedup
-                    // a cached key may have served many requests at
-                    // once, so per-request blame is not well defined.
-                    let cache_hit = reply.telemetry.cache_hits > 0;
-                    for job in &jobs {
-                        self.obs.trace_push(TraceEvent {
-                            at_ns: self.obs.ns_since_epoch(job.submitted),
-                            client: job.conn.id,
-                            seq: job.seq,
-                            op: jsonl::op_name(&job.query),
-                            batch: batch_id,
-                            cache_hit,
-                            queue_ns: ns_between(job.submitted, popped),
-                            batch_ns: engine_nanos,
-                        });
-                    }
-                }
-                debug_assert_eq!(reply.replies.len(), jobs.len());
-                for (job, (slot, response)) in jobs.into_iter().zip(reply.replies) {
-                    debug_assert_eq!(slot, SlotAddr { client: job.conn.id, seq: job.seq });
-                    deliver(job, response, &self.obs);
-                }
+        if self.obs.tracing() {
+            // Cache-hit attribution is batch-level: after dedup a cached
+            // key may have served many requests at once, so per-request
+            // blame is not well defined.
+            let cache_hit = out.telemetry.cache_hits > 0;
+            for job in &jobs {
+                self.obs.trace_push(TraceEvent {
+                    at_ns: self.obs.ns_since_epoch(job.submitted),
+                    client: job.conn.id,
+                    seq: job.seq,
+                    op: jsonl::op_name(&job.query),
+                    batch: batch_id,
+                    cache_hit,
+                    queue_ns: ns_between(job.submitted, popped),
+                    batch_ns: engine_nanos,
+                });
             }
-            Err(e) => {
-                // Envelope-level failure (cannot happen for the versions
-                // this server speaks, but every admitted job still gets
-                // a reply in its slot).
-                {
-                    let _group = c.batch_group();
-                    c.add(&c.batches, 1);
-                    c.add(&c.batched_requests, jobs.len() as u64);
-                    c.raise(&c.max_batch_fill, jobs.len() as u64);
-                    c.add(&c.completed, jobs.len() as u64);
-                }
-                for job in jobs {
-                    deliver(job, Response::Invalid(e.clone()), &self.obs);
-                }
-            }
+        }
+        for (job, response) in jobs.into_iter().zip(out.responses) {
+            deliver(job, response, &self.obs);
         }
     }
 }

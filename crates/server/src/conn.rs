@@ -81,10 +81,9 @@ struct Router {
 /// that produced the reply.
 #[derive(Debug)]
 pub struct ConnShared {
-    /// Frontend-assigned connection id (the [`SlotAddr::client`]
-    /// half of every tag this connection submits).
-    ///
-    /// [`SlotAddr::client`]: parspeed_engine::SlotAddr
+    /// Frontend-assigned connection id, unique within its tier: it names
+    /// the connection in trace events and log notes, and seeds the
+    /// router's per-request retry jitter.
     pub id: u64,
     /// Where `route`-stage latency (reply produced → released in order)
     /// is recorded; `None` on bare test connections.

@@ -201,9 +201,6 @@ fn answer_oversize(conn: &ConnShared, line_no: usize, max_line: usize) {
 /// shrink the watermarks to exercise backpressure deterministically.
 #[derive(Debug, Clone, Copy)]
 pub struct EventLoopConfig {
-    /// Poll timeout — how often the loop re-checks the drain flag when
-    /// fully idle (busy loops notice immediately).
-    pub tick: Duration,
     /// Output-buffer bytes beyond which new engine-bound requests are
     /// shed as `overloaded` instead of admitted.
     pub shed_watermark: usize,
@@ -213,22 +210,25 @@ pub struct EventLoopConfig {
     /// Longest accepted request line; anything longer answers a parse
     /// error and the excess is discarded up to the next newline.
     pub max_line: usize,
-    /// How long a drain waits for stalled clients to consume their
-    /// buffered replies before closing them anyway.
-    pub drain_grace: Duration,
 }
 
 impl Default for EventLoopConfig {
     fn default() -> Self {
         EventLoopConfig {
-            tick: Duration::from_millis(10),
             shed_watermark: 256 * 1024,
             stop_watermark: 1024 * 1024,
             max_line: 1024 * 1024,
-            drain_grace: Duration::from_secs(5),
         }
     }
 }
+
+/// Poll timeout — how often the loop re-checks the drain flag when fully
+/// idle (busy loops notice immediately).
+const TICK: Duration = Duration::from_millis(10);
+
+/// How long a drain waits for stalled clients to consume their buffered
+/// replies before closing them anyway.
+const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKE: u64 = 1;
@@ -275,6 +275,10 @@ struct LoopConn {
     conn: Arc<ConnShared>,
     /// Unparsed input tail (reused across reads; no per-line String).
     rbuf: Vec<u8>,
+    /// How much of `rbuf` an earlier read already searched for a newline
+    /// and found none: the next search resumes here, so a line trickled
+    /// in over many reads is scanned once, not once per read.
+    scanned: usize,
     /// Rendered replies not yet written to the socket; `wpos` marks the
     /// already-written prefix (compacted when fully flushed).
     wbuf: Vec<u8>,
@@ -338,7 +342,7 @@ impl EventLoop {
         let mut drain_started: Option<Instant> = None;
 
         loop {
-            let _ = self.poller.wait(&mut events, Some(self.cfg.tick));
+            let _ = self.poller.wait(&mut events, Some(TICK));
             let accepting = drain_started.is_none();
             for &ev in &events {
                 match ev.token {
@@ -384,7 +388,7 @@ impl EventLoop {
                 }
                 free.append(&mut freed_this_round);
                 let live = self.conns.iter().filter(|c| c.is_some()).count();
-                let expired = drain_started.is_some_and(|t| t.elapsed() >= self.cfg.drain_grace);
+                let expired = drain_started.is_some_and(|t| t.elapsed() >= DRAIN_GRACE);
                 if live == 0 || expired {
                     return; // sockets and poller close on drop
                 }
@@ -436,6 +440,7 @@ impl EventLoop {
             stream,
             conn,
             rbuf: Vec::new(),
+            scanned: 0,
             wbuf: Vec::new(),
             wpos: 0,
             line_no: 0,
@@ -501,12 +506,17 @@ impl EventLoop {
         let shed_limit = self.cfg.shed_watermark;
         let max_line = self.cfg.max_line;
         let c = self.conns[slot].as_mut().expect("slot live");
+        // `rbuf[start..]` is the unconsumed input; `rbuf[start..scan]`
+        // holds no newline.
         let mut start = 0usize;
+        let mut scan = c.scanned;
         loop {
+            let newline = c.rbuf[scan..].iter().position(|&b| b == b'\n').map(|pos| scan + pos);
             if c.discarding {
-                match c.rbuf[start..].iter().position(|&b| b == b'\n') {
-                    Some(pos) => {
-                        start += pos + 1;
+                match newline {
+                    Some(end) => {
+                        start = end + 1;
+                        scan = start;
                         c.discarding = false;
                         continue;
                     }
@@ -516,8 +526,8 @@ impl EventLoop {
                     }
                 }
             }
-            let end = match c.rbuf[start..].iter().position(|&b| b == b'\n') {
-                Some(pos) => start + pos,
+            let end = match newline {
+                Some(end) => end,
                 // EOF flushes the unterminated tail as a final line.
                 None if at_eof && start < c.rbuf.len() => c.rbuf.len(),
                 None => {
@@ -558,8 +568,11 @@ impl EventLoop {
                 break;
             }
             start = end + 1;
+            scan = start;
         }
         c.rbuf.drain(..start);
+        // Every exit searched the whole tail that is left.
+        c.scanned = c.rbuf.len();
     }
 
     /// Moves released replies into the output buffer, writes what the

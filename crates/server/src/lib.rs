@@ -1,7 +1,7 @@
 //! `parspeed-server` — the concurrent serving layer: a multi-threaded
-//! frontend over the engine's [`Service`] surface that accepts many
-//! simultaneous clients and funnels their requests through a
-//! **cross-client micro-batcher**.
+//! frontend over [`Engine::run_batch`] that accepts many simultaneous
+//! clients and funnels their requests through a **cross-client
+//! micro-batcher**.
 //!
 //! Everything below the service boundary already amortizes coordination
 //! cost *within* one batch: the engine plans, dedups, caches, and
@@ -22,9 +22,10 @@
 //! * **per-connection ordered replies** — each connection sees exactly
 //!   one reply per request, in its own submission order, however batches
 //!   complete (a reorder router holds early replies back);
-//! * **no cross-client leakage** — every query is tagged with a
-//!   [`SlotAddr`](parspeed_engine::SlotAddr) and the engine's
-//!   slot-addressed batch entry point returns each reply under its tag;
+//! * **no cross-client leakage** — the engine answers a batch's queries
+//!   in input order, and the batcher hands each response to the job
+//!   whose query sat at that position, so it reaches exactly the
+//!   connection slot that asked;
 //! * **overload is an answer, not a disconnect** — a bounded submission
 //!   queue refuses excess requests with the documented `overloaded`
 //!   error kind in the request's own reply slot;
@@ -71,7 +72,7 @@ pub use metrics::{resilience_to_json, MetricsSnapshot, ServerObs};
 pub use stats::{health_to_json, ServerStats};
 
 use batcher::{deliver_overload, Job, ReplyTo, Shared};
-use parspeed_engine::{Query, Response, Service, WIRE_VERSION};
+use parspeed_engine::{Engine, Query, Response, WIRE_VERSION};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::Ordering;
@@ -113,7 +114,7 @@ pub struct ServerConfig {
     /// default) to disable. See [`BrownoutConfig`].
     pub brownout: Option<BrownoutConfig>,
     /// Tuning of the event loop [`Server::listen`] attaches (buffer
-    /// watermarks, poll tick, line limit).
+    /// watermarks, line limit).
     pub event_loop: EventLoopConfig,
 }
 
@@ -160,19 +161,19 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts the batcher workers over `service` (usually
-    /// `Arc<Engine>`) and returns the handle frontends attach to.
-    pub fn start(service: Arc<dyn Service + Send + Sync>, config: ServerConfig) -> Server {
+    /// Starts the batcher workers over `engine` and returns the handle
+    /// frontends attach to.
+    pub fn start(engine: Arc<Engine>, config: ServerConfig) -> Server {
         assert!(config.workers >= 1, "server needs at least one worker");
         assert!(config.max_batch >= 1, "max_batch must be positive");
         assert!(config.queue_depth >= 1, "queue_depth must be positive");
-        let shared = Arc::new(Shared::new(service, config));
+        let shared = Arc::new(Shared::new(engine, config));
         if config.observe {
             // The engine attributes plan/dedup/cache/exec time into the
-            // same stage set the server uses for queue/window/route —
-            // through the Service surface, so the engine never learns
+            // same stage set the server uses for queue/window/route,
+            // through the `Recorder` trait, so the engine never learns
             // the server exists.
-            shared.service.install_recorder(shared.obs.clone());
+            shared.engine.set_recorder(Some(shared.obs.clone()));
         }
         let workers = (0..config.workers)
             .map(|i| {
@@ -265,10 +266,10 @@ impl Server {
         for acceptor in self.acceptors {
             let _ = acceptor.join();
         }
-        // The engine may outlive this server; leave it reporting into a
-        // no-op sink rather than our now-final stage set.
+        // The engine may outlive this server; stop it reporting into our
+        // now-final stage set.
         if self.shared.cfg.observe {
-            self.shared.service.install_recorder(Arc::new(parspeed_obs::NoopRecorder));
+            self.shared.engine.set_recorder(None);
         }
         self.shared.stats()
     }
@@ -383,8 +384,8 @@ impl Client {
     /// reply slot: the worker that produces the reply (result, refusal,
     /// or deadline answer) calls `done` with it on its own thread — or,
     /// for a refusal, on the caller's before this returns. `tag` stands
-    /// in for the sequence number in the engine's slot tag and the
-    /// trace ring. The sharded router settles its requests this way.
+    /// in for the sequence number in the trace ring. The sharded router
+    /// settles its requests this way.
     pub fn submit_then(
         &self,
         query: Query,
@@ -434,7 +435,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parspeed_engine::{ArchKind, Engine, EvalValue, Request};
+    use parspeed_engine::{ArchKind, EvalValue, Request};
 
     fn optimize(n: usize) -> Query {
         Request::optimize(ArchKind::SyncBus, n).procs(64).query()
@@ -479,6 +480,45 @@ mod tests {
         assert_eq!(stats.completed, 50);
         assert!(stats.batches < 50, "window never coalesced: {stats}");
         assert!(stats.avg_batch_fill() > 1.0);
+    }
+
+    /// The engine can outlive the server that installed its recorder: a
+    /// drained server takes its stage set back out, so later batches on
+    /// the still-shared engine leave its final counts alone, and a
+    /// second server on the same engine attributes the engine stages to
+    /// itself.
+    #[test]
+    fn shutdown_hands_the_engine_recorder_back() {
+        use parspeed_obs::Stage;
+        let counts = |obs: &ServerObs| -> Vec<(Stage, u64)> {
+            obs.stage_summaries().into_iter().map(|(stage, s)| (stage, s.count)).collect()
+        };
+        let engine_stages = [Stage::Plan, Stage::Dedup, Stage::Cache, Stage::Exec];
+        let engine = Arc::new(Engine::default());
+
+        let first = Server::start(Arc::clone(&engine), ServerConfig::default());
+        first.client().call(optimize(64));
+        let first_obs = first.observability();
+        first.shutdown();
+        let drained = counts(&first_obs);
+        for (stage, count) in &drained {
+            if engine_stages.contains(stage) {
+                assert_eq!(*count, 1, "{stage:?} before the handoff");
+            }
+        }
+        engine.run_batch(&[optimize(128), optimize(256)]);
+        assert_eq!(counts(&first_obs), drained, "a drained server still records engine batches");
+
+        let second = Server::start(Arc::clone(&engine), ServerConfig::default());
+        second.client().call(optimize(512));
+        let second_obs = second.observability();
+        second.shutdown();
+        for (stage, count) in counts(&second_obs) {
+            if engine_stages.contains(&stage) {
+                assert_eq!(count, 1, "{stage:?} on the second server");
+            }
+        }
+        assert_eq!(counts(&first_obs), drained, "the second server's batch reached the first");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! [`StageSet`] covering the full pipeline (the server records `queue`,
 //! `window`, and `route`; the engine records `plan`, `dedup`, `cache`,
 //! and `exec` through the same object via
-//! [`Service::install_recorder`](parspeed_engine::Service::install_recorder)),
+//! [`Engine::set_recorder`](parspeed_engine::Engine::set_recorder)),
 //! plus the [`TraceRing`] of recent requests and the batch-id counter
 //! trace events reference.
 //!

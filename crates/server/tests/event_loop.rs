@@ -1,7 +1,8 @@
 //! The event-loop frontend under load, over real TCP: one loop thread
-//! holds a thousand concurrent connections at flat memory, and a
-//! stalled reader is shed with in-slot `overloaded` answers instead of
-//! stalling the loop or its neighbours.
+//! holds a thousand concurrent connections at flat memory, a stalled
+//! reader is shed with in-slot `overloaded` answers instead of stalling
+//! the loop or its neighbours, and lines trickled in over many reads
+//! frame exactly as whole ones.
 
 use parspeed_engine::jsonl;
 use parspeed_engine::{jsonl::render_response, ArchKind, Engine, Query, Request, WIRE_VERSION};
@@ -294,6 +295,98 @@ fn oversize_line_answers_in_slot_and_connection_survives() {
     assert!(replies[0].contains("4096-byte limit"), "{}", replies[0]);
     let v = jsonl::parse(&replies[1]).expect("reply is JSON");
     assert_eq!(v.get("ok"), Some(&jsonl::Json::Bool(true)), "{}", replies[1]);
+    server.shutdown();
+}
+
+/// Writes `bytes` in `piece`-sized writes, pausing after each so the
+/// loop sees them in separate reads.
+fn trickle(stream: &mut TcpStream, bytes: &[u8], piece: usize) {
+    for chunk in bytes.chunks(piece) {
+        stream.write_all(chunk).expect("write piece");
+        stream.flush().expect("flush");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
+/// Lines trickled in over many small reads frame exactly as whole
+/// ones: a line sent a byte at a time and one sent in odd-sized pieces
+/// each answer once, bit-identical to the serial engine, and a line
+/// trickled past `max_line` answers the oversize error in its own slot
+/// while the connection keeps serving.
+#[test]
+fn trickled_lines_answer_once_and_oversize_still_answers_in_slot() {
+    let (server, addr) = start_server(ServerConfig {
+        event_loop: EventLoopConfig { max_line: 4096, ..EventLoopConfig::default() },
+        ..base_config()
+    });
+    let engine = Engine::default();
+    let expected: Vec<String> = soak_queries()
+        .iter()
+        .map(|q| {
+            let response = engine.run_batch(std::slice::from_ref(q)).responses.remove(0);
+            render_response(q, &response, WIRE_VERSION, 1)
+        })
+        .collect();
+    let lines = soak_lines();
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    trickle(&mut stream, format!("{}\n", lines[0]).as_bytes(), 1);
+    trickle(&mut stream, format!("{}\n", lines[1]).as_bytes(), 7);
+    let oversize = format!("{{\"op\":\"table1\",\"pad\":\"{}\"}}\n", "x".repeat(5000));
+    trickle(&mut stream, oversize.as_bytes(), 97);
+    stream.write_all(format!("{}\n", lines[2]).as_bytes()).expect("write whole");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let replies: Vec<String> = BufReader::new(stream).lines().map(|l| l.expect("read")).collect();
+
+    assert_eq!(replies.len(), 4, "{replies:?}");
+    assert_eq!(replies[0], expected[0], "line sent a byte at a time");
+    assert_eq!(replies[1], expected[1], "line sent in 7-byte pieces");
+    let v = jsonl::parse(&replies[2]).expect("reply is JSON");
+    assert_eq!(v.get("ok"), Some(&jsonl::Json::Bool(false)), "{}", replies[2]);
+    assert_eq!(v.get("error_kind").unwrap().as_str(), Some("parse"), "{}", replies[2]);
+    assert_eq!(v.get("line").unwrap().as_usize(), Some(3), "{}", replies[2]);
+    assert!(replies[2].contains("4096-byte limit"), "{}", replies[2]);
+    assert_eq!(replies[3], expected[2], "the line after the oversize one");
+    server.shutdown();
+}
+
+/// Pipelined lines cut at arbitrary points, so that one read ends a
+/// line and starts the next, frame exactly: the resumed newline search
+/// neither skips a boundary nor merges two lines, including where an
+/// oversize line is being discarded and the next line begins in the
+/// same read.
+#[test]
+fn pipelined_lines_cut_across_reads_frame_exactly() {
+    let (server, addr) = start_server(ServerConfig {
+        event_loop: EventLoopConfig { max_line: 4096, ..EventLoopConfig::default() },
+        ..base_config()
+    });
+    let engine = Engine::default();
+    let expected: Vec<String> = soak_queries()
+        .iter()
+        .map(|q| {
+            let response = engine.run_batch(std::slice::from_ref(q)).responses.remove(0);
+            render_response(q, &response, WIRE_VERSION, 1)
+        })
+        .collect();
+    let lines = soak_lines();
+    let oversize = format!("{{\"op\":\"table1\",\"pad\":\"{}\"}}", "x".repeat(5000));
+    let stream_bytes = format!("{}\n{oversize}\n{}\n{}\n", lines[0], lines[1], lines[2]);
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    trickle(&mut stream, stream_bytes.as_bytes(), 13);
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let replies: Vec<String> = BufReader::new(stream).lines().map(|l| l.expect("read")).collect();
+
+    assert_eq!(replies.len(), 4, "{replies:?}");
+    assert_eq!(replies[0], expected[0]);
+    let v = jsonl::parse(&replies[1]).expect("reply is JSON");
+    assert_eq!(v.get("error_kind").unwrap().as_str(), Some("parse"), "{}", replies[1]);
+    assert_eq!(v.get("line").unwrap().as_usize(), Some(2), "{}", replies[1]);
+    assert_eq!(replies[2], expected[1], "the line starting in the discard's last read");
+    assert_eq!(replies[3], expected[2]);
     server.shutdown();
 }
 

@@ -87,6 +87,34 @@ fn worker_panic_answers_every_slot_and_the_worker_survives() {
     assert_eq!(stats.submitted, stats.completed + stats.overloaded);
 }
 
+/// A shielded batch still counts as a batch: it posts the same batch
+/// counters as a served one, and none of the engine's telemetry, since
+/// the engine never reported any. The next served batch adds both.
+#[test]
+fn shielded_batch_posts_batch_counters_but_no_engine_telemetry() {
+    let server = Server::start(
+        Arc::new(Engine::default()),
+        ServerConfig { workers: 1, ..ServerConfig::default() },
+    );
+    let plan = Arc::new(FaultPlan::parse("panic@1", 7).expect("plan parses"));
+    server.install_fault_plan(Some(plan));
+    let client = server.client();
+
+    assert!(matches!(client.call(optimize(64)), Response::Invalid(_)));
+    let shielded = server.stats();
+    assert_eq!(
+        (shielded.batches, shielded.batched_requests, shielded.max_batch_fill, shielded.completed),
+        (1, 1, 1, 1)
+    );
+    assert_eq!((shielded.atoms, shielded.unique, shielded.engine_nanos), (0, 0, 0));
+
+    assert!(matches!(client.call(optimize(128)), Response::Single(Ok(_))));
+    let served = server.shutdown();
+    assert_eq!((served.batches, served.batched_requests, served.completed), (2, 2, 2));
+    assert_eq!((served.atoms, served.unique), (1, 1));
+    assert!(served.engine_nanos > 0);
+}
+
 /// Under queue pressure past the enter watermark, brownout sheds cold
 /// requests as `overloaded` while cached ones still answer; once the
 /// queue falls to the exit watermark, full service resumes.
@@ -97,7 +125,7 @@ fn brownout_serves_warm_keys_and_sheds_cold_ones() {
     engine.run_batch(&[optimize(256)]);
 
     let server = Server::start(
-        Arc::clone(&engine) as Arc<dyn parspeed_engine::Service + Send + Sync>,
+        Arc::clone(&engine),
         ServerConfig {
             // A window long enough that submissions pile up in-queue.
             window: Duration::from_secs(600),

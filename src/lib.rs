@@ -16,14 +16,14 @@
 //! * [`solver`] — real numerical solvers (Jacobi, SOR, red-black, CG),
 //! * [`exec`] — shared-memory partitioned parallel runtime (rayon) used to
 //!   validate the model on the host machine,
-//! * [`engine`] — the versioned service surface: a batched, cached,
+//! * [`engine`] — the service surface: a batched, cached,
 //!   parallel query engine covering every capability (analytic queries,
 //!   event-level simulations, real solves, measurements), bit-identical
 //!   to direct calls into the crates above.
 //!
 //! A command-line interface to all of it ships as the `parspeed` binary
-//! (crate `parspeed-cli`) — every one of its commands routes through the
-//! engine's `Service` — and `parspeed-bench` regenerates every table and
+//! (crate `parspeed-cli`) — every one of its commands routes through
+//! `Engine::run_batch` — and `parspeed-bench` regenerates every table and
 //! figure in the paper (see `EXPERIMENTS.md`).
 //!
 //! # Quickstart
@@ -40,17 +40,15 @@
 //! assert!(opt.speedup > 1.0);
 //! ```
 //!
-//! The same question through the service surface — planned, deduplicated,
-//! and cached, with builder-style request construction:
+//! The same question through the engine — planned, deduplicated, and
+//! cached, with builder-style query construction:
 //!
 //! ```
 //! use parspeed::prelude::*;
 //!
 //! let engine = Engine::builder().build();
-//! let reply = engine
-//!     .call(&Request::optimize(ArchKind::SyncBus, 256).procs(64).build())
-//!     .unwrap();
-//! match &reply.responses[0] {
+//! let out = engine.run_batch(&[Request::optimize(ArchKind::SyncBus, 256).procs(64).query()]);
+//! match &out.responses[0] {
 //!     Response::Single(Ok(EvalValue::Optimum { processors, .. })) => {
 //!         assert_eq!(*processors, 14);
 //!     }
@@ -79,8 +77,8 @@ pub mod prelude {
     };
     pub use parspeed_engine::{
         ArchKind, BatchTelemetry, Engine, EngineBuilder, EvalOutcome, EvalValue, MachineSpec,
-        ParspeedError, Query, Request, Response, Service, ServiceReply, ShapeKey, SimArchKind,
-        SolverKind, StencilSpec, WorkloadSpec, WIRE_VERSION,
+        ParspeedError, Query, Request, Response, ShapeKey, SimArchKind, SolverKind, StencilSpec,
+        WorkloadSpec, WIRE_VERSION,
     };
     pub use parspeed_grid::{Grid2D, RectDecomposition, StripDecomposition, WorkingRectangles};
     pub use parspeed_solver::{JacobiSolver, PoissonProblem, SolveStatus};
