@@ -165,7 +165,7 @@ impl EngineBuilder {
     }
 
     /// Executor worker threads; 0 (default) sizes every parallel operation
-    /// from its own work (`rayon::threads_for`), 1 runs strictly
+    /// from its own work (rayon's `with_work`), 1 runs strictly
     /// sequentially, and any other count pins that many threads.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;

@@ -19,19 +19,19 @@
 //! GFLOP/s (natural accounting) single-thread, and their *relative* cost
 //! across stencils differs from both the natural counts and the
 //! calibrated constants because memory traffic, not arithmetic, bounds
-//! the sweep. The repo therefore carries a measured snapshot,
-//! `BENCH_PR3.json` at the workspace root — throughput in Mpoints/s and
-//! MFLOP/s (`Mpoints/s × flops_per_point`) for the generic, fused, and
-//! row-parallel sweeps of each catalogue stencil. Regenerate it after any
-//! kernel change with
+//! the sweep. Measure it instead, after any kernel change, with
 //!
 //! ```text
-//! cargo run --release -p parspeed-bench --bin perf_snapshot
+//! cargo bench -p parspeed-bench --bench jacobi_kernels
 //! ```
 //!
-//! (`--quick --check` is the CI smoke configuration: smaller grid, and it
-//! fails if the fused kernels regress below the generic sweep or drift
-//! from bit-identity).
+//! — throughput in grid points per second (× `flops_per_point` for
+//! FLOP/s) for the generic, fused, and row-parallel sweeps of each
+//! catalogue stencil — or with the repository benchmark's traced run
+//! (`perfbench/`, `--trace 1`), whose `kernel.fused_mpts`,
+//! `kernel.par_mpts` and `kernel.gflops` time the sweeps at each
+//! workload's grid sides. The fused kernels' bit-identity with the
+//! generic sweep is pinned by `parspeed-solver`'s `fused_identity` tests.
 
 use crate::Stencil;
 
