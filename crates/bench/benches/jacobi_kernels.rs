@@ -10,9 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use parspeed_grid::{Grid2D, Region};
-use parspeed_solver::apply::{
-    jacobi_sweep, jacobi_sweep_5pt, jacobi_sweep_par, jacobi_sweep_region_generic,
-};
+use parspeed_solver::apply::{jacobi_sweep, jacobi_sweep_par, jacobi_sweep_region_generic};
 use parspeed_stencil::Stencil;
 use std::hint::black_box;
 
@@ -56,12 +54,6 @@ fn bench_kernels(c: &mut Criterion) {
                 b.iter(|| jacobi_sweep_par(&stencil, black_box(&src), &mut dst, &f, 1e-4))
             });
         }
-
-        // The statically-typed 5-point fast path, for reference.
-        let (src, mut dst, f) = setup(n, 1);
-        g.bench_function(BenchmarkId::new("fused_static", "5-point"), |b| {
-            b.iter(|| jacobi_sweep_5pt(black_box(&src), &mut dst, &f, 1e-4))
-        });
         g.finish();
     }
 }

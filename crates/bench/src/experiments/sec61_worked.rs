@@ -3,9 +3,9 @@
 //!
 //! The paper quotes strips 16/(1+512/n) and squares 16/(1+128/n) — values
 //! consistent with counting *half* the boundary traffic of its own
-//! eq. (2). We print both conventions (see `DESIGN.md`, discrepancy #1):
-//! the full-volume column follows eq. (2)/(5); the half-volume column
-//! reproduces the paper's quoted numbers exactly.
+//! eq. (2). We print both conventions: the full-volume column follows
+//! eq. (2)/(5); the half-volume column reproduces the paper's quoted
+//! numbers exactly.
 
 use crate::report::Table;
 use parspeed_core::{BusParams, SyncBus, Workload};

@@ -1,7 +1,7 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //!
-//! Each module under [`experiments`] reproduces one artifact (see
-//! `DESIGN.md` §5 for the experiment index and `EXPERIMENTS.md` for
+//! Each module under [`experiments`] reproduces one artifact (see the
+//! artifact table in `EXPERIMENTS.md` for the experiment index and
 //! paper-vs-measured results). Every experiment exposes
 //! `run(quick: bool) -> String`: the returned report is printed by the
 //! matching binary (`cargo run -p parspeed-bench --bin <name>`), and CSV

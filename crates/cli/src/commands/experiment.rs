@@ -16,36 +16,18 @@ pub const KEYS: &[&str] = &["id"];
 pub const SWITCHES: &[&str] = &["quick"];
 
 /// Usage shown by `parspeed help experiment`.
-pub const USAGE: &str = "parspeed experiment [--id e1..e16|all] [--quick]
+pub const USAGE: &str = "parspeed experiment [--id e1..e17|all] [--quick]
 
-Regenerates a reproduction experiment (the DESIGN.md §5 index: e1 = the
-k-table, e2 = Fig 6, e3 = Fig 7, e4 = Fig 8, e5 = Table I, e6–e12 the
-per-section analyses, e13/e14 validation, e15 scheduling, e16 embeddings)
-or all of them. --quick trims the sweeps.";
+Regenerates a reproduction experiment (the artifact table in
+EXPERIMENTS.md: e1 = the k-table, e2 = Fig 6, e3 = Fig 7, e4 = Fig 8,
+e5 = Table I, e6–e12 the per-section analyses, e13/e14 validation,
+e15 scheduling, e16 embeddings, e17 ablations) or all of them. --quick
+trims the sweeps.";
 
-/// The experiment runner registered on the process-wide engine: maps an
-/// id to its `parspeed-bench` harness.
+/// The experiment runner registered on the process-wide engine: looks an
+/// id up in `parspeed-bench`'s experiment table.
 pub fn runner(id: &str, quick: bool) -> Result<String, String> {
-    Ok(match id {
-        "all" => experiments::run_all(quick),
-        "e1" => experiments::table_k::run(quick),
-        "e2" => experiments::fig6::run(quick),
-        "e3" => experiments::fig7::run(quick),
-        "e4" => experiments::fig8::run(quick),
-        "e5" => experiments::table1::run(quick),
-        "e6" => experiments::sec4_hypercube::run(quick),
-        "e7" => experiments::sec4_convergence::run(quick),
-        "e8" => experiments::sec5_fem::run(quick),
-        "e9" => experiments::sec61_worked::run(quick),
-        "e10" => experiments::sec61_leverage::run(quick),
-        "e11" => experiments::sec62_async::run(quick),
-        "e12" => experiments::sec7_switching::run(quick),
-        "e13" => experiments::validate_desim::run(quick),
-        "e14" => experiments::validate_threads::run(quick),
-        "e15" => experiments::sec8_scheduling::run(quick),
-        "e16" => experiments::sec4_embedding::run(quick),
-        other => return Err(format!("unknown experiment `{other}`; e1..e16 or all")),
-    })
+    experiments::run(id, quick).ok_or_else(|| format!("unknown experiment `{id}`; e1..e17 or all"))
 }
 
 /// Runs the subcommand.
@@ -71,6 +53,12 @@ mod tests {
     fn single_experiment_runs() {
         let out = run(&parse(&["--id", "e1", "--quick"])).unwrap();
         assert!(out.contains("k("), "{out}");
+    }
+
+    #[test]
+    fn e17_returns_the_ablations_report() {
+        let out = run(&parse(&["--id", "e17", "--quick"])).unwrap();
+        assert_eq!(out, experiments::ablations::run(true));
     }
 
     #[test]

@@ -42,7 +42,7 @@ COMMANDS:
   simulate    one event-level iteration beside the closed form
   solve       actually solve a Poisson problem (sequential or rayon)
   threads     time the real rayon executor across thread counts
-  experiment  regenerate a reproduction experiment (e1..e16 or all)
+  experiment  regenerate a reproduction experiment (e1..e17 or all)
   help        this text, or `parspeed help <command>` for details
 
 Architectures: hypercube, mesh, sync-bus, async-bus, scheduled-bus, banyan.

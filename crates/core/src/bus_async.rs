@@ -14,8 +14,8 @@
 //! where compute exactly hides the backlog. Against the synchronous bus the
 //! optimal speedup improves ×√2 for strips and ×1.5 for squares; letting
 //! reads overlap as well ([`OverlapMode::ReadsAndWrites`]) buys a further
-//! ×1.26 for squares and ×√2 for strips (§6.2's "additional" improvement —
-//! see `DESIGN.md` on the scan's garbled "126%").
+//! ×1.26 for squares and ×√2 for strips (§6.2's "additional" improvement;
+//! the scan's garbled "126%" is read as this ×1.26 factor).
 
 use crate::{ArchModel, BusParams, MachineParams, Workload};
 use parspeed_stencil::PartitionShape;

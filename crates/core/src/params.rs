@@ -5,8 +5,8 @@
 //! anchors the text does state (§6.1): on a 256×256 grid with square
 //! partitions and `c = 0`, the synchronous bus should optimally use 14
 //! processors with the 5-point stencil and 22 with the 9-point box. With
-//! `E(5pt) = 6` and `E(9pt) = 12` this pins `Tfp/b = 0.13642` (see
-//! `DESIGN.md` §3). Absolute magnitudes are chosen to be 1987-plausible
+//! `E(5pt) = 6` and `E(9pt) = 12` (`Stencil::calibrated_e`) this pins
+//! `Tfp/b = 0.13642`. Absolute magnitudes are chosen to be 1987-plausible
 //! (µs-scale bus word cycles, ms-scale message startup) but only *ratios*
 //! enter any claim the reproduction checks.
 

@@ -250,12 +250,7 @@ fn solve(
             let mut exec = PartitionedJacobi::with_depth(&problem, &stencil, &d, depth);
             let (run, resumed) = exec.solve_checkpointed(tol, max_iters, policy, ckpt);
             resumed_from = resumed;
-            let status = SolveStatus {
-                converged: run.converged,
-                iterations: run.iterations,
-                final_diff: run.final_diff,
-            };
-            (exec.solution(), status)
+            (exec.solution(), run.into())
         }
     };
     Ok(EvalValue::Solve {

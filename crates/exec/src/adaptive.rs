@@ -10,32 +10,13 @@
 //! to "an insignificant amount": almost all checks land where convergence
 //! actually happens.
 //!
-//! [`CheckScheduler`] is the feedback-driven interface;
-//! [`CheckPolicy`] implements it by ignoring the
+//! [`CheckScheduler`] is the feedback-driven interface, re-exported from
+//! `parspeed-solver`, whose one check-scheduled solve loop
+//! (`parspeed_solver::run_schedule`) consults it;
+//! [`CheckPolicy`](crate::CheckPolicy) implements it by ignoring the
 //! feedback, and [`AdaptiveChecker`] implements the rate estimator.
 
-use crate::CheckPolicy;
-
-/// A convergence-check schedule that may react to observed residuals.
-pub trait CheckScheduler {
-    /// The first iteration at which to check.
-    fn first_check(&mut self) -> usize;
-
-    /// Given that iteration `checked_at` observed max-norm difference
-    /// `diff` (not yet converged at tolerance `tol`), the next check
-    /// iteration. Must be strictly greater than `checked_at`.
-    fn next_after(&mut self, checked_at: usize, diff: f64, tol: f64) -> usize;
-}
-
-impl CheckScheduler for CheckPolicy {
-    fn first_check(&mut self) -> usize {
-        CheckPolicy::first_check(self)
-    }
-
-    fn next_after(&mut self, checked_at: usize, _diff: f64, _tol: f64) -> usize {
-        self.next_check(checked_at)
-    }
-}
+pub use parspeed_solver::CheckScheduler;
 
 /// The rate-estimating scheduler of \[13\].
 #[derive(Debug, Clone, Copy)]
@@ -109,6 +90,7 @@ impl CheckScheduler for AdaptiveChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CheckPolicy;
 
     /// Drive a scheduler against an exact geometric decay and report
     /// (checks used, converged-at iteration, first iteration where

@@ -13,9 +13,11 @@
 //!   halo once and runs a whole block of local sub-iterations before the
 //!   next exchange — the communication-avoiding schedule that divides halo
 //!   traffic per iteration by the block size;
-//! * [`CheckPolicy`] — fixed convergence-check schedules (§4, after Saltz,
-//!   Naik & Nicol \[13\]), re-exported from `parspeed-solver`, which owns
-//!   the type so the sequential solvers schedule with it too;
+//! * [`CheckPolicy`], [`CheckScheduler`] and [`SolveRun`] — convergence-check
+//!   schedules (§4, after Saltz, Naik & Nicol \[13\]) and a scheduled
+//!   solve's outcome, re-exported from `parspeed-solver`, which owns them
+//!   beside the one check-scheduled solve loop both crates' Jacobi
+//!   solvers run;
 //! * [`AdaptiveChecker`] — the rate-estimating schedule of \[13\] itself:
 //!   observed differences predict the convergence iteration and checks
 //!   cluster there;
@@ -30,5 +32,5 @@ pub mod measure;
 mod partitioned;
 
 pub use adaptive::{AdaptiveChecker, CheckScheduler};
-pub use parspeed_solver::CheckPolicy;
-pub use partitioned::{PartitionedJacobi, SolveRun};
+pub use parspeed_solver::{CheckPolicy, SolveRun};
+pub use partitioned::PartitionedJacobi;

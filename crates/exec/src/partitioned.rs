@@ -22,17 +22,27 @@
 //! redundant ghost computations reproduce the owner's arithmetic exactly,
 //! the result is bit-for-bit identical to the sequential whole-grid sweep
 //! — which the tests assert, making this executor a machine-checked
-//! refinement of `parspeed-solver`. Each per-region sweep goes through
-//! [`jacobi_sweep_region`]'s kernel dispatch, so partitions of catalogue
-//! stencils run the fused row-slice kernels (including the expanded
-//! ghost sweeps, whose regions stay one reach inside the deep halo).
+//! refinement of `parspeed-solver`. Every sub-iteration is one call of
+//! the solver's sweep driver, [`jacobi_sweep_blend_region`] with ω = 1,
+//! whose kernel dispatch runs partitions of catalogue stencils on the
+//! fused row-slice kernels, including the expanded ghost sweeps, whose
+//! regions stay one reach inside the deep halo. The last sub-iteration
+//! sweeps exactly the owned region, so a check takes its update
+//! difference from that same pass.
+//!
+//! Every solve ([`PartitionedJacobi::solve`], `solve_checkpointed` and
+//! `solve_scheduled`) runs [`run_schedule`], the loop the sequential
+//! [`JacobiSolver`](parspeed_solver::JacobiSolver) runs too. As its
+//! [`Stepper`], the executor only says that a block is one
+//! [`PartitionedJacobi::iterate_block`], a snapshot is the assembled
+//! solution, and a restore writes every partition's owned interior.
 
 use crate::adaptive::CheckScheduler;
-use crate::CheckPolicy;
+use crate::{CheckPolicy, SolveRun};
 use parspeed_grid::halo::{plan_deep, CopySpec};
 use parspeed_grid::{Decomposition, Grid2D, Region};
-use parspeed_solver::apply::{jacobi_sweep_region, sweep_seconds};
-use parspeed_solver::{Boundary, Checkpoint, CheckpointCtx, PoissonProblem};
+use parspeed_solver::apply::{jacobi_sweep_blend_region, sweep_seconds};
+use parspeed_solver::{run_schedule, Boundary, Checkpoint, CheckpointCtx, PoissonProblem, Stepper};
 use parspeed_stencil::Stencil;
 use rayon::prelude::*;
 
@@ -40,19 +50,6 @@ struct Part {
     region: Region,
     u: Grid2D,
     next: Grid2D,
-}
-
-/// Outcome of a partitioned solve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolveRun {
-    /// Whether the tolerance was met.
-    pub converged: bool,
-    /// Iterations performed.
-    pub iterations: usize,
-    /// Convergence checks performed.
-    pub checks: usize,
-    /// Last observed global max-norm update difference.
-    pub final_diff: f64,
 }
 
 /// Partitioned, rayon-parallel point-Jacobi executor.
@@ -219,6 +216,8 @@ impl PartitionedJacobi {
                         row[j0..j0 + w].copy_from_slice(&buf[i_row * w..(i_row + 1) * w]);
                     }
                 }
+                // The last sub-iteration (e = 0) sweeps exactly the owned
+                // region, so its fused diff is the partition's check diff.
                 let mut d = 0.0;
                 for j in 1..=block {
                     let e = (block - j) * reach;
@@ -228,7 +227,7 @@ impl PartitionedJacobi {
                         c0: part.region.c0.saturating_sub(e),
                         c1: (part.region.c1 + e).min(n),
                     };
-                    jacobi_sweep_region(
+                    d = jacobi_sweep_blend_region(
                         stencil,
                         &part.u,
                         &mut part.next,
@@ -236,10 +235,9 @@ impl PartitionedJacobi {
                         h2,
                         &sweep,
                         (part.region.r0, part.region.c0),
+                        1.0,
+                        compute_diff && j == block,
                     );
-                    if compute_diff && j == block {
-                        d = part.u.max_abs_diff(&part.next);
-                    }
                     part.u.swap(&mut part.next);
                 }
                 d
@@ -251,7 +249,7 @@ impl PartitionedJacobi {
     }
 
     /// Iterates until the max-norm update difference at a scheduled check
-    /// falls below `tol`, or `max_iters` is reached.
+    /// falls below `tol`, or `max_iters` more iterations have run.
     pub fn solve(&mut self, tol: f64, max_iters: usize, policy: CheckPolicy) -> SolveRun {
         let mut policy = policy;
         self.solve_scheduled(tol, max_iters, &mut policy)
@@ -266,8 +264,8 @@ impl PartitionedJacobi {
     /// removes its entry. The second return is the iteration the solve
     /// resumed from (`None` when it started fresh).
     ///
-    /// Must be called on a freshly built executor: the resume decision
-    /// keys off `iterations() == 0`.
+    /// Must be called on a freshly built executor: only one with
+    /// `iterations() == 0` resumes.
     pub fn solve_checkpointed(
         &mut self,
         tol: f64,
@@ -275,83 +273,9 @@ impl PartitionedJacobi {
         policy: CheckPolicy,
         ctx: Option<CheckpointCtx<'_>>,
     ) -> (SolveRun, Option<usize>) {
-        let mut resumed_from = None;
-        let mut checks = 0usize;
-        if let Some(ctx) = ctx {
-            if self.iterations == 0 {
-                if let Some(cp) = ctx.store.load(ctx.key) {
-                    if cp.rows == self.n
-                        && cp.cols == self.n
-                        && cp.iteration > 0
-                        && cp.iteration <= max_iters
-                    {
-                        self.restore(&cp);
-                        checks = cp.checks;
-                        resumed_from = Some(cp.iteration);
-                        ctx.store.note_resume();
-                    }
-                }
-            }
-        }
-        let mut diff = f64::INFINITY;
-        // Fast-forward the check cursor: the schedule is a pure function
-        // of the iteration count, so the resumed run checks at exactly
-        // the iterations the uninterrupted run would have.
-        let mut next_check = policy.first_check();
-        let mut done = self.iterations;
-        while next_check <= done {
-            next_check = policy.next_check(next_check);
-        }
-        let mut checks_since_snapshot = 0usize;
-        while done < max_iters {
-            let target = next_check.min(max_iters).max(done + 1);
-            let block = (target - done).min(self.depth);
-            let at_check = done + block == target;
-            let d = self.iterate_block(block, at_check);
-            done += block;
-            if let Some(d) = d {
-                checks += 1;
-                diff = d;
-                if diff < tol {
-                    if let Some(ctx) = ctx {
-                        ctx.store.remove(ctx.key);
-                    }
-                    let run =
-                        SolveRun { converged: true, iterations: done, checks, final_diff: diff };
-                    return (run, resumed_from);
-                }
-                while next_check <= done {
-                    next_check = policy.next_check(next_check);
-                }
-                if let Some(ctx) = ctx {
-                    if done < max_iters {
-                        checks_since_snapshot += 1;
-                        if checks_since_snapshot >= ctx.policy.every {
-                            checks_since_snapshot = 0;
-                            let cp = Checkpoint::capture(&self.solution(), done, checks);
-                            ctx.store.save(ctx.key, cp);
-                        }
-                    }
-                }
-            }
-        }
-        (SolveRun { converged: false, iterations: done, checks, final_diff: diff }, resumed_from)
-    }
-
-    /// Installs a snapshot: every partition's owned interior is written
-    /// from the global grid and the iteration counter jumps to the
-    /// boundary. Halo cells are left alone — the next exchange's
-    /// publish phase reads the restored owners, so the first block after
-    /// a resume sees exactly the halos the uninterrupted run saw.
-    fn restore(&mut self, cp: &Checkpoint) {
-        for part in &mut self.parts {
-            let (r0, c0, c1) = (part.region.r0, part.region.c0, part.region.c1);
-            for gr in r0..part.region.r1 {
-                let src = &cp.interior[gr * cp.cols + c0..gr * cp.cols + c1];
-                part.u.interior_row_mut(gr - r0).copy_from_slice(src);
-            }
-        }
-        self.iterations = cp.iteration;
+        let mut policy = policy;
+        let depth = self.depth;
+        run_schedule(self, &mut policy, tol, max_iters, depth, ctx)
     }
 
     /// [`PartitionedJacobi::solve`] under any [`CheckScheduler`] —
@@ -370,38 +294,8 @@ impl PartitionedJacobi {
         max_iters: usize,
         scheduler: &mut dyn CheckScheduler,
     ) -> SolveRun {
-        let mut checks = 0usize;
-        let mut diff = f64::INFINITY;
-        let mut next_check = scheduler.first_check();
-        let start = self.iterations;
-        let mut done = 0usize;
-        while done < max_iters {
-            // Run to the next scheduled check (or the cap), in blocks the
-            // halo depth can fund; only the block landing on the check
-            // computes the reduction.
-            let target = next_check.min(max_iters).max(done + 1);
-            let block = (target - done).min(self.depth);
-            let at_check = done + block == target;
-            let d = self.iterate_block(block, at_check);
-            done += block;
-            if let Some(d) = d {
-                checks += 1;
-                diff = d;
-                if diff < tol {
-                    return SolveRun {
-                        converged: true,
-                        iterations: done,
-                        checks,
-                        final_diff: diff,
-                    };
-                }
-                if done >= next_check {
-                    next_check = scheduler.next_after(done, diff, tol);
-                }
-            }
-        }
-        debug_assert_eq!(self.iterations - start, done);
-        SolveRun { converged: false, iterations: done, checks, final_diff: diff }
+        let depth = self.depth;
+        run_schedule(self, scheduler, tol, max_iters, depth, None).0
     }
 
     /// Assembles the global solution grid from the partitions.
@@ -415,6 +309,37 @@ impl PartitionedJacobi {
             }
         }
         g
+    }
+}
+
+impl Stepper for PartitionedJacobi {
+    fn advance(&mut self, block: usize, at_check: bool) -> f64 {
+        self.iterate_block(block, at_check).unwrap_or(0.0)
+    }
+
+    fn capture(&self, iteration: usize, checks: usize) -> Checkpoint {
+        Checkpoint::capture(&self.solution(), iteration, checks)
+    }
+
+    /// Installs a snapshot into a fresh executor: every partition's owned
+    /// interior is written from the global grid and the iteration counter
+    /// jumps to the boundary. Halo cells are left alone — the next
+    /// exchange's publish phase reads the restored owners, so the first
+    /// block after a resume sees exactly the halos the uninterrupted run
+    /// saw.
+    fn restore(&mut self, cp: &Checkpoint) -> bool {
+        if self.iterations != 0 || cp.rows != self.n || cp.cols != self.n {
+            return false;
+        }
+        for part in &mut self.parts {
+            let (r0, c0, c1) = (part.region.r0, part.region.c0, part.region.c1);
+            for gr in r0..part.region.r1 {
+                let src = &cp.interior[gr * cp.cols + c0..gr * cp.cols + c1];
+                part.u.interior_row_mut(gr - r0).copy_from_slice(src);
+            }
+        }
+        self.iterations = cp.iteration;
+        true
     }
 }
 

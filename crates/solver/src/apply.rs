@@ -6,25 +6,28 @@
 //! u'(r,c) = ( Σ_taps coeff·u(r+dy, c+dx) + rhs_scale·h²·f(r,c) ) / divisor
 //! ```
 //!
-//! [`jacobi_sweep`] and [`jacobi_sweep_region`] dispatch on
-//! [`Stencil::kernel_kind`]: the four catalogue stencils run hand-fused
-//! kernels that read whole padded row slices with hoisted halo/offset
-//! arithmetic and a column-tiled traversal, while any other stencil falls
-//! back to the generic tap-driven loop
-//! ([`jacobi_sweep_region_generic`]). The fused kernels perform the
-//! identical arithmetic in the identical order, so results are bit-for-bit
-//! equal to the generic path — the property every equivalence test in this
-//! workspace leans on. [`jacobi_sweep_par`] runs the same sweep
-//! row-parallel under rayon (Jacobi reads only `src`, so parallelism
-//! cannot change results either), on as many pool threads as its work
-//! [`sweep_seconds`] pays for: the paper's optimal `P` for the grid's size.
+//! Every out-of-place Jacobi sweep runs through one of two drivers:
+//! [`jacobi_sweep_blend_region`], a column-tiled pass over a region (the
+//! full interior for [`jacobi_sweep_blend`], a temporal-tiling band step
+//! driven by [`parspeed_grid::BandSchedule`], or a partition's deep-halo
+//! ghost region), and [`jacobi_sweep_blend_par`], the same pass row-parallel
+//! under rayon on as many pool threads as its work [`sweep_seconds`] pays
+//! for: the paper's optimal `P` for the grid's size. Each output row
+//! dispatches on [`Stencil::kernel_kind`]: the four catalogue stencils run
+//! hand-fused kernels that read whole padded row slices with hoisted
+//! halo/offset arithmetic, while any other stencil falls back to the
+//! tap-driven row loop. The fused kernels perform the identical arithmetic
+//! in the identical order, so results are bit-for-bit equal to the
+//! per-point reference [`jacobi_sweep_region_generic`] — the property
+//! every equivalence test in this workspace leans on — and Jacobi reads
+//! only `src`, so row parallelism cannot change results either.
 //!
-//! [`jacobi_sweep_blend`] (and its `_region`/`_par` variants) additionally
-//! fuses the ω-blend and the max-norm update reduction into the same pass
-//! — the three formerly separate full-grid passes of a weighted-Jacobi
-//! iteration (sweep, blend, convergence diff) become one, and the `_region`
-//! variant is the kernel the temporal-tiling band traversal
-//! ([`parspeed_grid::BandSchedule`]) drives.
+//! Both drivers fuse the ω-blend and the max-norm update reduction into
+//! the same pass, while the row is hot in cache: the three formerly
+//! separate full-grid passes of a weighted-Jacobi iteration (sweep,
+//! blend, convergence diff) become one. [`jacobi_sweep`],
+//! [`jacobi_sweep_region`] and [`jacobi_sweep_par`] are the plain sweeps:
+//! one driver call each with ω = 1 and no diff.
 //!
 //! [`sor_sweep`] is the in-place lexicographic relaxation sweep
 //! (Gauss-Seidel/SOR) under the same dispatch; its per-point relaxation
@@ -74,46 +77,22 @@ pub fn sweep_seconds(points: usize, flops_per_point: f64) -> f64 {
     points as f64 * flops_per_point * flop_seconds()
 }
 
-/// Generic Jacobi sweep over the whole interior of `src` into `dst`.
+/// Jacobi sweep over the whole interior of `src` into `dst`.
 pub fn jacobi_sweep(stencil: &Stencil, src: &Grid2D, dst: &mut Grid2D, f: &Grid2D, h2: f64) {
-    let region = Region::new(0, src.rows(), 0, src.cols());
-    jacobi_sweep_region(stencil, src, dst, f, h2, &region, (0, 0));
+    jacobi_sweep_blend(stencil, src, dst, f, h2, 1.0, false);
 }
 
 /// Rayon row-parallel full-interior sweep; bit-identical to
 /// [`jacobi_sweep`] (each worker writes disjoint `dst` rows computed from
 /// the immutable `src`). Small grids run inline: see [`sweep_seconds`].
 pub fn jacobi_sweep_par(stencil: &Stencil, src: &Grid2D, dst: &mut Grid2D, f: &Grid2D, h2: f64) {
-    let region = Region::new(0, src.rows(), 0, src.cols());
-    let rs_h2 = stencil.rhs_scale() * h2;
-    let inv = 1.0 / stencil.divisor();
-    let kind = fusable(stencil, src, dst, f, &region, (0, 0));
-    let (rows, cols) = (src.rows(), src.cols());
-    let (dst_halo, stride) = (dst.halo(), dst.stride());
-    let work = sweep_seconds(rows * cols, stencil.flops_per_point());
-    dst.as_mut_slice().par_chunks_mut(stride).enumerate().with_work(work).for_each(|(pr, row)| {
-        if pr < dst_halo || pr >= dst_halo + rows {
-            return;
-        }
-        let r = pr - dst_halo;
-        let out = &mut row[dst_halo..dst_halo + cols];
-        match kind {
-            Some(kind) => {
-                let frow = &f.padded_row(r as isize)[f.halo()..f.halo() + cols];
-                fused_row(kind, src, r as isize, src.halo(), frow, out, rs_h2, inv);
-            }
-            None => generic_row(stencil, src, r as isize, 0, r, 0..cols, f, rs_h2, inv, out),
-        }
-    });
+    jacobi_sweep_blend_par(stencil, src, dst, f, h2, 1.0, false);
 }
 
 /// Jacobi sweep over `region` (coordinates of `f`/the global problem);
 /// `offset = (row0, col0)` maps global coordinates to `src`/`dst` local
-/// interior coordinates (`local = global − offset`). Used by the
-/// partitioned executor where each partition owns a local grid. Routes to
-/// a fused kernel when [`Stencil::kernel_kind`] identifies one and the
-/// region geometry permits, falling back to
-/// [`jacobi_sweep_region_generic`].
+/// interior coordinates (`local = global − offset`): the shape of a
+/// partition that owns a local grid.
 pub fn jacobi_sweep_region(
     stencil: &Stencil,
     src: &Grid2D,
@@ -123,14 +102,11 @@ pub fn jacobi_sweep_region(
     region: &Region,
     offset: (usize, usize),
 ) {
-    match fusable(stencil, src, dst, f, region, offset) {
-        Some(kind) => fused_sweep_region(kind, stencil, src, dst, f, h2, region, offset),
-        None => jacobi_sweep_region_generic(stencil, src, dst, f, h2, region, offset),
-    }
+    jacobi_sweep_blend_region(stencil, src, dst, f, h2, region, offset, 1.0, false);
 }
 
-/// The tap-interpreting fallback sweep — public so benches and identity
-/// tests can compare the fused kernels against it directly.
+/// The per-point tap-interpreting sweep — the reference benches and
+/// identity tests compare the fused kernels against.
 pub fn jacobi_sweep_region_generic(
     stencil: &Stencil,
     src: &Grid2D,
@@ -177,11 +153,12 @@ pub fn jacobi_sweep_blend(
     jacobi_sweep_blend_region(stencil, src, dst, f, h2, &region, (0, 0), omega, compute_diff)
 }
 
-/// [`jacobi_sweep_blend`] over one region (the temporal-tiling band
-/// steps). The region's local image must lie inside the interiors of
-/// `src`/`dst`. Fused kernels serve the catalogue stencils, the
-/// tap-driven row loop everything else; blend and reduction run on the
-/// still-cache-resident output row either way.
+/// [`jacobi_sweep_blend`] over one region, with `offset` mapping it to
+/// local coordinates as in [`jacobi_sweep_region`]. The region may reach
+/// into the halo (the deep-halo executor's ghost sweeps). Fused kernels
+/// serve the catalogue stencils wherever `fusable` admits the region,
+/// the tap-driven row loop everything else; blend and reduction run on
+/// the still-cache-resident output row either way.
 #[allow(clippy::too_many_arguments)]
 pub fn jacobi_sweep_blend_region(
     stencil: &Stencil,
@@ -202,8 +179,10 @@ pub fn jacobi_sweep_blend_region(
     while tc0 < region.c1 {
         let tc1 = (tc0 + COL_TILE).min(region.c1);
         let w = tc1 - tc0;
+        // Local column of the tile start can be negative (deep-halo
+        // expanded regions); `fusable` guarantees the padded offsets are
+        // non-negative and the slices in bounds.
         let lc0 = tc0 as isize - offset.1 as isize;
-        debug_assert!(lc0 >= 0 && region.r0 >= offset.0, "blend regions are interior");
         let b = (lc0 + src.halo() as isize) as usize;
         let bd = (lc0 + dst.halo() as isize) as usize;
         let fb = tc0 + f.halo();
@@ -324,22 +303,6 @@ pub(crate) fn relax_update(old: f64, jacobi: f64, omega: f64, worst: &mut f64) -
     new
 }
 
-/// Fused 5-point fast path over the full interior; bit-identical to
-/// [`jacobi_sweep`] with [`Stencil::five_point`]. Kept for callers that
-/// know their stencil statically; everything else should go through the
-/// dispatching [`jacobi_sweep`].
-pub fn jacobi_sweep_5pt(src: &Grid2D, dst: &mut Grid2D, f: &Grid2D, h2: f64) {
-    let (rows, cols) = (src.rows(), src.cols());
-    // rhs_scale = 1 and divisor = 4 exactly as the generic path computes.
-    let (rs_h2, inv) = (h2, 0.25);
-    for r in 0..rows {
-        let frow = &f.padded_row(r as isize)[f.halo()..f.halo() + cols];
-        let bd = dst.halo();
-        let out = &mut dst.padded_row_mut(r as isize)[bd..bd + cols];
-        fused_row(KernelKind::FivePoint, src, r as isize, src.halo(), frow, out, rs_h2, inv);
-    }
-}
-
 /// In-place lexicographic relaxation sweep (Gauss-Seidel for `omega = 1`,
 /// SOR otherwise) over the full interior of `u`; returns the max-norm
 /// update difference of the sweep. Dispatches to fused row kernels for the
@@ -413,8 +376,8 @@ pub fn residual_max(stencil: &Stencil, u: &Grid2D, f: &Grid2D, h2: f64) -> f64 {
 /// interiors of grids with halo ≥ reach always qualifies; so do the
 /// halo-overlapping expanded regions the deep-halo executor sweeps, as
 /// long as the halo is at least one reach wider than the overlap. (The
-/// generic path can additionally write the outermost halo ring, which
-/// the fused path cannot slice.)
+/// tap-driven fallback can additionally write the outermost halo ring,
+/// which the fused path cannot slice.)
 fn fusable(
     stencil: &Stencil,
     src: &Grid2D,
@@ -445,43 +408,8 @@ fn fusable(
     ok.then_some(kind)
 }
 
-/// Column-tiled fused sweep over a region.
-#[allow(clippy::too_many_arguments)]
-fn fused_sweep_region(
-    kind: KernelKind,
-    stencil: &Stencil,
-    src: &Grid2D,
-    dst: &mut Grid2D,
-    f: &Grid2D,
-    h2: f64,
-    region: &Region,
-    offset: (usize, usize),
-) {
-    let rs_h2 = stencil.rhs_scale() * h2;
-    let inv = 1.0 / stencil.divisor();
-    let mut tc0 = region.c0;
-    while tc0 < region.c1 {
-        let tc1 = (tc0 + COL_TILE).min(region.c1);
-        let w = tc1 - tc0;
-        // Local column of the tile start can be negative (deep-halo
-        // expanded regions); `fusable` guarantees the padded offsets are
-        // non-negative and the slices in bounds.
-        let lc0 = tc0 as isize - offset.1 as isize;
-        let b = (lc0 + src.halo() as isize) as usize;
-        let bd = (lc0 + dst.halo() as isize) as usize;
-        let fb = tc0 + f.halo();
-        for gr in region.r0..region.r1 {
-            let lr = gr as isize - offset.0 as isize;
-            let frow = &f.padded_row(gr as isize)[fb..fb + w];
-            let out = &mut dst.padded_row_mut(lr)[bd..bd + w];
-            fused_row(kind, src, lr, b, frow, out, rs_h2, inv);
-        }
-        tc0 = tc1;
-    }
-}
-
 /// One generic (tap-driven) output row written into a padded `dst` row
-/// slice — the fallback of the parallel sweep.
+/// slice — the drivers' fallback for stencils without a fused kernel.
 #[allow(clippy::too_many_arguments)]
 fn generic_row(
     stencil: &Stencil,
@@ -779,23 +707,6 @@ mod tests {
         let per_point = t_fp * e;
         assert_eq!(cost.best_threads(225.0 * per_point, 4), 1);
         assert_eq!(cost.best_threads(sweep_seconds(2047 * 2047, e), 4), 4);
-    }
-
-    #[test]
-    fn fast_path_is_bit_identical_to_generic() {
-        let n = 8;
-        let s = Stencil::five_point();
-        let (src, f) = patterned(n, 1);
-        let region = Region::new(0, n, 0, n);
-        let mut a = Grid2D::new(n, n, 1);
-        let mut b = Grid2D::new(n, n, 1);
-        jacobi_sweep_region_generic(&s, &src, &mut a, &f, 0.004, &region, (0, 0));
-        jacobi_sweep_5pt(&src, &mut b, &f, 0.004);
-        for r in 0..n {
-            for c in 0..n {
-                assert_eq!(a.get(r, c), b.get(r, c), "mismatch at ({r},{c})");
-            }
-        }
     }
 
     #[test]

@@ -1,13 +1,28 @@
-//! Convergence-check scheduling policies (§4, after Saltz, Naik & Nicol).
+//! Convergence-check scheduling (§4, after Saltz, Naik & Nicol) and the
+//! one loop that runs a schedule.
 //!
 //! Checking convergence costs a local pass plus a global combine, so a
 //! production solver checks *periodically*, accepting a bounded overshoot.
-//! [`CheckPolicy`] generates the check schedule; `parspeed-core::
-//! convergence` prices it, and both the sequential solvers here and
-//! `parspeed-exec`'s `PartitionedJacobi` execute it. The gap until the
-//! next check is also the budget the communication-avoiding loops spend:
-//! block-of-k temporal tiling and deep-halo sub-iteration blocks size `k`
-//! from the active policy's gap, so no iterate between checks is wasted.
+//! [`CheckPolicy`] generates a fixed check schedule and [`CheckScheduler`]
+//! is the interface a schedule answers to, including `parspeed-exec`'s
+//! rate-estimating `AdaptiveChecker`; `parspeed-core::convergence` prices
+//! a schedule.
+//!
+//! [`run_schedule`] is the one loop that runs a schedule:
+//! [`JacobiSolver`](crate::JacobiSolver) and `parspeed-exec`'s
+//! `PartitionedJacobi` only say, through [`Stepper`], how their iterate
+//! advances, is captured and is restored. The loop steps in blocks that
+//! never cross the next check, so the gap until the next check is also
+//! the budget the communication-avoiding loops spend (block-of-k temporal
+//! tiling and deep-halo sub-iteration blocks), and no iterate between
+//! checks is wasted. It counts checks, resumes from a surviving
+//! [`Checkpoint`] and fast-forwards the schedule to it, snapshots every
+//! k-th check before the cap, and drops a converged solve's snapshot.
+//! [`SorSolver`](crate::SorSolver) keeps its own one-sweep-per-iteration
+//! loop: it has no blocks and no snapshots.
+
+use crate::checkpoint::{Checkpoint, CheckpointCtx};
+use crate::SolveStatus;
 
 /// When to perform convergence checks.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,6 +94,140 @@ impl CheckPolicy {
     }
 }
 
+/// A convergence-check schedule that may react to observed residuals.
+pub trait CheckScheduler {
+    /// The first iteration at which to check.
+    fn first_check(&mut self) -> usize;
+
+    /// Given that iteration `checked_at` observed max-norm difference
+    /// `diff` (not yet converged at tolerance `tol`), the next check
+    /// iteration. Must be strictly greater than `checked_at`.
+    fn next_after(&mut self, checked_at: usize, diff: f64, tol: f64) -> usize;
+}
+
+impl CheckScheduler for CheckPolicy {
+    fn first_check(&mut self) -> usize {
+        CheckPolicy::first_check(self)
+    }
+
+    fn next_after(&mut self, checked_at: usize, _diff: f64, _tol: f64) -> usize {
+        self.next_check(checked_at)
+    }
+}
+
+/// Outcome of a [`run_schedule`] solve.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SolveRun {
+    /// Whether the tolerance was met.
+    pub converged: bool,
+    /// Iterations performed, including those run before a resumed
+    /// snapshot was taken.
+    pub iterations: usize,
+    /// Convergence checks performed, counted the same way.
+    pub checks: usize,
+    /// Last observed global max-norm update difference.
+    pub final_diff: f64,
+}
+
+impl From<SolveRun> for SolveStatus {
+    fn from(run: SolveRun) -> Self {
+        SolveStatus {
+            converged: run.converged,
+            iterations: run.iterations,
+            final_diff: run.final_diff,
+        }
+    }
+}
+
+/// One solve's iterate, as [`run_schedule`] drives it.
+pub trait Stepper {
+    /// Advances `block ≥ 1` iterations. When `at_check` is set, returns
+    /// the max-norm update difference of the last of them; the value is
+    /// ignored otherwise.
+    fn advance(&mut self, block: usize, at_check: bool) -> f64;
+
+    /// A snapshot of the current iterate, taken at `iteration` after
+    /// `checks` convergence checks.
+    fn capture(&self, iteration: usize, checks: usize) -> Checkpoint;
+
+    /// Installs `cp` as the current iterate if it fits this solve;
+    /// returns whether it did.
+    fn restore(&mut self, cp: &Checkpoint) -> bool;
+}
+
+/// Runs `stepper` under `scheduler` until the max-norm update difference
+/// at a scheduled check falls below `tol`, or `max_iters` is reached
+/// (which also checks). Each [`Stepper::advance`] covers at most
+/// `max_block` iterations and never crosses the next check, so only the
+/// block landing on a check pays for the reduction.
+///
+/// With a checkpoint context, a surviving snapshot for `ctx.key` is
+/// restored first and the schedule fast-forwarded to it. A
+/// [`CheckPolicy`] is a pure function of the iteration count, so the
+/// resumed solve checks, converges and snapshots exactly where the
+/// uninterrupted one did. Every `ctx.policy.every`-th check before the
+/// cap snapshots the iterate; a converged solve removes its snapshot, a
+/// capped one keeps it so that a retry with a larger budget resumes. The
+/// second return is the iteration the solve resumed from (`None` when it
+/// started fresh).
+pub fn run_schedule(
+    stepper: &mut dyn Stepper,
+    scheduler: &mut dyn CheckScheduler,
+    tol: f64,
+    max_iters: usize,
+    max_block: usize,
+    ctx: Option<CheckpointCtx<'_>>,
+) -> (SolveRun, Option<usize>) {
+    assert!(max_block >= 1, "blocks advance at least one iteration");
+    let (mut done, mut checks, mut resumed_from) = (0, 0, None);
+    if let Some(ctx) = ctx {
+        if let Some(cp) = ctx.store.load(ctx.key) {
+            if cp.iteration > 0 && cp.iteration <= max_iters && stepper.restore(&cp) {
+                (done, checks, resumed_from) = (cp.iteration, cp.checks, Some(cp.iteration));
+                ctx.store.note_resume();
+            }
+        }
+    }
+    let mut diff = f64::INFINITY;
+    let mut next_check = scheduler.first_check();
+    while next_check <= done {
+        next_check = scheduler.next_after(next_check, diff, tol);
+    }
+    let mut checks_since_snapshot = 0;
+    while done < max_iters {
+        let target = next_check.min(max_iters).max(done + 1);
+        let block = (target - done).min(max_block);
+        let at_check = done + block == target;
+        let d = stepper.advance(block, at_check);
+        done += block;
+        if !at_check {
+            continue;
+        }
+        checks += 1;
+        diff = d;
+        if diff < tol {
+            if let Some(ctx) = ctx {
+                ctx.store.remove(ctx.key);
+            }
+            let run = SolveRun { converged: true, iterations: done, checks, final_diff: diff };
+            return (run, resumed_from);
+        }
+        while next_check <= done {
+            next_check = scheduler.next_after(next_check, diff, tol);
+        }
+        if let Some(ctx) = ctx {
+            if done < max_iters {
+                checks_since_snapshot += 1;
+                if checks_since_snapshot >= ctx.policy.every {
+                    checks_since_snapshot = 0;
+                    ctx.store.save(ctx.key, stepper.capture(done, checks));
+                }
+            }
+        }
+    }
+    (SolveRun { converged: false, iterations: done, checks, final_diff: diff }, resumed_from)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,6 +276,69 @@ mod tests {
                 assert!(w[1] > w[0], "{p:?}");
             }
         }
+    }
+
+    /// Records every block it is asked to advance; its update difference
+    /// halves each iteration from 1.
+    struct Halving {
+        done: usize,
+        blocks: Vec<(usize, bool)>,
+    }
+
+    impl Stepper for Halving {
+        fn advance(&mut self, block: usize, at_check: bool) -> f64 {
+            self.done += block;
+            self.blocks.push((block, at_check));
+            0.5f64.powi(self.done as i32 - 1)
+        }
+
+        fn capture(&self, iteration: usize, checks: usize) -> Checkpoint {
+            Checkpoint { iteration, checks, rows: 0, cols: 0, interior: Vec::new() }
+        }
+
+        fn restore(&mut self, cp: &Checkpoint) -> bool {
+            self.done = cp.iteration;
+            true
+        }
+    }
+
+    #[test]
+    fn blocks_end_on_checks_and_the_cap_checks_too() {
+        let mut s = Halving { done: 0, blocks: Vec::new() };
+        let (run, from) = run_schedule(&mut s, &mut CheckPolicy::Every(5), 0.0, 12, 3, None);
+        assert_eq!(from, None);
+        assert_eq!(
+            run,
+            SolveRun { converged: false, iterations: 12, checks: 3, final_diff: 0.5f64.powi(11) }
+        );
+        let expected = [(3, false), (2, true), (3, false), (2, true), (2, true)];
+        assert_eq!(s.blocks, expected);
+    }
+
+    #[test]
+    fn a_resume_fast_forwards_the_schedule_and_a_converged_solve_cleans_up() {
+        use crate::checkpoint::{CheckpointPolicy, CheckpointStore};
+        let store = CheckpointStore::new(1);
+        let ctx = CheckpointCtx { store: &store, policy: CheckpointPolicy::every(2), key: 1 };
+        // Capped at 17: checks at 4, 8, 12, 16 and the cap; snapshots at 8 and 16.
+        let mut first = Halving { done: 0, blocks: Vec::new() };
+        let (run, _) = run_schedule(&mut first, &mut CheckPolicy::Every(4), 1e-5, 17, 8, Some(ctx));
+        assert_eq!((run.converged, run.checks), (false, 5));
+        assert_eq!(store.taken(), 2);
+        assert_eq!(store.load(1).map(|cp| (cp.iteration, cp.checks)), Some((16, 4)));
+        // The resume continues at 16 with the next check at 20, where
+        // 2^-19 < 1e-5 converges and removes the snapshot.
+        let mut second = Halving { done: 0, blocks: Vec::new() };
+        let (run, from) =
+            run_schedule(&mut second, &mut CheckPolicy::Every(4), 1e-5, 100, 8, Some(ctx));
+        assert_eq!(from, Some(16));
+        assert_eq!(second.blocks, [(4, true)]);
+        assert_eq!(
+            run,
+            SolveRun { converged: true, iterations: 20, checks: 5, final_diff: 0.5f64.powi(19) }
+        );
+        assert!(store.is_empty());
+        assert_eq!(store.resumes(), 1);
     }
 
     #[test]

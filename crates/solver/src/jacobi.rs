@@ -2,6 +2,7 @@
 
 use crate::apply::{jacobi_sweep_blend, jacobi_sweep_blend_par, jacobi_sweep_blend_region};
 use crate::checkpoint::{Checkpoint, CheckpointCtx};
+use crate::convergence::{run_schedule, Stepper};
 use crate::{CheckPolicy, PoissonProblem, SolveStatus};
 use parspeed_grid::{BandSchedule, Grid2D, Region};
 use parspeed_stencil::Stencil;
@@ -88,7 +89,8 @@ impl JacobiSolver {
     /// check boundaries the current iterate is snapshotted; a converged
     /// solve removes its entry (a capped one keeps it, so a retry with a
     /// higher budget resumes). The third return is the iteration the
-    /// solve resumed from (`None` when it started fresh).
+    /// solve resumed from (`None` when it started fresh). The loop is
+    /// [`run_schedule`]'s.
     pub fn solve_checkpointed(
         &self,
         problem: &PoissonProblem,
@@ -97,98 +99,52 @@ impl JacobiSolver {
     ) -> (Grid2D, SolveStatus, Option<usize>) {
         assert!(self.omega > 0.0 && self.omega <= 1.0, "need 0 < ω ≤ 1");
         let halo = stencil.reach();
-        let h2 = problem.h() * problem.h();
-        let mut u = problem.initial_grid(halo);
-        let mut next = problem.initial_grid(halo);
-        let f = problem.forcing();
-
-        let mut iterations = 0;
-        let mut resumed_from = None;
-        if let Some(ctx) = ctx {
-            if let Some(cp) = ctx.store.load(ctx.key) {
-                if cp.fits(&u) && cp.iteration > 0 && cp.iteration <= self.max_iters {
-                    // The snapshot is the iterate at a check boundary;
-                    // the scratch buffer needs no restore (its interior
-                    // is always fully written before it is read) and the
-                    // halo is the problem's boundary data, unchanged.
-                    cp.restore_into(&mut u);
-                    iterations = cp.iteration;
-                    resumed_from = Some(cp.iteration);
-                    ctx.store.note_resume();
-                }
-            }
-        }
-        let mut diff = f64::INFINITY;
-        // The check schedule is a pure function of the iteration count:
-        // fast-forwarding reproduces exactly the cursor the uninterrupted
-        // run had at this iteration.
-        let mut next_check = self.check.first_check();
-        while next_check <= iterations {
-            next_check = self.check.next_check(next_check);
-        }
-        let mut checks_since_snapshot = 0usize;
-        while iterations < self.max_iters {
-            // Run to the next scheduled check (or the cap, whichever is
-            // first) in blocks; only the block ending on a check pays for
-            // the reduction.
-            let target = next_check.min(self.max_iters).max(iterations + 1);
-            let block = (target - iterations).min(MAX_TEMPORAL_BLOCK);
-            let at_check = iterations + block == target;
-            let d = self.advance(stencil, &mut u, &mut next, f, h2, block, at_check);
-            iterations += block;
-            if at_check {
-                diff = d;
-                if diff < self.tol {
-                    if let Some(ctx) = ctx {
-                        ctx.store.remove(ctx.key);
-                    }
-                    let status = SolveStatus { converged: true, iterations, final_diff: diff };
-                    return (u, status, resumed_from);
-                }
-                while next_check <= iterations {
-                    next_check = self.check.next_check(next_check);
-                }
-                if let Some(ctx) = ctx {
-                    if iterations < self.max_iters {
-                        checks_since_snapshot += 1;
-                        if checks_since_snapshot >= ctx.policy.every {
-                            checks_since_snapshot = 0;
-                            ctx.store.save(ctx.key, Checkpoint::capture(&u, iterations, 0));
-                        }
-                    }
-                }
-            }
-        }
-        // A capped solve keeps its latest snapshot: a retry with a
-        // higher budget resumes instead of restarting.
-        (u, SolveStatus { converged: false, iterations, final_diff: diff }, resumed_from)
+        let mut run = JacobiRun {
+            solver: self,
+            stencil,
+            f: problem.forcing(),
+            h2: problem.h() * problem.h(),
+            u: problem.initial_grid(halo),
+            next: problem.initial_grid(halo),
+        };
+        let mut check = self.check;
+        let (status, resumed_from) =
+            run_schedule(&mut run, &mut check, self.tol, self.max_iters, MAX_TEMPORAL_BLOCK, ctx);
+        (run.u, status.into(), resumed_from)
     }
+}
 
+/// One Jacobi solve's state: the iterate `u` and the scratch buffer its
+/// sweeps write. A restore fills only `u`: the scratch buffer's interior
+/// is always fully written before it is read, and both halos are the
+/// problem's boundary data, which never changes.
+struct JacobiRun<'a> {
+    solver: &'a JacobiSolver,
+    stencil: &'a Stencil,
+    f: &'a Grid2D,
+    h2: f64,
+    u: Grid2D,
+    next: Grid2D,
+}
+
+impl Stepper for JacobiRun<'_> {
     /// Advances `block ≥ 1` iterations, leaving the newest iterate in `u`.
     /// Returns the max-norm update difference of the *last* iteration when
-    /// `compute_diff` is set (`0.0` otherwise).
-    #[allow(clippy::too_many_arguments)]
-    fn advance(
-        &self,
-        stencil: &Stencil,
-        u: &mut Grid2D,
-        next: &mut Grid2D,
-        f: &Grid2D,
-        h2: f64,
-        block: usize,
-        compute_diff: bool,
-    ) -> f64 {
-        if self.parallel || block == 1 {
+    /// `at_check` is set (`0.0` otherwise).
+    fn advance(&mut self, block: usize, at_check: bool) -> f64 {
+        let (stencil, f, h2, omega) = (self.stencil, self.f, self.h2, self.solver.omega);
+        let (u, next) = (&mut self.u, &mut self.next);
+        if self.solver.parallel || block == 1 {
             // Full fused sweeps, one iteration at a time (the rayon path
             // already streams rows across cores; skewing it would serialize
             // the band).
             let mut d = 0.0;
             for j in 1..=block {
-                let cd = compute_diff && j == block;
-                d = if self.parallel {
-                    jacobi_sweep_blend_par(stencil, u, next, f, h2, self.omega, cd)
+                let cd = at_check && j == block;
+                d = if self.solver.parallel {
+                    jacobi_sweep_blend_par(stencil, u, next, f, h2, omega, cd)
                 } else {
-                    jacobi_sweep_blend(stencil, u, next, f, h2, self.omega, cd)
+                    jacobi_sweep_blend(stencil, u, next, f, h2, omega, cd)
                 };
                 u.swap(next);
             }
@@ -204,12 +160,12 @@ impl JacobiSolver {
                 .clamp(1, rows.max(1));
         let mut d = 0.0f64;
         for step in BandSchedule::new(rows, block, reach, band).steps() {
-            let cd = compute_diff && step.level == block;
+            let cd = at_check && step.level == block;
             let region = Region::new(step.rows.start, step.rows.end, 0, cols);
             let worst = if step.level % 2 == 1 {
-                jacobi_sweep_blend_region(stencil, u, next, f, h2, &region, (0, 0), self.omega, cd)
+                jacobi_sweep_blend_region(stencil, u, next, f, h2, &region, (0, 0), omega, cd)
             } else {
-                jacobi_sweep_blend_region(stencil, next, u, f, h2, &region, (0, 0), self.omega, cd)
+                jacobi_sweep_blend_region(stencil, next, u, f, h2, &region, (0, 0), omega, cd)
             };
             if cd {
                 d = d.max(worst);
@@ -219,6 +175,18 @@ impl JacobiSolver {
             u.swap(next);
         }
         d
+    }
+
+    fn capture(&self, iteration: usize, checks: usize) -> Checkpoint {
+        Checkpoint::capture(&self.u, iteration, checks)
+    }
+
+    fn restore(&mut self, cp: &Checkpoint) -> bool {
+        let fits = cp.fits(&self.u);
+        if fits {
+            cp.restore_into(&mut self.u);
+        }
+        fits
     }
 }
 

@@ -16,7 +16,10 @@
 //!   ω-blend and max-norm update diff fused into the sweep, and block-of-k
 //!   temporal tiling between checks;
 //! * [`CheckPolicy`] — fixed convergence-check schedules (§4, after Saltz,
-//!   Naik & Nicol \[13\]), shared with `parspeed-exec`;
+//!   Naik & Nicol \[13\]), and [`run_schedule`], the one check-scheduled
+//!   solve loop (blocks up to each check, resume, snapshots) that
+//!   [`JacobiSolver`] and `parspeed-exec`'s partitioned executor both run
+//!   through [`Stepper`];
 //! * [`SorSolver`] — Gauss-Seidel and SOR with the optimal relaxation
 //!   factor;
 //! * [`RedBlackSolver`] — red-black Gauss-Seidel/SOR, the parallelizable
@@ -26,7 +29,6 @@
 //! * [`MultigridSolver`] — geometric V-cycle multigrid (the MGR\[v\]-class
 //!   method of the paper's related work, ref \[7\]);
 //! * [`Manufactured`] — analytic solutions for verification;
-//! * [`norms`] — sequential and rayon-parallel reductions;
 //! * [`CheckpointPolicy`] / [`CheckpointStore`] — checkpoint/restart for
 //!   long solves: snapshots at convergence-check boundaries, bounded
 //!   in-memory store keyed by the canonical cache-key hash, bit-identical
@@ -43,14 +45,13 @@ mod convergence;
 mod jacobi;
 mod manufactured;
 mod multigrid;
-pub mod norms;
 mod problem;
 mod redblack;
 mod sor;
 
 pub use cg::{CgSolver, CgStats};
 pub use checkpoint::{Checkpoint, CheckpointCtx, CheckpointPolicy, CheckpointStore};
-pub use convergence::CheckPolicy;
+pub use convergence::{run_schedule, CheckPolicy, CheckScheduler, SolveRun, Stepper};
 pub use jacobi::JacobiSolver;
 pub use manufactured::Manufactured;
 pub use multigrid::{valid_side as multigrid_valid_side, MultigridSolver};

@@ -119,6 +119,54 @@ mod tests {
     }
 
     #[test]
+    fn sparse_check_policies_stop_at_the_first_scheduled_diff_below_tol() {
+        // The wire's `check_policy` reaches this solver; under a sparse
+        // schedule the solve must stop at the first *scheduled* iteration
+        // whose sweep diff is below `tol`, holding exactly the iterate and
+        // diff a plain loop of `sor_sweep` calls has there.
+        let (n, tol) = (12, 1e-9);
+        let p = PoissonProblem::manufactured(n, Manufactured::SinSin);
+        let h2 = p.h() * p.h();
+        let policies = [
+            CheckPolicy::Every(4),
+            CheckPolicy::Every(9),
+            CheckPolicy::geometric(),
+            CheckPolicy::Geometric { start: 2, factor: 2.0, max_interval: 8 },
+        ];
+        for s in [Stencil::five_point(), Stencil::nine_point_box()] {
+            for check in policies {
+                let solver = SorSolver { check, max_iters: 5_000, ..SorSolver::optimal(n, tol) };
+                let (u, status) = solver.solve(&p, &s);
+                let label = format!("{} {check:?}", s.name());
+                assert!(status.converged, "{label}");
+
+                let mut reference = p.initial_grid(s.reach());
+                let (mut done, mut stop) = (0, None);
+                for k in check.schedule(solver.max_iters) {
+                    let mut diff = f64::INFINITY;
+                    while done < k {
+                        diff = sor_sweep(&s, &mut reference, p.forcing(), h2, solver.omega);
+                        done += 1;
+                    }
+                    if diff < tol {
+                        stop = Some((k, diff));
+                        break;
+                    }
+                }
+                let (k, diff) = stop.expect("the reference loop converges");
+                assert!(k > check.first_check(), "{label}: no check before the stop");
+                assert_eq!(status.iterations, k, "{label}");
+                assert_eq!(status.final_diff.to_bits(), diff.to_bits(), "{label}");
+                for r in 0..n {
+                    for c in 0..n {
+                        assert_eq!(u.get(r, c).to_bits(), reference.get(r, c).to_bits(), "{label}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "0 < ω < 2")]
     fn rejects_divergent_omega() {
         let p = PoissonProblem::laplace(4, 0.0);

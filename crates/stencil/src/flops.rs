@@ -9,8 +9,9 @@
 //!    straightforward scalar implementation performs), and
 //! 2. [`calibrated_e`] returns the constants used by the reproduction
 //!    experiments, calibrated so the paper's §6.1 quantitative anchors hold
-//!    (see `DESIGN.md` §3): `E(5-point) = 6`, `E(9-point box) = 12`,
-//!    `E(9-point star) = 11`, `E(13-point star) = 14`.
+//!    (14 and 22 processors on the synchronous bus at `n = 256`):
+//!    `E(5-point) = 6`, `E(9-point box) = 12`, `E(9-point star) = 11`,
+//!    `E(13-point star) = 14`.
 //!
 //! # Measured MFLOP/s vs calibrated `E(S)`
 //!

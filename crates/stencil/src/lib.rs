@@ -158,9 +158,9 @@ impl Stencil {
 
     /// The calibrated `E(S)` used by the paper-reproduction experiments.
     ///
-    /// Calibration is explained in `DESIGN.md` §3: `E(5pt) = 6`,
-    /// `E(9pt box) = 12` make the paper's two §6.1 processor-count anchors
-    /// (14 and 22 processors at `n = 256`) hold. Returns `None` for custom
+    /// `E(5pt) = 6` and `E(9pt box) = 12` make the paper's two §6.1
+    /// processor-count anchors (14 and 22 processors at `n = 256`) hold;
+    /// `E(9pt star) = 11` and `E(13pt) = 14`. Returns `None` for custom
     /// stencils, which must supply their own `E`.
     pub fn calibrated_e(&self) -> Option<f64> {
         flops::calibrated_e(self.name)

@@ -7,7 +7,7 @@
 use parspeed::prelude::*;
 
 fn main() {
-    // The paper's calibrated machine constants (DESIGN.md §3).
+    // The paper's calibrated machine constants (`MachineParams` docs).
     let machine = MachineParams::paper_defaults();
 
     // A 256×256 Poisson grid, 5-point stencil, square partitions.
