@@ -178,6 +178,18 @@ fn batch_v1_golden() {
     assert_eq!(actual, expected, "wire-v1 batch responses drifted");
 }
 
+/// `rbsor` and `multigrid` replies, byte for byte (full `{:?}` digits of
+/// every float): the golden was recorded from the natural-layout
+/// red-black sweep and V-cycle, so any bit a kernel change moves shows.
+#[test]
+fn batch_solve_golden() {
+    let input = golden_dir().join("batch_solve_input.jsonl");
+    let expected =
+        std::fs::read_to_string(golden_dir().join("batch_solve_output.jsonl")).expect("golden");
+    let actual = run_cli(&["batch", "--input", input.to_str().unwrap()]);
+    assert_eq!(actual, expected, "rbsor/multigrid solve replies drifted");
+}
+
 /// `threads` measures wall time, so only its structure is pinned.
 #[test]
 fn threads_structure() {

@@ -3,10 +3,11 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::process::{Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Stdio};
 
-#[test]
-fn serve_round_trips_drains_and_reports_stats() {
+/// Spawns `parspeed serve` on an ephemeral port; returns the child, its
+/// stdout past the announce and info lines, and the bound address.
+fn spawn_serve() -> (Child, BufReader<ChildStdout>, SocketAddr) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_parspeed"))
         .args(["serve", "--addr", "127.0.0.1:0", "--window-us", "300", "--stats"])
         .stdin(Stdio::piped())
@@ -25,6 +26,12 @@ fn serve_round_trips_drains_and_reports_stats() {
         .expect("bound address");
     line.clear();
     stdout.read_line(&mut line).expect("read info line");
+    (child, stdout, addr)
+}
+
+#[test]
+fn serve_round_trips_drains_and_reports_stats() {
+    let (mut child, mut stdout, addr) = spawn_serve();
 
     // One connection exercising the whole wire: v2, garbage, v1, stats.
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -54,6 +61,37 @@ fn serve_round_trips_drains_and_reports_stats() {
     assert!(rest.contains("submitted"), "--stats must print the snapshot: {rest}");
     let status = child.wait().expect("child exit");
     assert!(status.success(), "{status:?}");
+}
+
+#[test]
+fn oversized_grid_sides_answer_in_their_slot_and_the_connection_lives() {
+    let (mut child, mut stdout, addr) = spawn_serve();
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut replies = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut ask = |request: &str| {
+        (&stream).write_all(format!("{request}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        replies.read_line(&mut reply).expect("reply line");
+        reply
+    };
+    // Each oversized line would have asked for a 320 GB grid.
+    for oversized in [
+        r#"{"op":"solve","version":2,"n":200000,"solver":"jacobi","max_iters":1}"#,
+        r#"{"op":"threads","version":2,"n":200000,"threads":[1],"iters":1,"repeats":1}"#,
+    ] {
+        let reply = ask(oversized);
+        assert!(reply.contains("\"ok\":false"), "{reply}");
+        assert!(reply.contains("\"error_kind\":\"invalid_request\""), "{reply}");
+        assert!(reply.contains("maximum of 4095"), "{reply}");
+        let next = ask(r#"{"op":"solve","version":2,"n":15,"solver":"multigrid"}"#);
+        assert!(next.contains("\"ok\":true") && next.contains("\"converged\":true"), "{next}");
+    }
+    stream.shutdown(Shutdown::Write).unwrap();
+    drop(child.stdin.take());
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).expect("read final output");
+    assert!(rest.contains("drained;"), "{rest}");
+    assert!(child.wait().expect("child exit").success());
 }
 
 #[test]

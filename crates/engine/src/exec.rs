@@ -257,26 +257,10 @@ fn solve(
         converged: status.converged,
         iterations: status.iterations,
         final_diff: status.final_diff,
-        max_error: error_vs_exact(&problem, &u),
+        max_error: problem.max_error(&u).expect("solve problems are manufactured"),
         global_reductions,
         resumed_from,
     })
-}
-
-/// Max-norm error of a solution grid against the manufactured sin·sin
-/// exact solution (the solve queries' quality figure).
-fn error_vs_exact(problem: &PoissonProblem, u: &Grid2D) -> f64 {
-    let exact = Manufactured::SinSin;
-    let h = problem.h();
-    let mut worst = 0.0f64;
-    for r in 0..problem.n() {
-        for c in 0..problem.n() {
-            let x = (c as f64 + 1.0) * h;
-            let y = (r as f64 + 1.0) * h;
-            worst = worst.max((u.get(r, c) - exact.u(x, y)).abs());
-        }
-    }
-    worst
 }
 
 /// Runs one impure effect. `runner` serves experiment requests; without
@@ -467,7 +451,7 @@ mod tests {
                 assert_eq!(converged, s.converged);
                 assert_eq!(iterations, s.iterations);
                 assert_eq!(final_diff.to_bits(), s.final_diff.to_bits());
-                assert_eq!(max_error.to_bits(), error_vs_exact(&problem, &u).to_bits());
+                assert_eq!(max_error.to_bits(), problem.max_error(&u).unwrap().to_bits());
                 assert_eq!(global_reductions, Some(stats.global_reductions));
                 assert_eq!(resumed_from, None);
             }

@@ -18,6 +18,26 @@ use crate::request::{
 };
 use std::collections::HashMap;
 
+/// The largest grid side a `solve` or `threads` query may ask for:
+/// 2¹² − 1, which keeps every multigrid side up to it and is 4× the
+/// largest side any workload, test or example sends. One grid at this
+/// side is 134 MB; an unbounded side lets one request line abort the
+/// serving process on a failed allocation.
+pub const MAX_GRID_SIDE: usize = 4095;
+
+/// Rejects a grid side of 0 or above [`MAX_GRID_SIDE`].
+fn check_grid_side(n: usize) -> Result<(), ParspeedError> {
+    if n == 0 {
+        return Err(ParspeedError::invalid("grid side must be positive"));
+    }
+    if n > MAX_GRID_SIDE {
+        return Err(ParspeedError::invalid(format!(
+            "grid side {n} exceeds the maximum of {MAX_GRID_SIDE}"
+        )));
+    }
+    Ok(())
+}
+
 /// Presentation labels for one expanded point of a macro-query (everything
 /// the key deliberately forgets).
 #[derive(Debug, Clone, PartialEq)]
@@ -347,9 +367,7 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
             }))
         }
         Query::Solve { n, solver, tol, stencil, partitions, max_iters, check } => {
-            if *n == 0 {
-                return Err(ParspeedError::invalid("grid side must be positive"));
-            }
+            check_grid_side(*n)?;
             if !(tol.is_finite() && *tol > 0.0) {
                 return Err(ParspeedError::invalid(format!(
                     "tolerance must be positive and finite, got {tol}"
@@ -409,9 +427,7 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
             }))
         }
         Query::Threads { n, stencil, shape, threads, iters, repeats } => {
-            if *n == 0 {
-                return Err(ParspeedError::invalid("grid side must be positive"));
-            }
+            check_grid_side(*n)?;
             if threads.is_empty() || threads.contains(&0) {
                 return Err(ParspeedError::invalid("threads needs a list of positive counts"));
             }
@@ -659,6 +675,45 @@ mod tests {
         assert!(
             matches!(&plan.slots[1], Slot::Invalid(e) if e.to_string().contains("near-square"))
         );
+    }
+
+    #[test]
+    fn solve_and_threads_sides_are_bounded() {
+        let solve = |n| Query::Solve {
+            n,
+            solver: SolverKind::Multigrid,
+            tol: 1e-8,
+            stencil: StencilSpec::FivePoint,
+            partitions: 0,
+            max_iters: 1,
+            check: None,
+        };
+        let threads = |n| Query::Threads {
+            n,
+            stencil: StencilSpec::FivePoint,
+            shape: ShapeKey::Strip,
+            threads: vec![1],
+            iters: 1,
+            repeats: 1,
+        };
+        let over = MAX_GRID_SIDE + 1;
+        let plan = Plan::build(&[
+            solve(MAX_GRID_SIDE),
+            solve(over),
+            threads(MAX_GRID_SIDE),
+            threads(over),
+            solve(1 << 32),
+        ]);
+        assert!(crate::exec::solve_plan_error(MAX_GRID_SIDE, SolverKind::Multigrid).is_none());
+        assert!(matches!(plan.slots[0], Slot::Single(0)));
+        assert!(matches!(plan.slots[2], Slot::Effect(0)));
+        for i in [1, 3, 4] {
+            assert!(
+                matches!(&plan.slots[i], Slot::Invalid(e) if e.to_string().contains("maximum of 4095")),
+                "slot {i}: {:?}",
+                plan.slots[i]
+            );
+        }
     }
 
     #[test]

@@ -28,6 +28,18 @@ impl Grid2D {
         Self { rows, cols, halo, data }
     }
 
+    /// Wraps `data` as the row-major padded storage of a
+    /// `rows × cols` grid with halo `halo` (reusing a buffer instead of
+    /// allocating one).
+    ///
+    /// # Panics
+    ///
+    /// If `data` does not hold exactly the padded extent.
+    pub fn from_vec(rows: usize, cols: usize, halo: usize, data: Vec<f64>) -> Self {
+        assert_eq!(data.len(), (rows + 2 * halo) * (cols + 2 * halo), "padded extent");
+        Self { rows, cols, halo, data }
+    }
+
     /// Creates a grid whose *interior* is initialized from `f(row, col)`;
     /// the halo stays zero.
     pub fn from_fn(
@@ -242,6 +254,14 @@ impl Grid2D {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_vec_wraps_the_padded_storage() {
+        let g = Grid2D::from_vec(2, 3, 1, (0..20).map(f64::from).collect());
+        assert_eq!(g.get_h(-1, -1), 0.0);
+        assert_eq!(g.get(0, 0), 6.0);
+        assert_eq!(g.get(1, 2), 13.0);
+    }
 
     #[test]
     fn indexing_round_trip() {

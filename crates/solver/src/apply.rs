@@ -294,13 +294,24 @@ fn blend_diff_row(out: &mut [f64], prev: &[f64], omega: f64, compute_diff: bool)
 }
 
 /// Relaxed in-place point update plus the running max-difference fold —
-/// the fused convergence reduction every in-place sweep (SOR here,
-/// red-black in `redblack.rs`) shares instead of a separate diff pass.
+/// the fused convergence reduction every in-place sweep (SOR here, the
+/// red-black half-sweep in `split.rs`) shares instead of a separate diff
+/// pass.
 #[inline]
 pub(crate) fn relax_update(old: f64, jacobi: f64, omega: f64, worst: &mut f64) -> f64 {
     let new = old + omega * (jacobi - old);
-    *worst = worst.max((new - old).abs());
+    fold_max(worst, (new - old).abs());
     new
+}
+
+/// `worst = max(worst, v)` as one compare-and-select. For a `worst` that
+/// is never NaN it gives `f64::max`'s value (a NaN `v` leaves `worst` as
+/// it is), but it compiles to a single `maxsd`/`maxpd`, where `f64::max`
+/// adds a compare and a blend per cell for its NaN rule: a measurable
+/// share of the laned half-sweep and residual loops (`split::laned_max`).
+#[inline(always)]
+pub(crate) fn fold_max(worst: &mut f64, v: f64) {
+    *worst = if *worst < v { v } else { *worst };
 }
 
 /// In-place lexicographic relaxation sweep (Gauss-Seidel for `omega = 1`,

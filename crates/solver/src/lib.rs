@@ -23,11 +23,17 @@
 //! * [`SorSolver`] — Gauss-Seidel and SOR with the optimal relaxation
 //!   factor;
 //! * [`RedBlackSolver`] — red-black Gauss-Seidel/SOR, the parallelizable
-//!   ordering (rayon row-parallel within each colour);
+//!   ordering: the grid is split once into red and black planes, and each
+//!   colour half-sweep updates its plane in place at unit stride,
+//!   row-parallel on as many pool threads as its work pays for;
 //! * [`CgSolver`] — conjugate gradients on the 5-point operator, whose
 //!   global inner products are the §5 Adams–Crockett communication pattern;
 //! * [`MultigridSolver`] — geometric V-cycle multigrid (the MGR\[v\]-class
-//!   method of the paper's related work, ref \[7\]);
+//!   method of the paper's related work, ref \[7\]) on the same colour
+//!   planes, every level allocated once per solve, its smoother the
+//!   red-black half-sweep and its residual, restriction and prolongation
+//!   row-parallel kernels that declare their own level's work, so fine
+//!   levels run on the pool and coarse ones inline;
 //! * [`Manufactured`] — analytic solutions for verification;
 //! * [`CheckpointPolicy`] / [`CheckpointStore`] — checkpoint/restart for
 //!   long solves: snapshots at convergence-check boundaries, bounded
@@ -48,6 +54,7 @@ mod multigrid;
 mod problem;
 mod redblack;
 mod sor;
+mod split;
 
 pub use cg::{CgSolver, CgStats};
 pub use checkpoint::{Checkpoint, CheckpointCtx, CheckpointPolicy, CheckpointStore};

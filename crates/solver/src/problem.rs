@@ -2,6 +2,7 @@
 
 use crate::Manufactured;
 use parspeed_grid::Grid2D;
+use std::f64::consts::PI;
 
 /// Dirichlet boundary data.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,18 +27,33 @@ pub struct PoissonProblem {
 impl PoissonProblem {
     /// Builds a problem with explicit forcing `f(x, y)` and boundary data.
     pub fn new(n: usize, forcing: impl Fn(f64, f64) -> f64, boundary: Boundary) -> Self {
-        assert!(n > 0);
-        let h = 1.0 / (n as f64 + 1.0);
-        let f = Grid2D::from_fn(n, n, 0, |r, c| {
-            let (x, y) = ((c as f64 + 1.0) * h, (r as f64 + 1.0) * h);
-            forcing(x, y)
-        });
-        Self { n, h, f, boundary }
+        Self::sampled(n, boundary, |h| {
+            move |r, c| forcing((c as f64 + 1.0) * h, (r as f64 + 1.0) * h)
+        })
     }
 
     /// A manufactured-solution problem: forcing and boundary both from `m`.
     pub fn manufactured(n: usize, m: Manufactured) -> Self {
-        Self::new(n, |x, y| m.f(x, y), Boundary::Exact(m))
+        if m != Manufactured::SinSin {
+            return Self::new(n, |x, y| m.f(x, y), Boundary::Exact(m));
+        }
+        Self::sampled(n, Boundary::Exact(m), |h| {
+            let s = sin_axis(n, h);
+            move |r, c| 2.0 * PI * PI * s[c] * s[r]
+        })
+    }
+
+    /// The problem whose forcing at interior point `(r, c)` is
+    /// `forcing(h)(r, c)`.
+    fn sampled<F: Fn(usize, usize) -> f64>(
+        n: usize,
+        boundary: Boundary,
+        forcing: impl FnOnce(f64) -> F,
+    ) -> Self {
+        assert!(n > 0);
+        let h = 1.0 / (n as f64 + 1.0);
+        let f = Grid2D::from_fn(n, n, 0, forcing(h));
+        Self { n, h, f, boundary }
     }
 
     /// The Laplace equation with constant boundary `value` (the paper's
@@ -88,18 +104,21 @@ impl PoissonProblem {
         for r in -halo..(n + halo) {
             for c in -halo..(n + halo) {
                 let interior = r >= 0 && r < n && c >= 0 && c < n;
-                if interior {
-                    continue;
+                if !interior {
+                    g.set_h(r, c, self.boundary_at(r, c));
                 }
-                let v = match self.boundary {
-                    Boundary::Const(v) => v,
-                    Boundary::Exact(m) => {
-                        let x = (c as f64 + 1.0) * self.h;
-                        let y = (r as f64 + 1.0) * self.h;
-                        m.u(x, y)
-                    }
-                };
-                g.set_h(r, c, v);
+            }
+        }
+    }
+
+    /// The boundary/ghost value at halo cell `(r, c)`.
+    pub(crate) fn boundary_at(&self, r: isize, c: isize) -> f64 {
+        match self.boundary {
+            Boundary::Const(v) => v,
+            Boundary::Exact(m) => {
+                let x = (c as f64 + 1.0) * self.h;
+                let y = (r as f64 + 1.0) * self.h;
+                m.u(x, y)
             }
         }
     }
@@ -114,6 +133,42 @@ impl PoissonProblem {
             Boundary::Const(_) => None,
         }
     }
+
+    /// Max-norm error of `u`'s interior against the analytic solution,
+    /// when known — computed row by row, with no grid allocated.
+    pub fn max_error(&self, u: &Grid2D) -> Option<f64> {
+        let Boundary::Exact(m) = self.boundary else {
+            return None;
+        };
+        let mut worst = 0.0f64;
+        if m == Manufactured::SinSin {
+            let s = sin_axis(self.n, self.h);
+            for (r, &sr) in s.iter().enumerate() {
+                for (&v, &sc) in u.interior_row(r).iter().zip(&s) {
+                    worst = worst.max((v - sc * sr).abs());
+                }
+            }
+        } else {
+            for r in 0..self.n {
+                for (c, &v) in u.interior_row(r).iter().enumerate() {
+                    let (x, y) = self.xy(r, c);
+                    worst = worst.max((v - m.u(x, y)).abs());
+                }
+            }
+        }
+        Some(worst)
+    }
+}
+
+/// `sin(π·(i+1)·h)` for `i < n`: the sin·sin solution's factor along
+/// either axis, in the same arithmetic as [`Manufactured::u`] at
+/// [`PoissonProblem::xy`], so the factored forcing `2π²·s[c]·s[r]` and
+/// solution `s[c]·s[r]` (in [`PoissonProblem::max_error`]) equal the
+/// per-point forms bit for bit at one `sin` per index instead of two per
+/// point. (`Bubble`'s `x(1−x)·y(1−y)` does not factor bit-exactly, so it
+/// and `Saddle` stay per point.)
+fn sin_axis(n: usize, h: f64) -> Vec<f64> {
+    (0..n).map(|i| (PI * ((i as f64 + 1.0) * h)).sin()).collect()
 }
 
 #[cfg(test)]
@@ -162,6 +217,38 @@ mod tests {
         let u = p.exact_solution().unwrap();
         // Centre-ish point is positive.
         assert!(u.get(1, 1) > 0.0);
+    }
+
+    #[test]
+    fn factored_sinsin_matches_the_per_point_formulas_bit_for_bit() {
+        let m = Manufactured::SinSin;
+        for n in [1usize, 2, 31, 64, 255] {
+            let p = PoissonProblem::manufactured(n, m);
+            // The per-point solution: any cell where the factored one
+            // differs by an ulp makes the error non-zero.
+            let exact = p.exact_solution().unwrap();
+            assert_eq!(p.max_error(&exact), Some(0.0), "n={n}");
+            let mut u = exact.clone();
+            u.set(n / 2, n - 1, 0.5);
+            let mut worst = 0.0f64;
+            for r in 0..n {
+                for c in 0..n {
+                    let (x, y) = p.xy(r, c);
+                    assert_eq!(p.forcing().get(r, c).to_bits(), m.f(x, y).to_bits(), "n={n}");
+                    worst = worst.max((u.get(r, c) - m.u(x, y)).abs());
+                }
+            }
+            assert_eq!(p.max_error(&u).unwrap().to_bits(), worst.to_bits(), "n={n}");
+        }
+    }
+
+    #[test]
+    fn max_error_only_for_manufactured() {
+        let p = PoissonProblem::laplace(4, 0.0);
+        assert!(p.max_error(&p.initial_grid(1)).is_none());
+        let p = PoissonProblem::manufactured(4, Manufactured::Bubble);
+        let exact = p.exact_solution().unwrap();
+        assert_eq!(p.max_error(&exact), Some(0.0));
     }
 
     #[test]

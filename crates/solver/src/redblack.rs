@@ -7,16 +7,16 @@
 //! dependence, and the ordering a machine from the paper would actually
 //! run.
 //!
-//! Each half-sweep computes new values into a scratch grid (rayon over
-//! rows, reading the current grid immutably) and then scatters them back
-//! (rayon over disjoint row slices), each phase on as many pool threads as
-//! its work pays for. Because colour-χ updates never read colour-χ cells,
-//! this is bit-identical to the in-place sequential red-black sweep.
+//! A solve splits `u` and `f` into colour planes once (`split`), runs
+//! every half-sweep in place on one plane at unit stride — row-parallel
+//! on as many pool threads as its work pays for — and writes `u` back
+//! once. That is one pass and one fan-out per half-sweep. Because
+//! colour-χ updates never read colour-χ cells, the result is
+//! bit-identical to the in-place sequential red-black sweep.
 
-use crate::apply::{relax_update, sweep_seconds};
+use crate::split::{half_sweep, SplitGrid, Update};
 use crate::{PoissonProblem, SolveStatus};
 use parspeed_grid::Grid2D;
-use rayon::prelude::*;
 
 /// Red-black SOR solver (5-point stencil: the colouring argument requires
 /// the cross stencil, whose taps all touch the opposite colour).
@@ -51,118 +51,28 @@ impl RedBlackSolver {
         self
     }
 
-    /// One colour half-sweep: compute into `scratch`, scatter back into
-    /// `u`. Returns the max update difference of the half-sweep.
-    fn half_sweep(
-        &self,
-        u: &mut Grid2D,
-        scratch: &mut Grid2D,
-        f: &Grid2D,
-        h2: f64,
-        color: usize,
-    ) -> f64 {
-        let n = u.rows();
-        let halo = u.halo();
-        let stride = u.stride();
-        let omega = self.omega;
-
-        // Phase 1: new colour-χ values into scratch (reads u immutably).
-        // Row-slice indexing instead of per-point `get_h`: the three padded
-        // source rows are hoisted out of the column loop, with the same
-        // N, S, W, E + h²·f arithmetic order as before (bit-identical).
-        let compute_row = |r: usize, row_out: &mut [f64], u: &Grid2D| -> f64 {
-            let mut worst = 0.0f64;
-            let ri = r as isize;
-            let up = u.padded_row(ri - 1);
-            let mid = u.padded_row(ri);
-            let down = u.padded_row(ri + 1);
-            let frow = f.interior_row(r);
-            let mut c = (r + color) % 2;
-            while c < n {
-                let j = c + halo;
-                let acc = up[j] + down[j] + mid[j - 1] + mid[j + 1] + h2 * frow[c];
-                // Same fused relax-and-reduce core as the lexicographic
-                // sweeps: the convergence diff folds into the half-sweep,
-                // never a separate `max_abs_diff` pass.
-                row_out[j] = relax_update(mid[j], acc * 0.25, omega, &mut worst);
-                c += 2;
-            }
-            worst
-        };
-        // Half the grid per colour: a 5-point update plus the relaxation
-        // (10 flops) to compute, one move to scatter.
-        let cells = n * n / 2;
-        let diff =
-            if self.parallel {
-                scratch
-                    .as_mut_slice()
-                    .par_chunks_mut(stride)
-                    .enumerate()
-                    .with_work(sweep_seconds(cells, 10.0))
-                    .map(|(pr, row)| {
-                        if pr < halo || pr >= halo + n {
-                            0.0
-                        } else {
-                            compute_row(pr - halo, row, u)
-                        }
-                    })
-                    .reduce(|| 0.0f64, f64::max)
-            } else {
-                let mut worst = 0.0f64;
-                for (pr, row) in scratch.as_mut_slice().chunks_mut(stride).enumerate() {
-                    if pr >= halo && pr < halo + n {
-                        worst = worst.max(compute_row(pr - halo, row, u));
-                    }
-                }
-                worst
-            };
-
-        // Phase 2: scatter colour-χ cells back into u (reads scratch).
-        let scatter_row = |pr: usize, row: &mut [f64], scratch: &Grid2D| {
-            if pr < halo || pr >= halo + n {
-                return;
-            }
-            let r = pr - halo;
-            let mut c = (r + color) % 2;
-            while c < n {
-                row[c + halo] = scratch.get(r, c);
-                c += 2;
-            }
-        };
-        if self.parallel {
-            u.as_mut_slice()
-                .par_chunks_mut(stride)
-                .enumerate()
-                .with_work(sweep_seconds(cells, 1.0))
-                .for_each(|(pr, row)| scatter_row(pr, row, scratch));
-        } else {
-            for (pr, row) in u.as_mut_slice().chunks_mut(stride).enumerate() {
-                scatter_row(pr, row, scratch);
-            }
-        }
-        diff
-    }
-
     /// Solves `problem` (5-point stencil).
     pub fn solve(&self, problem: &PoissonProblem) -> (Grid2D, SolveStatus) {
         assert!(self.omega > 0.0 && self.omega < 2.0, "SOR needs 0 < ω < 2");
         let h2 = problem.h() * problem.h();
-        let mut u = problem.initial_grid(1);
-        let mut scratch = Grid2D::new(problem.n(), problem.n(), 1);
-        let f = problem.forcing();
+        let mut u = SplitGrid::initial(problem);
+        let f = SplitGrid::from_interior(problem.forcing());
+        let update = Update::Relax(self.omega);
 
         let mut iterations = 0;
         let mut diff = f64::INFINITY;
+        let mut converged = false;
         while iterations < self.max_iters {
-            let d_red = self.half_sweep(&mut u, &mut scratch, f, h2, 0);
-            let d_black = self.half_sweep(&mut u, &mut scratch, f, h2, 1);
+            let d_red = half_sweep(&mut u, &f, h2, 0, update, self.parallel);
+            let d_black = half_sweep(&mut u, &f, h2, 1, update, self.parallel);
             iterations += 1;
             diff = d_red.max(d_black);
             if diff < self.tol {
-                return (u, SolveStatus { converged: true, iterations, final_diff: diff });
+                converged = true;
+                break;
             }
         }
-        (u, SolveStatus { converged: false, iterations, final_diff: diff })
+        (u.to_grid_in(f.into_buffer()), SolveStatus { converged, iterations, final_diff: diff })
     }
 }
 
