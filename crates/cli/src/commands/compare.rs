@@ -8,7 +8,7 @@ use crate::args::{Args, CliError};
 use crate::commands::eval_points;
 use crate::select;
 use parspeed_bench::report::Table;
-use parspeed_engine::{EvalValue, Request};
+use parspeed_engine::{ArchKind, EvalValue, Query, WorkloadSpec};
 
 pub const KEYS: &[&str] =
     &["n", "stencil", "shape", "procs", "tfp", "b", "c", "alpha", "beta", "packet", "w"];
@@ -24,37 +24,33 @@ instance instead of asymptotically.";
 
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<String, CliError> {
-    let m = select::machine(args)?;
+    let machine = select::machine_spec(args)?;
     let n = args.usize_or("n", 256)?;
-    let stencil_spec = select::stencil_spec(args.str_or("stencil", "5pt"))?;
-    let stencil = stencil_spec.to_stencil().expect("CLI stencil names are catalog stencils");
-    let shape_key = select::shape_key(args.str_or("shape", "square"))?;
-    let shape = shape_key.to_shape();
+    let stencil = select::stencil_spec(args.str_or("stencil", "5pt"))?;
+    let shape = select::shape_key(args.str_or("shape", "square"))?;
+    let procs = args.usize_opt("procs")?;
+    let workload = WorkloadSpec { n, stencil, shape };
+    let points = eval_points(Query::Compare { machine, workload, procs })?;
 
-    let mut builder = Request::compare(n)
-        .machine(select::machine_spec(args)?)
-        .stencil(stencil_spec)
-        .shape(shape_key);
-    if let Some(p) = args.usize_opt("procs")? {
-        builder = builder.procs(p);
-    }
-    let points = eval_points(builder.query())?;
-
+    let params = machine.resolve();
     let mut t = Table::new(
-        format!("All architectures · n={n} · {} · {}", stencil.name(), shape.name()),
+        format!(
+            "All architectures · n={n} · {} · {}",
+            select::stencil_title(stencil),
+            shape.name()
+        ),
         &["architecture", "processors", "cycle time", "speedup", "efficiency"],
     );
-    for (label, outcome) in &points {
-        // Display names come from the models (the labels carry the short
-        // wire names).
-        let model = select::arch_model(label.arch, &m)?;
+    // The points come in `ArchKind::all()` order; display names come from
+    // the models (the labels carry the short wire names).
+    for (arch, (_, outcome)) in ArchKind::all().into_iter().zip(&points) {
         let EvalValue::Optimum { processors, cycle_time, speedup, efficiency, .. } =
             outcome.as_ref().expect("no memory budget, cannot be infeasible")
         else {
             unreachable!("compare points are optimizer runs")
         };
         t.row(vec![
-            model.name().into(),
+            arch.model(&params).name().into(),
             processors.to_string(),
             format!("{cycle_time:.3e} s"),
             format!("{speedup:.2}"),

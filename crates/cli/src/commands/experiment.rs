@@ -10,7 +10,7 @@
 use crate::args::{Args, CliError};
 use crate::commands::eval_single;
 use parspeed_bench::experiments;
-use parspeed_engine::{EvalValue, Request};
+use parspeed_engine::{EvalValue, Query};
 
 pub const KEYS: &[&str] = &["id"];
 pub const SWITCHES: &[&str] = &["quick"];
@@ -34,7 +34,7 @@ pub fn runner(id: &str, quick: bool) -> Result<String, String> {
 pub fn run(args: &Args) -> Result<String, CliError> {
     let quick = args.switch("quick");
     let id = args.str_or("id", "all").to_lowercase();
-    let EvalValue::Report(text) = eval_single(Request::experiment(id).quick(quick).query())? else {
+    let EvalValue::Report(text) = eval_single(Query::Experiment { id, quick })? else {
         unreachable!("experiment queries produce reports")
     };
     Ok(text)

@@ -11,7 +11,7 @@ use crate::commands::service_call;
 use crate::select;
 use parspeed_bench::report::Table;
 use parspeed_core::isoefficiency::fit_work_exponent;
-use parspeed_engine::{EvalValue, Query, Request, Response};
+use parspeed_engine::{EvalValue, Query, Response};
 
 pub const KEYS: &[&str] =
     &["stencil", "shape", "efficiency", "procs", "tfp", "b", "c", "alpha", "beta", "packet", "w"];
@@ -28,10 +28,10 @@ squares ≈ 3, bus strips ≈ 4.";
 
 /// Runs the subcommand.
 pub fn run(arch: &str, args: &Args) -> Result<String, CliError> {
-    let m = select::machine(args)?;
-    let model = select::arch_model(arch, &m)?;
-    let stencil = select::stencil(args.str_or("stencil", "5pt"))?;
-    let shape = select::shape(args.str_or("shape", "square"))?;
+    let machine = select::machine_spec(args)?;
+    let arch = select::arch_kind(arch)?;
+    let stencil = select::stencil_spec(args.str_or("stencil", "5pt"))?;
+    let shape = select::shape_key(args.str_or("shape", "square"))?;
     let efficiency = args.f64_or("efficiency", 0.5)?;
     if !(0.0..1.0).contains(&efficiency) || efficiency == 0.0 {
         return Err(CliError(format!("--efficiency must be in (0, 1); got {efficiency}")));
@@ -41,13 +41,7 @@ pub fn run(arch: &str, args: &Args) -> Result<String, CliError> {
         return Err(CliError("--procs needs at least two positive counts".into()));
     }
 
-    let query = |p: usize| -> Query {
-        Request::isoeff(select::arch_kind(arch).expect("validated above"), p, efficiency)
-            .machine(select::machine_spec(args).expect("validated above"))
-            .stencil(select::stencil_spec(args.str_or("stencil", "5pt")).expect("validated above"))
-            .shape(select::shape_key(args.str_or("shape", "square")).expect("validated above"))
-            .query()
-    };
+    let query = |procs| Query::Isoefficiency { arch, machine, stencil, shape, procs, efficiency };
     let responses = service_call(procs.iter().map(|&p| query(p)).collect());
     let mut thresholds = Vec::with_capacity(procs.len());
     for (&p, response) in procs.iter().zip(responses) {
@@ -61,8 +55,8 @@ pub fn run(arch: &str, args: &Args) -> Result<String, CliError> {
     let mut t = Table::new(
         format!(
             "Isoefficiency · {} · {} · {} · target {:.0}%",
-            model.name(),
-            stencil.name(),
+            arch.model(&machine.resolve()).name(),
+            select::stencil_title(stencil),
             shape.name(),
             efficiency * 100.0
         ),
@@ -110,7 +104,7 @@ mod tests {
         use parspeed_core::Workload;
         let out = run("sync-bus", &parse(&["--procs", "8,16,32,64"])).unwrap();
         let m = parspeed_core::MachineParams::paper_defaults();
-        let model = select::arch_model("sync-bus", &m).unwrap();
+        let model = parspeed_engine::ArchKind::SyncBus.model(&m);
         let template = Workload::new(
             2,
             &parspeed_stencil::Stencil::five_point(),

@@ -8,7 +8,7 @@ use crate::args::{Args, CliError};
 use crate::commands::service_call;
 use crate::select;
 use parspeed_bench::report::Table;
-use parspeed_engine::{EvalValue, MinSizeVariant, Request, Response};
+use parspeed_engine::{EvalValue, MinSizeVariant, Query, Response};
 use parspeed_stencil::PartitionShape;
 
 pub const KEYS: &[&str] = &["stencil", "procs", "tfp", "b", "c", "alpha", "beta", "packet", "w"];
@@ -32,25 +32,24 @@ const VARIANTS: [MinSizeVariant; 4] = [
 
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<String, CliError> {
-    let stencil = select::stencil(args.str_or("stencil", "5pt"))?;
-    let n_procs = args.usize_or("procs", 16)?;
-    if n_procs < 2 {
+    let stencil = select::stencil_spec(args.str_or("stencil", "5pt"))?;
+    let procs = args.usize_or("procs", 16)?;
+    if procs < 2 {
         return Err(CliError("--procs must be at least 2".into()));
     }
-    let machine_spec = select::machine_spec(args)?;
-    let e = stencil.calibrated_e().unwrap_or_else(|| stencil.flops_per_point());
+    let machine = select::machine_spec(args)?;
 
     let queries = VARIANTS
         .iter()
-        .map(|&mv| {
-            let k = stencil.perimeters(mv.to_variant().shape()) as f64;
-            Request::minsize(mv, n_procs).machine(machine_spec).e(e).k(k).query()
+        .map(|&variant| {
+            let (e, k) = stencil.constants(variant.to_variant().shape());
+            Query::MinSize { variant, machine, e, k: k as f64, procs }
         })
         .collect();
     let responses = service_call(queries);
 
     let mut t = Table::new(
-        format!("Minimal grid using all {n_procs} processors · {}", stencil.name()),
+        format!("Minimal grid using all {procs} processors · {}", select::stencil_title(stencil)),
         &["bus variant", "shape", "min n", "min log2(n²)"],
     );
     for (mv, response) in VARIANTS.iter().zip(responses) {

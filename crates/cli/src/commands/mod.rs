@@ -196,7 +196,7 @@ fn split_arch(tokens: &[String]) -> Result<(String, Vec<String>), CliError> {
     let arch = arch.ok_or_else(|| {
         err(format!(
             "this command needs --arch <name>; one of: {}",
-            crate::select::ARCHITECTURES.join(", ")
+            parspeed_engine::ArchKind::all().map(parspeed_engine::ArchKind::name).join(", ")
         ))
     })?;
     Ok((arch, rest))

@@ -1,16 +1,16 @@
 //! `parspeed optimize` — the paper's headline question for one instance:
 //! how many processors, and what speedup?
 //!
-//! Routed through the engine's service surface: the command builds one
-//! [`Request`], so repeated optimizes in a process share the result cache
-//! and answers stay bit-identical to direct model calls.
+//! Routed through the engine: the command sends one
+//! [`Query::Optimize`], so repeated optimizes in a process share the
+//! result cache and answers stay bit-identical to direct model calls.
 
 use crate::args::{Args, CliError};
 use crate::commands::eval_single;
 use crate::select;
 use parspeed_bench::report::Table;
 use parspeed_core::{MemoryBudget, Workload};
-use parspeed_engine::{EvalValue, Request};
+use parspeed_engine::{EvalValue, Query, WorkloadSpec};
 
 pub const KEYS: &[&str] =
     &["n", "stencil", "shape", "procs", "memory", "tfp", "b", "c", "alpha", "beta", "packet", "w"];
@@ -28,33 +28,25 @@ scheduled-bus, banyan). --procs caps the machine (default: unlimited);
 
 /// Runs the subcommand.
 pub fn run(arch: &str, args: &Args) -> Result<String, CliError> {
-    let m = select::machine(args)?;
-    let model = select::arch_model(arch, &m)?;
+    let machine = select::machine_spec(args)?;
+    let arch = select::arch_kind(arch)?;
     let n = args.usize_or("n", 256)?;
-    let stencil_spec = select::stencil_spec(args.str_or("stencil", "5pt"))?;
-    let stencil = stencil_spec.to_stencil().expect("CLI stencil names are catalog stencils");
-    let shape_key = select::shape_key(args.str_or("shape", "square"))?;
-    let shape = shape_key.to_shape();
-    let memory = args.f64_opt("memory")?.map(MemoryBudget::words);
+    let stencil = select::stencil_spec(args.str_or("stencil", "5pt"))?;
+    let shape = select::shape_key(args.str_or("shape", "square"))?;
+    let memory_words = args.f64_opt("memory")?;
+    let procs = args.usize_opt("procs")?;
 
-    let mut builder = Request::optimize(select::arch_kind(arch)?, n)
-        .machine(select::machine_spec(args)?)
-        .stencil(stencil_spec)
-        .shape(shape_key);
-    if let Some(p) = args.usize_opt("procs")? {
-        builder = builder.procs(p);
-    }
-    if let Some(mem) = memory {
-        builder = builder.memory_words(mem.words_per_processor);
-    }
+    let workload = WorkloadSpec { n, stencil, shape };
+    let query = Query::Optimize { arch, machine, workload, procs, memory_words };
     let EvalValue::Optimum { processors, area, cycle_time, speedup, efficiency, used_all } =
-        eval_single(builder.query())?
+        eval_single(query)?
     else {
         unreachable!("optimize queries produce optimum values")
     };
 
+    let model = arch.model(&machine.resolve());
     let mut t = Table::new(
-        format!("{} · n={n} · {} · {}", model.name(), stencil.name(), shape.name()),
+        format!("{} · n={n} · {} · {}", model.name(), select::stencil_title(stencil), shape.name()),
         &["quantity", "value"],
     );
     t.row(vec!["optimal processors".into(), processors.to_string()]);
@@ -63,15 +55,12 @@ pub fn run(arch: &str, args: &Args) -> Result<String, CliError> {
     t.row(vec!["speedup".into(), format!("{speedup:.2}")]);
     t.row(vec!["efficiency".into(), format!("{:.1}%", efficiency * 100.0)]);
     t.row(vec!["uses every processor".into(), if used_all { "yes" } else { "no" }.into()]);
-    if let Some(mem) = memory {
-        let w = Workload::new(n, &stencil, shape);
+    if let Some(words) = memory_words {
+        let (e, k) = stencil.constants(shape.to_shape());
+        let w = Workload::with_constants(n, shape.to_shape(), e, k);
         t.row(vec![
             "largest partition memory (words)".into(),
-            format!(
-                "{:.0} of {:.0}",
-                MemoryBudget::partition_words(&w, processors),
-                mem.words_per_processor
-            ),
+            format!("{:.0} of {words:.0}", MemoryBudget::partition_words(&w, processors)),
         ]);
     }
     Ok(t.render())
@@ -104,6 +93,12 @@ mod tests {
     fn infeasible_memory_is_a_clean_error() {
         let e = run("sync-bus", &parse(&["--memory", "10"])).unwrap_err();
         assert!(e.0.contains("does not fit"));
+    }
+
+    #[test]
+    fn non_positive_memory_is_a_clean_error() {
+        let e = run("sync-bus", &parse(&["--memory", "0"])).unwrap_err();
+        assert!(e.0.contains("memory budget must be positive"), "{}", e.0);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::args::{Args, CliError};
 use crate::commands::eval_single;
 use crate::select;
 use parspeed_bench::report::Table;
-use parspeed_engine::{EvalValue, Request, SimArchKind};
+use parspeed_engine::{EvalValue, Query, SimArchKind, WorkloadSpec};
 
 pub const KEYS: &[&str] =
     &["n", "stencil", "shape", "procs", "tfp", "b", "c", "alpha", "beta", "packet", "w"];
@@ -24,29 +24,29 @@ where box-stencil corner traffic pays real transit.";
 
 /// Runs the subcommand.
 pub fn run(arch: &str, args: &Args) -> Result<String, CliError> {
-    let m = select::machine(args)?;
+    let machine = select::machine_spec(args)?;
     let n = args.usize_or("n", 256)?;
-    let p = args.usize_or("procs", 16)?;
-    let stencil_spec = select::stencil_spec(args.str_or("stencil", "5pt"))?;
-    let stencil = stencil_spec.to_stencil().expect("CLI stencil names are catalog stencils");
-    let shape_key = select::shape_key(args.str_or("shape", "strip"))?;
-    let shape = shape_key.to_shape();
-    let model = select::arch_model(arch, &m)?;
-    let sim_arch = SimArchKind::parse(arch).map_err(CliError)?;
+    let procs = args.usize_or("procs", 16)?;
+    let stencil = select::stencil_spec(args.str_or("stencil", "5pt"))?;
+    let shape = select::shape_key(args.str_or("shape", "strip"))?;
+    let arch = SimArchKind::parse(arch).map_err(CliError)?;
 
-    let query = Request::simulate(sim_arch, n, p)
-        .machine(select::machine_spec(args)?)
-        .stencil(stencil_spec)
-        .shape(shape_key)
-        .query();
+    let workload = WorkloadSpec { n, stencil, shape };
+    let query = Query::Simulate { arch, machine, workload, procs };
     let EvalValue::Simulate { cycle_time, max_compute, comm_fraction, predicted, seq_time } =
         eval_single(query)?
     else {
         unreachable!("simulate queries produce simulate values")
     };
 
+    let model = arch.model_kind().model(&machine.resolve());
     let mut t = Table::new(
-        format!("{} · n={n} · P={p} · {} · {}", model.name(), stencil.name(), shape.name()),
+        format!(
+            "{} · n={n} · P={procs} · {} · {}",
+            model.name(),
+            select::stencil_title(stencil),
+            shape.name()
+        ),
         &["quantity", "value"],
     );
     t.row(vec!["simulated cycle time".into(), format!("{cycle_time:.3e} s")]);
@@ -72,7 +72,7 @@ mod tests {
 
     #[test]
     fn every_architecture_simulates() {
-        for arch in crate::select::ARCHITECTURES.iter().chain(&["mesh2d"]) {
+        for arch in parspeed_engine::ArchKind::all().map(|a| a.name()).iter().chain(&["mesh2d"]) {
             let out = run(arch, &parse(&["--n", "64", "--procs", "4"])).unwrap();
             assert!(out.contains("simulated cycle time"), "{arch}: {out}");
         }

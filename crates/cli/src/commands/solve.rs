@@ -7,7 +7,7 @@ use crate::args::{Args, CliError};
 use crate::commands::eval_single;
 use crate::select;
 use parspeed_bench::report::Table;
-use parspeed_engine::{CheckSpec, EvalValue, Request, SolverKind};
+use parspeed_engine::{CheckSpec, EvalValue, Query, SolverKind};
 
 pub const KEYS: &[&str] =
     &["n", "solver", "tol", "stencil", "partitions", "max-iters", "check-policy"];
@@ -34,16 +34,10 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let solver = SolverKind::parse(args.str_or("solver", "jacobi")).map_err(CliError)?;
     let parts = args.usize_or("partitions", 4)?.clamp(1, n.max(1));
 
-    let mut builder = Request::solve(n)
-        .solver(solver)
-        .tol(tol)
-        .stencil(select::stencil_spec(args.str_or("stencil", "5pt"))?)
-        .partitions(parts)
-        .max_iters(max_iters);
-    if let Some(policy) = args.str_opt("check-policy") {
-        builder = builder.check_policy(CheckSpec::parse(policy).map_err(CliError)?);
-    }
-    let query = builder.query();
+    let stencil = select::stencil_spec(args.str_or("stencil", "5pt"))?;
+    let check = args.str_opt("check-policy").map(CheckSpec::parse).transpose().map_err(CliError)?;
+
+    let query = Query::Solve { n, solver, tol, stencil, partitions: parts, max_iters, check };
     let EvalValue::Solve {
         converged, iterations, final_diff, max_error, global_reductions, ..
     } = eval_single(query)?

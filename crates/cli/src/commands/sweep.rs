@@ -11,7 +11,7 @@ use crate::args::{Args, CliError};
 use crate::commands::expanded_points;
 use crate::select;
 use parspeed_bench::report::Table;
-use parspeed_engine::{Engine, EvalValue, Query, Request};
+use parspeed_engine::{Engine, EvalValue, Query};
 
 pub const KEYS: &[&str] = &[
     "stencil",
@@ -42,23 +42,25 @@ cached results instead of the shared process-wide cache.";
 
 /// Runs the subcommand.
 pub fn run(arch: &str, args: &Args) -> Result<String, CliError> {
-    let m = select::machine(args)?;
-    let model = select::arch_model(arch, &m)?;
-    let stencil = select::stencil(args.str_or("stencil", "5pt"))?;
-    let shape = select::shape(args.str_or("shape", "square"))?;
+    let machine = select::machine_spec(args)?;
+    let arch = select::arch_kind(arch)?;
+    let stencil = select::stencil_spec(args.str_or("stencil", "5pt"))?;
+    let shape = select::shape_key(args.str_or("shape", "square"))?;
     let n_from = args.usize_or("n-from", 64)?;
     let n_to = args.usize_or("n-to", 4096)?;
     if n_from == 0 || n_to < n_from {
         return Err(CliError(format!("bad sweep range {n_from}..{n_to}")));
     }
 
-    let query: Query = Request::sweep(n_from, n_to)
-        .archs(vec![select::arch_kind(arch)?])
-        .machine(select::machine_spec(args)?)
-        .stencils(vec![select::stencil_spec(args.str_or("stencil", "5pt"))?])
-        .shapes(vec![select::shape_key(args.str_or("shape", "square"))?])
-        .budgets(vec![args.usize_opt("procs")?])
-        .query();
+    let query = Query::Sweep {
+        archs: vec![arch],
+        machine,
+        stencils: vec![stencil],
+        shapes: vec![shape],
+        budgets: vec![args.usize_opt("procs")?],
+        n_from,
+        n_to,
+    };
 
     // --cache-capacity isolates this sweep on a dedicated engine; the
     // default path shares the process-wide cache with every other command.
@@ -68,7 +70,12 @@ pub fn run(arch: &str, args: &Args) -> Result<String, CliError> {
     let points = expanded_points(engine.run_batch(&[query]).responses.remove(0))?;
 
     let mut t = Table::new(
-        format!("{} scaling sweep · {} · {}", model.name(), stencil.name(), shape.name()),
+        format!(
+            "{} scaling sweep · {} · {}",
+            arch.model(&machine.resolve()).name(),
+            select::stencil_title(stencil),
+            shape.name()
+        ),
         &["n", "log2(n²)", "processors", "speedup", "efficiency", "speedup ratio"],
     );
     let mut prev: Option<f64> = None;
@@ -140,7 +147,7 @@ mod tests {
         let args = parse(&["--n-from", "64", "--n-to", "1024", "--procs", "32"]);
         let out = run("async-bus", &args).unwrap();
         let m = parspeed_core::MachineParams::paper_defaults();
-        let model = crate::select::arch_model("async-bus", &m).unwrap();
+        let model = parspeed_engine::ArchKind::AsyncBus.model(&m);
         let mut n = 64usize;
         while n <= 1024 {
             let w = Workload::new(n, &Stencil::five_point(), PartitionShape::Square);

@@ -5,7 +5,7 @@ use crate::args::{Args, CliError};
 use crate::commands::eval_single;
 use crate::select;
 use parspeed_bench::report::Table;
-use parspeed_engine::{EvalValue, Request};
+use parspeed_engine::{EvalValue, Query};
 
 pub const KEYS: &[&str] = &["n", "stencil", "tfp", "b", "c", "alpha", "beta", "packet", "w"];
 pub const SWITCHES: &[&str] = &["flex32"];
@@ -19,17 +19,14 @@ per processor where appropriate) at the chosen grid size.";
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let n = args.usize_or("n", 1024)?;
-    let stencil = select::stencil(args.str_or("stencil", "5pt"))?;
-    let query = Request::table1(n)
-        .machine(select::machine_spec(args)?)
-        .stencil(select::stencil_spec(args.str_or("stencil", "5pt"))?)
-        .query();
-    let EvalValue::Table1 { rows } = eval_single(query)? else {
+    let stencil = select::stencil_spec(args.str_or("stencil", "5pt"))?;
+    let machine = select::machine_spec(args)?;
+    let EvalValue::Table1 { rows } = eval_single(Query::Table1 { machine, n, stencil })? else {
         unreachable!("table1 queries produce table1 values")
     };
 
     let mut t = Table::new(
-        format!("Table I · n={n} · {}", stencil.name()),
+        format!("Table I · n={n} · {}", select::stencil_title(stencil)),
         &["architecture", "optimal speedup", "formula"],
     );
     for row in rows {

@@ -9,7 +9,7 @@ use crate::args::{Args, CliError};
 use crate::commands::eval_single;
 use crate::select;
 use parspeed_bench::report::Table;
-use parspeed_engine::{EvalValue, Request};
+use parspeed_engine::{EvalValue, Query};
 
 pub const KEYS: &[&str] = &["n", "stencil", "shape", "threads", "iters", "repeats"];
 pub const SWITCHES: &[&str] = &[];
@@ -25,8 +25,8 @@ model's shape claims (convexity, saturation, strips vs squares).";
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let n = args.usize_or("n", 512)?;
-    let stencil = select::stencil(args.str_or("stencil", "5pt"))?;
-    let shape = select::shape(args.str_or("shape", "strip"))?;
+    let stencil = select::stencil_spec(args.str_or("stencil", "5pt"))?;
+    let shape = select::shape_key(args.str_or("shape", "strip"))?;
     let threads = args.usize_list_or("threads", &[1, 2, 4, 8])?;
     if threads.is_empty() || threads.contains(&0) {
         return Err(CliError("--threads needs a list of positive counts".into()));
@@ -34,19 +34,17 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let iters = args.usize_or("iters", 20)?.max(1);
     let repeats = args.usize_or("repeats", 3)?.max(1);
 
-    let query = Request::threads(n)
-        .stencil(select::stencil_spec(args.str_or("stencil", "5pt"))?)
-        .shape(select::shape_key(args.str_or("shape", "strip"))?)
-        .threads(threads)
-        .iters(iters)
-        .repeats(repeats)
-        .query();
+    let query = Query::Threads { n, stencil, shape, threads, iters, repeats };
     let EvalValue::Threads { points } = eval_single(query)? else {
         unreachable!("threads queries produce measurement values")
     };
 
     let mut t = Table::new(
-        format!("Measured partitioned Jacobi · n={n} · {} · {}", stencil.name(), shape.name()),
+        format!(
+            "Measured partitioned Jacobi · n={n} · {} · {}",
+            select::stencil_title(stencil),
+            shape.name()
+        ),
         &["threads", "s/iter", "speedup", "efficiency"],
     );
     for p in &points {

@@ -1,52 +1,38 @@
-//! Name-based selection of stencils, shapes, architectures, and machine
-//! parameter overrides shared by every subcommand.
+//! Parsing of the flags the model commands share. Each flag is parsed
+//! once, into the engine value the command's query carries; table titles
+//! read their names back from those values.
 
 use crate::args::{err, Args, CliError};
-use parspeed_core::{ArchModel, MachineParams};
-use parspeed_stencil::{PartitionShape, Stencil};
+use parspeed_engine::{ArchKind, MachineSpec, ShapeKey, StencilSpec};
 
-/// Stencil by CLI name (delegates to the engine's table; parsed specs are
-/// always catalog stencils, so the expect cannot fire).
-pub fn stencil(name: &str) -> Result<Stencil, CliError> {
-    Ok(stencil_spec(name)?.to_stencil().expect("parsed specs are catalog stencils"))
+/// Architecture by CLI name. The name table lives in [`ArchKind`], so the
+/// CLI and the wire accept the same alias set.
+pub fn arch_kind(name: &str) -> Result<ArchKind, CliError> {
+    ArchKind::parse(name).map_err(err)
 }
 
-/// Partition shape by CLI name (delegates to the engine's table).
-pub fn shape(name: &str) -> Result<PartitionShape, CliError> {
-    shape_key(name).map(parspeed_engine::ShapeKey::to_shape)
+/// Stencil by CLI name.
+pub fn stencil_spec(name: &str) -> Result<StencilSpec, CliError> {
+    StencilSpec::parse(name).map_err(err)
 }
 
-/// The architecture names every subcommand accepts.
-pub const ARCHITECTURES: &[&str] =
-    &["hypercube", "mesh", "sync-bus", "async-bus", "scheduled-bus", "banyan"];
-
-/// Analytic model by CLI name. The name→model table lives in
-/// [`parspeed_engine::ArchKind`]; this is the only resolver, so CLI and
-/// engine can never accept different alias sets.
-pub fn arch_model(name: &str, m: &MachineParams) -> Result<Box<dyn ArchModel>, CliError> {
-    Ok(arch_kind(name)?.model(m))
+/// The display name a table title prints for a stencil (`--stencil`
+/// names only catalog stencils).
+pub fn stencil_title(spec: StencilSpec) -> &'static str {
+    spec.to_stencil().map_or("custom", |s| s.name())
 }
 
-/// Engine-level architecture kind by CLI name.
-pub fn arch_kind(name: &str) -> Result<parspeed_engine::ArchKind, CliError> {
-    parspeed_engine::ArchKind::parse(name).map_err(err)
+/// Partition shape by CLI name.
+pub fn shape_key(name: &str) -> Result<ShapeKey, CliError> {
+    ShapeKey::parse(name).map_err(err)
 }
 
-/// Engine-level stencil spec by CLI name.
-pub fn stencil_spec(name: &str) -> Result<parspeed_engine::StencilSpec, CliError> {
-    parspeed_engine::StencilSpec::parse(name).map_err(err)
-}
-
-/// Engine-level shape by CLI name.
-pub fn shape_key(name: &str) -> Result<parspeed_engine::ShapeKey, CliError> {
-    parspeed_engine::ShapeKey::parse(name).map_err(err)
-}
-
-/// Builds an engine [`MachineSpec`](parspeed_engine::MachineSpec) from the
-/// same machine flags as [`machine`]; the spec resolves to bit-identical
-/// [`MachineParams`].
-pub fn machine_spec(args: &Args) -> Result<parspeed_engine::MachineSpec, CliError> {
-    Ok(parspeed_engine::MachineSpec {
+/// The machine flags as one [`MachineSpec`]: `--flex32` starts from the
+/// measured `c/b ≈ 1000` overhead regime, and each override applies on
+/// top. [`MachineSpec::resolve`] gives the parameters a title's model is
+/// built from.
+pub fn machine_spec(args: &Args) -> Result<MachineSpec, CliError> {
+    Ok(MachineSpec {
         flex32: args.switch("flex32"),
         tfp: args.f64_opt("tfp")?,
         b: args.f64_opt("b")?,
@@ -58,63 +44,27 @@ pub fn machine_spec(args: &Args) -> Result<parspeed_engine::MachineSpec, CliErro
     })
 }
 
-/// Builds [`MachineParams`] from the calibrated defaults plus any
-/// command-line overrides (`--flex32` swaps in the measured `c/b ≈ 1000`
-/// overhead regime before overrides apply).
-pub fn machine(args: &Args) -> Result<MachineParams, CliError> {
-    let mut m = if args.switch("flex32") {
-        MachineParams::flex32_defaults()
-    } else {
-        MachineParams::paper_defaults()
-    };
-    if let Some(tfp) = args.f64_opt("tfp")? {
-        m.tfp = tfp;
-    }
-    if let Some(b) = args.f64_opt("b")? {
-        m.bus.b = b;
-    }
-    if let Some(c) = args.f64_opt("c")? {
-        m.bus.c = c;
-    }
-    if let Some(alpha) = args.f64_opt("alpha")? {
-        m.hypercube.alpha = alpha;
-        m.mesh.alpha = alpha;
-    }
-    if let Some(beta) = args.f64_opt("beta")? {
-        m.hypercube.beta = beta;
-        m.mesh.beta = beta;
-    }
-    if let Some(packet) = args.usize_opt("packet")? {
-        m.hypercube.packet_words = packet;
-        m.mesh.packet_words = packet;
-    }
-    if let Some(w) = args.f64_opt("w")? {
-        m.switch.w = w;
-    }
-    Ok(m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parspeed_core::MachineParams;
 
     #[test]
     fn stencil_and_shape_names_resolve() {
-        assert_eq!(stencil("5pt").unwrap().name(), "5-point");
-        assert_eq!(stencil("9pt-box").unwrap().name(), "9-point box");
-        assert_eq!(shape("strip").unwrap(), PartitionShape::Strip);
-        assert!(stencil("7pt").is_err());
-        assert!(shape("hexagon").is_err());
+        assert_eq!(stencil_title(stencil_spec("5pt").unwrap()), "5-point");
+        assert_eq!(stencil_title(stencil_spec("9pt-box").unwrap()), "9-point box");
+        assert_eq!(shape_key("strip").unwrap(), ShapeKey::Strip);
+        assert!(stencil_spec("7pt").is_err());
+        assert!(shape_key("hexagon").is_err());
     }
 
     #[test]
     fn every_listed_architecture_constructs() {
         let m = MachineParams::paper_defaults();
-        for name in ARCHITECTURES {
-            let model = arch_model(name, &m).unwrap();
-            assert!(!model.name().is_empty());
+        for kind in ArchKind::all() {
+            assert!(!arch_kind(kind.name()).unwrap().model(&m).name().is_empty());
         }
-        assert!(arch_model("torus", &m).is_err());
+        assert!(arch_kind("torus").is_err());
     }
 
     const MACHINE_KEYS: &[&str] = &["tfp", "b", "c", "alpha", "beta", "packet", "w"];
@@ -127,7 +77,7 @@ mod tests {
             &["flex32"],
         )
         .unwrap();
-        let m = machine(&args).unwrap();
+        let m = machine_spec(&args).unwrap().resolve();
         assert_eq!(m.bus.b, 2e-6);
         assert_eq!(m.bus.c, 1e-7);
         assert_eq!(m.tfp, MachineParams::paper_defaults().tfp);
@@ -136,7 +86,7 @@ mod tests {
     #[test]
     fn flex32_regime_applies_before_overrides() {
         let args = Args::parse(&["--flex32".into()], MACHINE_KEYS, &["flex32"]).unwrap();
-        let m = machine(&args).unwrap();
+        let m = machine_spec(&args).unwrap().resolve();
         assert!((m.bus.c / m.bus.b - 1000.0).abs() < 1e-9);
     }
 }

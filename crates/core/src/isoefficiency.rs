@@ -21,7 +21,8 @@
 use crate::{ArchModel, Workload};
 
 /// The smallest grid side `n` at which `model` reaches `efficiency`
-/// (speedup / N) on exactly `n_procs` processors.
+/// (speedup / N) on exactly `n_procs` processors, or `None` when no side
+/// up to [`Workload::MAX_SIDE`] reaches it.
 ///
 /// Efficiency is monotone nondecreasing in `n` for every model in this
 /// workspace (communication per point shrinks as partitions grow), so an
@@ -35,7 +36,7 @@ pub fn min_grid_for_efficiency<M: ArchModel + ?Sized>(
     template: &Workload,
     n_procs: usize,
     efficiency: f64,
-) -> usize {
+) -> Option<usize> {
     assert!(efficiency > 0.0 && efficiency < 1.0, "need 0 < efficiency < 1");
     assert!(n_procs >= 1);
     let eff_at = |n: usize| -> f64 {
@@ -43,13 +44,14 @@ pub fn min_grid_for_efficiency<M: ArchModel + ?Sized>(
         let area = w.points() / n_procs as f64;
         model.speedup_at(&w, area) / n_procs as f64
     };
-    // Bracket: grow until the target efficiency is met.
-    let mut hi = n_procs.max(2);
-    let mut guard = 0;
+    // Bracket: grow until the target efficiency is met, capped where n²
+    // stops fitting.
+    let mut hi = n_procs.clamp(2, Workload::MAX_SIDE);
     while eff_at(hi) < efficiency {
-        hi *= 2;
-        guard += 1;
-        assert!(guard < 40, "efficiency {efficiency} unreachable on {}", model.name());
+        if hi == Workload::MAX_SIDE {
+            return None;
+        }
+        hi = (2 * hi).min(Workload::MAX_SIDE);
     }
     let mut lo = 1usize;
     while lo + 1 < hi {
@@ -60,12 +62,17 @@ pub fn min_grid_for_efficiency<M: ArchModel + ?Sized>(
             lo = mid;
         }
     }
-    hi
+    Some(hi)
 }
 
 /// Fits the isoefficiency exponent `d log W / d log N` (with `W = n²`,
 /// the paper's work measure up to constants) over the given processor
 /// counts at fixed target efficiency.
+///
+/// # Panics
+///
+/// Panics if a processor count cannot reach `efficiency` on a grid of at
+/// most [`Workload::MAX_SIDE`] sides.
 pub fn isoefficiency_exponent<M: ArchModel + ?Sized>(
     model: &M,
     template: &Workload,
@@ -75,7 +82,11 @@ pub fn isoefficiency_exponent<M: ArchModel + ?Sized>(
     assert!(procs.len() >= 2);
     let points: Vec<(usize, usize)> = procs
         .iter()
-        .map(|&p| (p, min_grid_for_efficiency(model, template, p, efficiency)))
+        .map(|&p| {
+            let n = min_grid_for_efficiency(model, template, p, efficiency)
+                .unwrap_or_else(|| panic!("efficiency {efficiency} unreachable on {p} processors"));
+            (p, n)
+        })
         .collect();
     fit_work_exponent(&points)
 }
@@ -127,9 +138,9 @@ mod tests {
         let m = fast_machine();
         let bus = SyncBus::new(&m);
         let w = wl(PartitionShape::Square);
-        let n50 = min_grid_for_efficiency(&bus, &w, 16, 0.5);
-        let n80 = min_grid_for_efficiency(&bus, &w, 16, 0.8);
-        let n95 = min_grid_for_efficiency(&bus, &w, 16, 0.95);
+        let n50 = min_grid_for_efficiency(&bus, &w, 16, 0.5).unwrap();
+        let n80 = min_grid_for_efficiency(&bus, &w, 16, 0.8).unwrap();
+        let n95 = min_grid_for_efficiency(&bus, &w, 16, 0.95).unwrap();
         assert!(n50 < n80 && n80 < n95, "{n50} {n80} {n95}");
     }
 
@@ -139,13 +150,26 @@ mod tests {
         let bus = SyncBus::new(&m);
         let w = wl(PartitionShape::Strip);
         let p = 8usize;
-        let n = min_grid_for_efficiency(&bus, &w, p, 0.7);
+        let n = min_grid_for_efficiency(&bus, &w, p, 0.7).unwrap();
         let eff = |nn: usize| {
             let w = w.scaled_to(nn);
             bus.speedup_at(&w, w.points() / p as f64) / p as f64
         };
         assert!(eff(n) >= 0.7);
         assert!(eff(n - 1) < 0.7);
+    }
+
+    #[test]
+    fn targets_past_the_largest_side_answer_none() {
+        let m = fast_machine();
+        let bus = SyncBus::new(&m);
+        let strips = wl(PartitionShape::Strip);
+        // Strips need n ≈ 6.7·N² here: past `Workload::MAX_SIDE` at N = 2²⁰.
+        assert_eq!(min_grid_for_efficiency(&bus, &strips, 1 << 20, 0.5), None);
+        assert_eq!(min_grid_for_efficiency(&bus, &strips, 1 << 10, 0.5), Some(6_990_507));
+        // A processor count past the bound starts the bracket at it.
+        let squares = wl(PartitionShape::Square);
+        assert_eq!(min_grid_for_efficiency(&Banyan::new(&m), &squares, usize::MAX, 0.5), None);
     }
 
     #[test]

@@ -5,13 +5,18 @@
 //! the polynomial has exactly one positive root (it is −4kbn² at 0 and
 //! increases without bound), found here by safeguarded Newton.
 
-/// Finds the unique positive root of `a₃x³ + a₂x² + a₀ = 0` with
-/// `a₃ > 0`, `a₂ ≥ 0`, `a₀ < 0`.
+/// Finds the largest root of `a₃x³ + a₂x² + a₀ = 0` with `a₃ ≥ 0`,
+/// `a₂ ≥ 0`, `a₀ ≤ 0`: the unique positive one when `a₀ < 0`, and 0 when
+/// `a₀ = 0` (nothing to communicate). A root past `f64`'s range (free
+/// computation, `a₃` underflowed to 0) is infinite.
 ///
 /// Newton iteration with a bisection safeguard on a bracket that always
 /// contains the root; converges to relative `1e-14`.
 pub fn positive_cubic_root(a3: f64, a2: f64, a0: f64) -> f64 {
-    assert!(a3 > 0.0 && a2 >= 0.0 && a0 < 0.0, "cubic not in the paper's form");
+    assert!(a3 >= 0.0 && a2 >= 0.0 && a0 <= 0.0, "cubic not in the paper's form");
+    if a0 == 0.0 {
+        return 0.0;
+    }
     let p = |x: f64| a3 * x * x * x + a2 * x * x + a0;
     let dp = |x: f64| 3.0 * a3 * x * x + 2.0 * a2 * x;
     // Bracket: p(0) = a0 < 0; grow hi until positive.
@@ -19,7 +24,9 @@ pub fn positive_cubic_root(a3: f64, a2: f64, a0: f64) -> f64 {
     let mut hi = 1.0f64;
     while p(hi) < 0.0 {
         hi *= 2.0;
-        assert!(hi.is_finite(), "root bracket overflow");
+        if hi.is_infinite() {
+            return hi;
+        }
     }
     let mut x = hi * 0.5;
     for _ in 0..200 {
@@ -91,6 +98,16 @@ mod tests {
         let r = positive_cubic_root(a3, a2, a0);
         let res = a3 * r * r * r + a2 * r * r + a0;
         assert!(res.abs() < 1e-10 * a0.abs());
+    }
+
+    #[test]
+    fn degenerate_cubics_answer_their_limits() {
+        // No communication: the root is 0 (use every processor).
+        assert_eq!(positive_cubic_root(1.0, 1.0, 0.0), 0.0);
+        // Free computation: x² = 12/3.
+        assert!((positive_cubic_root(0.0, 3.0, -12.0) - 2.0).abs() < 1e-12);
+        // Free computation and no overhead: no finite root.
+        assert_eq!(positive_cubic_root(0.0, 0.0, -1.0), f64::INFINITY);
     }
 
     #[test]

@@ -23,6 +23,11 @@ pub struct Workload {
 }
 
 impl Workload {
+    /// The largest grid side whose `n²` fits a `usize` (4 294 967 295 on
+    /// 64-bit targets). The model squares `n` in integers, so a larger
+    /// side wraps and answers for the wrong grid.
+    pub const MAX_SIDE: usize = usize::MAX.isqrt();
+
     /// Builds a workload from a stencil, using the calibrated `E(S)` when
     /// the stencil is catalogued and its natural flop count otherwise.
     pub fn new(n: usize, stencil: &Stencil, shape: PartitionShape) -> Self {

@@ -142,9 +142,14 @@ pub fn evaluate_ckpt(key: &EvalKey, ckpt: Option<CheckpointCtx<'_>>) -> EvalOutc
             // The template's own grid side is irrelevant: the search scales
             // it; only shape and the stencil constants carry through.
             let template = Workload::with_constants(2, shape.to_shape(), e.get(), k);
-            Ok(EvalValue::Isoefficiency {
-                n: min_grid_for_efficiency(model.as_ref(), &template, procs, efficiency.get()),
-            })
+            match min_grid_for_efficiency(model.as_ref(), &template, procs, efficiency.get()) {
+                Some(n) => Ok(EvalValue::Isoefficiency { n }),
+                None => Err(ParspeedError::infeasible(format!(
+                    "efficiency {} needs a grid side above {} on {procs} processors",
+                    efficiency.get(),
+                    Workload::MAX_SIDE
+                ))),
+            }
         }
         EvalKey::Leverage { machine, n, shape, e, k, budget, lever, factor } => {
             let m = machine.to_params();

@@ -20,9 +20,13 @@ use crate::request::{
     ArchKind, CheckSpec, EvalOutcome, EvalValue, Lever, MachineSpec, MinSizeVariant, Query,
     ShapeKey, SimArchKind, SolverKind, StencilSpec, WorkloadSpec,
 };
-use crate::service::WIRE_VERSION;
 use crate::{BatchTelemetry, Response};
 use std::fmt::Write as _;
+
+/// The current JSONL wire schema version. Lines declaring 1 are still
+/// accepted and answered in the legacy shape; any other version is
+/// refused in its own slot. Typed [`Query`] values carry no version.
+pub const WIRE_VERSION: u32 = 2;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -8,10 +8,10 @@
 //! of such queries, most of them near-duplicates. This crate turns the
 //! whole workspace into one serving-shaped subsystem:
 //!
-//! 1. **Queries** ([`request`], [`service`]) — the public surface: typed
-//!    [`Query`] values, built directly or with the builder-style
-//!    constructors (`Request::optimize(arch, n).procs(64).query()`), and
-//!    answered in batches by [`Engine::run_batch`];
+//! 1. **Queries** ([`request`], [`jsonl`]) — the public surface: typed
+//!    [`Query`] values, written as literals or parsed from a wire line
+//!    ([`jsonl::parse_query`]), and answered in batches by
+//!    [`Engine::run_batch`], the one way in;
 //! 2. **Planner** ([`plan`]) — expands macro-queries (grid sweeps,
 //!    all-architecture compares) into atomic evaluations, canonicalizes
 //!    each into an [`EvalKey`] (floats keyed by bit pattern; presets,
@@ -61,7 +61,6 @@ pub mod fxhash;
 pub mod jsonl;
 pub mod plan;
 pub mod request;
-pub mod service;
 pub mod telemetry;
 pub mod workloads;
 
@@ -69,6 +68,7 @@ pub use cache::CacheStatsSnapshot;
 pub use error::ParspeedError;
 pub use exec::{checkpoint_key, ExperimentRunner};
 pub use fxhash::{FxBuildHasher, FxHasher};
+pub use jsonl::WIRE_VERSION;
 pub use parspeed_obs::{Recorder, Stage};
 pub use parspeed_solver::{CheckpointPolicy, CheckpointStore};
 pub use plan::{routing_hash, Plan, PlanTiming, PointLabel, Slot};
@@ -77,7 +77,6 @@ pub use request::{
     MinSizeVariant, Query, ShapeKey, SimArchKind, SolverKind, StencilKey, StencilSpec,
     WorkloadSpec,
 };
-pub use service::{Request, WIRE_VERSION};
 pub use telemetry::BatchTelemetry;
 
 use cache::ShardedLru;
@@ -440,6 +439,18 @@ mod tests {
         }
     }
 
+    fn table1(n: usize) -> Query {
+        Query::Table1 { machine: MachineSpec::default(), n, stencil: StencilSpec::FivePoint }
+    }
+
+    fn compare(n: usize) -> Query {
+        Query::Compare {
+            machine: MachineSpec::default(),
+            workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+            procs: None,
+        }
+    }
+
     #[test]
     fn batch_matches_naive_exactly() {
         let batch: Vec<Query> = (1..=50).map(|i| q(32 + 7 * i, Some(i))).collect();
@@ -484,6 +495,56 @@ mod tests {
         );
         assert!(matches!(out.responses[2], Response::Single(Ok(_))));
         assert_eq!(out.telemetry.atoms, 2);
+    }
+
+    /// The server hands each response to the job whose query sat at
+    /// that position, so a batch interleaving several clients' queries
+    /// must answer each query at its own index, exactly as if it ran
+    /// alone, with duplicates coalesced onto one evaluation.
+    #[test]
+    fn interleaved_batches_answer_by_position_and_share_duplicates() {
+        let engine = Engine::builder().build();
+        let batch = [q(256, None), table1(512), q(256, None), compare(128)];
+        let out = engine.run_batch(&batch);
+        assert_eq!(out.responses.len(), batch.len());
+        for (i, query) in batch.iter().enumerate() {
+            let alone = Engine::builder().build().run_batch(std::slice::from_ref(query));
+            assert_eq!(out.responses[i], alone.responses[0], "slot {i}");
+        }
+        assert_eq!(out.responses[0], out.responses[2]);
+        assert_eq!(out.telemetry.unique, out.telemetry.atoms - 1);
+    }
+
+    #[test]
+    fn mixed_kind_requests_answer_in_order() {
+        let engine = Engine::builder().build();
+        let out = engine.run_batch(&[
+            table1(512),
+            compare(128),
+            Query::MinSize {
+                variant: MinSizeVariant::SyncSquare,
+                machine: MachineSpec::default(),
+                e: 6.0,
+                k: 1.0,
+                procs: 14,
+            },
+        ]);
+        assert!(matches!(&out.responses[0], Response::Single(Ok(EvalValue::Table1 { .. }))));
+        assert!(matches!(&out.responses[1], Response::Sweep(points) if points.len() == 6));
+        assert!(matches!(&out.responses[2], Response::Single(Ok(EvalValue::MinSize { .. }))));
+    }
+
+    #[test]
+    fn an_overflowing_grid_side_answers_in_its_slot_only() {
+        // 2³² squared wraps a usize, and a panic in one evaluation fails
+        // the whole batch, so the planner refuses the side in its slot.
+        let batch = [q(256, Some(64)), q(1 << 32, None), compare(128)];
+        let out = Engine::builder().threads(1).build().run_batch(&batch);
+        assert!(matches!(&out.responses[1], Response::Invalid(e) if e.kind() == "invalid_request"));
+        for i in [0, 2] {
+            let alone = Engine::builder().build().run_batch(std::slice::from_ref(&batch[i]));
+            assert_eq!(out.responses[i], alone.responses[0], "slot {i}");
+        }
     }
 
     #[test]

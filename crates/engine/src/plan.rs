@@ -16,6 +16,7 @@ use crate::request::{
     ArchKind, BudgetKey, CheckKey, CheckSpec, EffectKey, EvalKey, F64Key, MachineKey, Query,
     ShapeKey, SolverKind, StencilKey, StencilSpec,
 };
+use parspeed_core::Workload;
 use std::collections::HashMap;
 
 /// The largest grid side a `solve` or `threads` query may ask for:
@@ -25,15 +26,24 @@ use std::collections::HashMap;
 /// serving process on a failed allocation.
 pub const MAX_GRID_SIDE: usize = 4095;
 
-/// Rejects a grid side of 0 or above [`MAX_GRID_SIDE`].
-fn check_grid_side(n: usize) -> Result<(), ParspeedError> {
+/// The most points one `sweep` may expand to. Six architectures × four
+/// stencils × two shapes × four budgets × 13 doubling sides is 2 496;
+/// the planner holds every point, so an unbounded grid lets a sub-KB line
+/// abort the process on a failed allocation.
+pub const MAX_SWEEP_POINTS: usize = 4096;
+
+/// The most threads one `threads` measurement may ask for. The pool it
+/// runs on keeps every worker it ever spawned for the life of the process.
+pub const MAX_MEASURED_THREADS: usize = 64;
+
+/// Rejects a grid side of 0 or above `max`: [`MAX_GRID_SIDE`] for grids
+/// that are allocated, [`Workload::MAX_SIDE`] for the closed-form models.
+fn check_side(n: usize, max: usize) -> Result<(), ParspeedError> {
     if n == 0 {
         return Err(ParspeedError::invalid("grid side must be positive"));
     }
-    if n > MAX_GRID_SIDE {
-        return Err(ParspeedError::invalid(format!(
-            "grid side {n} exceeds the maximum of {MAX_GRID_SIDE}"
-        )));
+    if n > max {
+        return Err(ParspeedError::invalid(format!("grid side {n} exceeds the maximum of {max}")));
     }
     Ok(())
 }
@@ -204,6 +214,16 @@ fn budget_key(procs: Option<usize>) -> BudgetKey {
     }
 }
 
+/// The `(E(S), k(P,S))` a closed-form model evaluates with. The models
+/// divide by `E(S)`, so it must be positive and finite.
+fn model_constants(stencil: StencilSpec, shape: ShapeKey) -> Result<(f64, usize), ParspeedError> {
+    let (e, k) = stencil.constants(shape.to_shape());
+    if !(e.is_finite() && e > 0.0) {
+        return Err(ParspeedError::invalid(format!("E(S) must be positive and finite, got {e}")));
+    }
+    Ok((e, k))
+}
+
 fn optimize_key(
     arch: ArchKind,
     machine: MachineKey,
@@ -213,13 +233,8 @@ fn optimize_key(
     procs: Option<usize>,
     memory_words: Option<f64>,
 ) -> Result<EvalKey, ParspeedError> {
-    if n == 0 {
-        return Err(ParspeedError::invalid("grid side must be positive"));
-    }
-    let (e, k) = stencil.constants(shape.to_shape());
-    if !(e.is_finite() && e > 0.0) {
-        return Err(ParspeedError::invalid(format!("E(S) must be positive and finite, got {e}")));
-    }
+    check_side(n, Workload::MAX_SIDE)?;
+    let (e, k) = model_constants(stencil, shape)?;
     if let Some(words) = memory_words {
         if !(words.is_finite() && words > 0.0) {
             return Err(ParspeedError::invalid(format!(
@@ -278,7 +293,7 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
             if *procs == 0 {
                 return Err(ParspeedError::invalid("isoefficiency needs at least one processor"));
             }
-            let (e, k) = stencil.constants(shape.to_shape());
+            let (e, k) = model_constants(*stencil, *shape)?;
             Ok(Planned::Single(EvalKey::Isoefficiency {
                 arch: *arch,
                 machine: machine.to_key(),
@@ -295,10 +310,8 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
                     "lever factor must be positive and finite, got {factor}"
                 )));
             }
-            if workload.n == 0 {
-                return Err(ParspeedError::invalid("grid side must be positive"));
-            }
-            let (e, k) = workload.stencil.constants(workload.shape.to_shape());
+            check_side(workload.n, Workload::MAX_SIDE)?;
+            let (e, k) = model_constants(workload.stencil, workload.shape)?;
             Ok(Planned::Single(EvalKey::Leverage {
                 machine: machine.to_key(),
                 n: workload.n,
@@ -311,9 +324,7 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
             }))
         }
         Query::Table1 { machine, n, stencil } => {
-            if *n == 0 {
-                return Err(ParspeedError::invalid("grid side must be positive"));
-            }
+            check_side(*n, Workload::MAX_SIDE)?;
             Ok(Planned::Single(EvalKey::Table1 {
                 machine: machine.to_key(),
                 n: *n,
@@ -347,9 +358,7 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
             Ok(Planned::Multi(points))
         }
         Query::Simulate { arch, machine, workload, procs } => {
-            if workload.n == 0 {
-                return Err(ParspeedError::invalid("grid side must be positive"));
-            }
+            check_side(workload.n, Workload::MAX_SIDE)?;
             if *procs == 0 {
                 return Err(ParspeedError::invalid("simulate needs at least one processor"));
             }
@@ -367,7 +376,7 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
             }))
         }
         Query::Solve { n, solver, tol, stencil, partitions, max_iters, check } => {
-            check_grid_side(*n)?;
+            check_side(*n, MAX_GRID_SIDE)?;
             if !(tol.is_finite() && *tol > 0.0) {
                 return Err(ParspeedError::invalid(format!(
                     "tolerance must be positive and finite, got {tol}"
@@ -427,9 +436,14 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
             }))
         }
         Query::Threads { n, stencil, shape, threads, iters, repeats } => {
-            check_grid_side(*n)?;
+            check_side(*n, MAX_GRID_SIDE)?;
             if threads.is_empty() || threads.contains(&0) {
                 return Err(ParspeedError::invalid("threads needs a list of positive counts"));
+            }
+            if let Some(t) = threads.iter().find(|&&t| t > MAX_MEASURED_THREADS) {
+                return Err(ParspeedError::invalid(format!(
+                    "thread count {t} exceeds the maximum of {MAX_MEASURED_THREADS}"
+                )));
             }
             Ok(Planned::Effect(EffectKey::Threads {
                 n: *n,
@@ -447,11 +461,24 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
             if *n_from == 0 || n_to < n_from {
                 return Err(ParspeedError::invalid(format!("bad sweep range {n_from}..{n_to}")));
             }
+            check_side(*n_to, Workload::MAX_SIDE)?;
             if archs.is_empty() || stencils.is_empty() || shapes.is_empty() || budgets.is_empty() {
                 return Err(ParspeedError::invalid("sweep grid has an empty axis"));
             }
+            // Count the points before expanding any: one per doubling side
+            // n_from·2ʲ ≤ n_to on each (arch, stencil, shape, budget).
+            let sides = (n_to / n_from).ilog2() as usize + 1;
+            let count = [archs.len(), stencils.len(), shapes.len(), budgets.len(), sides]
+                .into_iter()
+                .try_fold(1usize, usize::checked_mul)
+                .filter(|&count| count <= MAX_SWEEP_POINTS)
+                .ok_or_else(|| {
+                    ParspeedError::invalid(format!(
+                        "sweep grid exceeds the maximum of {MAX_SWEEP_POINTS} points"
+                    ))
+                })?;
             let mkey = machine.to_key();
-            let mut points = Vec::new();
+            let mut points = Vec::with_capacity(count);
             // Grid order: arch, stencil, shape, budget, then the doubling
             // grid sides — the same order the CLI sweep prints.
             for arch in archs {
@@ -716,6 +743,101 @@ mod tests {
         }
     }
 
+    fn sweep(budgets: usize, n_from: usize, n_to: usize) -> Query {
+        Query::Sweep {
+            archs: vec![ArchKind::SyncBus],
+            machine: MachineSpec::default(),
+            stencils: vec![StencilSpec::FivePoint],
+            shapes: vec![ShapeKey::Square],
+            budgets: (0..budgets).map(Some).collect(),
+            n_from,
+            n_to,
+        }
+    }
+
+    fn refused(slot: &Slot, why: &str) -> bool {
+        matches!(slot, Slot::Invalid(e) if e.to_string().contains(why))
+    }
+
+    #[test]
+    fn sweeps_are_counted_before_they_expand() {
+        // 512 budgets × 8 doubling sides (1..=128), then one past either.
+        let plan = Plan::build(&[
+            sweep(512, 1, 255),
+            sweep(MAX_SWEEP_POINTS, 64, 64),
+            sweep(512, 1, 256),
+            sweep(MAX_SWEEP_POINTS + 1, 64, 64),
+        ]);
+        assert!(matches!(&plan.slots[0], Slot::Sweep(p) if p.len() == MAX_SWEEP_POINTS));
+        assert!(matches!(&plan.slots[1], Slot::Sweep(p) if p.len() == MAX_SWEEP_POINTS));
+        for slot in &plan.slots[2..] {
+            assert!(refused(slot, "maximum of 4096 points"), "{slot:?}");
+        }
+        // Axis lengths whose product overflows a usize are refused too.
+        let axis = 1 << 16;
+        let q = Query::Sweep {
+            archs: vec![ArchKind::SyncBus; axis],
+            machine: MachineSpec::default(),
+            stencils: vec![StencilSpec::FivePoint; axis],
+            shapes: vec![ShapeKey::Square; axis],
+            budgets: vec![None; axis],
+            n_from: 1,
+            n_to: 1,
+        };
+        assert!(refused(&Plan::build(&[q]).slots[0], "maximum of 4096 points"));
+    }
+
+    #[test]
+    fn model_sides_are_bounded_where_n_squared_fits() {
+        let spec = MachineSpec::default();
+        let square =
+            |n| WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square };
+        let every_op = |n| {
+            [
+                opt(n, None),
+                Query::Compare { machine: spec, workload: square(n), procs: None },
+                Query::Leverage {
+                    machine: spec,
+                    workload: square(n),
+                    procs: None,
+                    lever: crate::Lever::Bus,
+                    factor: 2.0,
+                },
+                Query::Table1 { machine: spec, n, stencil: StencilSpec::FivePoint },
+                Query::Simulate {
+                    arch: SimArchKind::SyncBus,
+                    machine: spec,
+                    workload: WorkloadSpec { shape: ShapeKey::Strip, ..square(n) },
+                    procs: 1,
+                },
+                sweep(1, n, n),
+            ]
+        };
+        let at = Plan::build(&every_op(Workload::MAX_SIDE));
+        let past = Plan::build(&every_op(Workload::MAX_SIDE + 1));
+        let why = format!("maximum of {}", Workload::MAX_SIDE);
+        for (i, (at, past)) in at.slots.iter().zip(&past.slots).enumerate() {
+            assert!(!matches!(at, Slot::Invalid(_)), "op {i}: {at:?}");
+            assert!(refused(past, &why), "op {i}: {past:?}");
+        }
+    }
+
+    #[test]
+    fn measured_thread_counts_are_bounded() {
+        let threads = |count| Query::Threads {
+            n: 15,
+            stencil: StencilSpec::FivePoint,
+            shape: ShapeKey::Strip,
+            threads: vec![1, count],
+            iters: 1,
+            repeats: 1,
+        };
+        // Planning only: executing the measurement would spawn the threads.
+        let plan = Plan::build(&[threads(MAX_MEASURED_THREADS), threads(MAX_MEASURED_THREADS + 1)]);
+        assert_eq!(plan.slots[0], Slot::Effect(0));
+        assert!(refused(&plan.slots[1], "maximum of 64"), "{:?}", plan.slots[1]);
+    }
+
     #[test]
     fn invalid_queries_keep_their_slot() {
         let bad = opt(0, None);
@@ -736,9 +858,26 @@ mod tests {
             (opt(256, Some(64)), 5_712_715_353_655_322_337),
             (opt(256, None), 7_661_062_608_780_813_326),
             (opt(64, Some(64)), 5_119_102_712_921_739_844),
-            (crate::Request::solve(31).solver(SolverKind::Cg).query(), 11_528_373_132_180_569_655),
             (
-                crate::Request::minsize(crate::MinSizeVariant::SyncSquare, 14).query(),
+                Query::Solve {
+                    n: 31,
+                    solver: SolverKind::Cg,
+                    tol: 1e-8,
+                    stencil: StencilSpec::FivePoint,
+                    partitions: 4,
+                    max_iters: 200_000,
+                    check: None,
+                },
+                11_528_373_132_180_569_655,
+            ),
+            (
+                Query::MinSize {
+                    variant: crate::MinSizeVariant::SyncSquare,
+                    machine: MachineSpec::default(),
+                    e: 6.0,
+                    k: 1.0,
+                    procs: 14,
+                },
                 4_027_797_555_404_432_814,
             ),
         ];

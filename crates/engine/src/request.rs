@@ -15,7 +15,7 @@ use parspeed_core::minsize::BusVariant;
 use parspeed_core::table1::Table1Row;
 use parspeed_core::{
     ArchModel, AsyncBus, Banyan, BusParams, Hypercube, HypercubeParams, MachineParams, Mesh,
-    ProcessorBudget, ScheduledBus, SwitchParams, SyncBus, Workload,
+    ProcessorBudget, ScheduledBus, SwitchParams, SyncBus,
 };
 use parspeed_exec::measure::MeasuredPoint;
 use parspeed_stencil::{PartitionShape, Stencil};
@@ -157,7 +157,8 @@ impl StencilSpec {
     }
 
     /// The canonical `(E(S), k(P,S))` constants for this spec under
-    /// `shape` — exactly the constants [`Workload::new`] would derive.
+    /// `shape` — exactly the constants
+    /// [`Workload::new`](parspeed_core::Workload::new) would derive.
     ///
     /// The named-stencil table is derived from the catalog once and
     /// memoized: the planner calls this for every atom of every batch, and
@@ -704,14 +705,6 @@ impl ShapeKey {
         }
     }
 
-    /// Canonicalizes a model shape.
-    pub fn from_shape(s: PartitionShape) -> Self {
-        match s {
-            PartitionShape::Strip => ShapeKey::Strip,
-            PartitionShape::Square => ShapeKey::Square,
-        }
-    }
-
     /// The CLI/JSONL name.
     pub fn name(self) -> &'static str {
         match self {
@@ -851,21 +844,6 @@ pub struct WorkloadSpec {
     pub stencil: StencilSpec,
     /// Partition shape.
     pub shape: ShapeKey,
-}
-
-impl WorkloadSpec {
-    /// Builds the exact [`Workload`] this spec denotes.
-    pub fn to_workload(&self) -> Result<Workload, String> {
-        if self.n == 0 {
-            return Err("grid side must be positive".into());
-        }
-        let shape = self.shape.to_shape();
-        let (e, k) = self.stencil.constants(shape);
-        if !(e.is_finite() && e > 0.0) {
-            return Err(format!("E(S) must be positive and finite, got {e}"));
-        }
-        Ok(Workload::with_constants(self.n, shape, e, k))
-    }
 }
 
 /// One query in a batch. `Sweep` is a macro-query the planner expands into
@@ -1297,6 +1275,7 @@ pub type EvalOutcome = Result<EvalValue, ParspeedError>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parspeed_core::Workload;
 
     #[test]
     fn machine_key_round_trips_bit_exactly() {
@@ -1350,19 +1329,6 @@ mod tests {
                 assert_eq!(direct.k, k, "{spec:?} {shape:?}");
             }
         }
-    }
-
-    #[test]
-    fn specs_resolving_to_same_numbers_share_a_key() {
-        let named =
-            WorkloadSpec { n: 128, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square };
-        let (e, k) = StencilSpec::FivePoint.constants(PartitionShape::Square);
-        let custom =
-            WorkloadSpec { n: 128, stencil: StencilSpec::Custom { e, k }, shape: ShapeKey::Square };
-        let wa = named.to_workload().unwrap();
-        let wb = custom.to_workload().unwrap();
-        assert_eq!(wa.e_flops, wb.e_flops);
-        assert_eq!(wa.k, wb.k);
     }
 
     #[test]

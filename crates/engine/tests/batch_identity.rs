@@ -145,7 +145,7 @@ fn minsize_iso_and_leverage_match_direct_calls() {
 
     let bus = SyncBus::new(&m);
     let template = Workload::new(2, &Stencil::five_point(), PartitionShape::Square);
-    let direct_iso = min_grid_for_efficiency(&bus, &template, 16, 0.5);
+    let direct_iso = min_grid_for_efficiency(&bus, &template, 16, 0.5).unwrap();
     match out.responses[1].single().unwrap() {
         Ok(EvalValue::Isoefficiency { n }) => assert_eq!(*n, direct_iso),
         other => panic!("unexpected {other:?}"),

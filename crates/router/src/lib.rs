@@ -78,8 +78,8 @@ pub use fault::{BreakerPolicy, RetryPolicy, SupervisorPolicy};
 use fault::{take_one, BreakerState, LaneFaults};
 use parspeed_chaos::{mix, FaultAction, FaultPlan};
 use parspeed_engine::{
-    jsonl, routing_hash, ArchKind, CheckpointStore, Engine, ParspeedError, Query, Request,
-    Response, WIRE_VERSION,
+    jsonl, routing_hash, ArchKind, CheckpointStore, Engine, MachineSpec, ParspeedError, Query,
+    Response, ShapeKey, StencilSpec, WorkloadSpec, WIRE_VERSION,
 };
 use parspeed_obs::ResilienceCounters;
 use parspeed_server::{
@@ -969,7 +969,17 @@ impl Core {
 
         // Readiness: the replacement must answer a real query before it
         // can own keys.
-        client.submit(Request::optimize(ArchKind::SyncBus, 64).procs(4).query());
+        client.submit(Query::Optimize {
+            arch: ArchKind::SyncBus,
+            machine: MachineSpec::default(),
+            workload: WorkloadSpec {
+                n: 64,
+                stencil: StencilSpec::FivePoint,
+                shape: ShapeKey::Square,
+            },
+            procs: Some(4),
+            memory_words: None,
+        });
         if client.recv_timeout(self.cfg.breaker.stall_after).is_none() {
             abandon(server, "readiness probe stalled");
             return;
@@ -1406,10 +1416,16 @@ impl WireHandler for RouterHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parspeed_engine::{ArchKind, EvalValue, Request};
+    use parspeed_engine::EvalValue;
 
     fn optimize(n: usize) -> Query {
-        Request::optimize(ArchKind::SyncBus, n).procs(64).query()
+        Query::Optimize {
+            arch: ArchKind::SyncBus,
+            machine: MachineSpec::default(),
+            workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+            procs: Some(64),
+            memory_words: None,
+        }
     }
 
     #[test]

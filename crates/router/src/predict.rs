@@ -34,8 +34,8 @@
 //! [`MemoryBudget::partition_words`]: parspeed_core::MemoryBudget::partition_words
 
 use parspeed_engine::{
-    ArchKind, Engine, EvalValue, MachineSpec, ParspeedError, Query, Request, Response, ShapeKey,
-    StencilSpec,
+    ArchKind, Engine, EvalValue, MachineSpec, ParspeedError, Query, Response, ShapeKey,
+    StencilSpec, WorkloadSpec,
 };
 
 /// What the fleet serves: the workload's cache-relevant profile. The
@@ -192,13 +192,13 @@ pub fn sizing_query(
             MachineSpec { tfp: Some(1e-12), b: Some(1.0), c: Some(0.0), ..MachineSpec::default() }
         }
     };
-    Request::optimize(ArchKind::SyncBus, n)
-        .shape(ShapeKey::Strip)
-        .stencil(StencilSpec::FivePoint)
-        .procs(max_shards)
-        .memory_words((3 * profile.shard_capacity + 4 * n) as f64)
-        .machine(machine)
-        .query()
+    Query::Optimize {
+        arch: ArchKind::SyncBus,
+        machine,
+        workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Strip },
+        procs: Some(max_shards),
+        memory_words: Some((3 * profile.shard_capacity + 4 * n) as f64),
+    }
 }
 
 /// The optimizer's answer, translated back into serving terms.
@@ -319,7 +319,17 @@ mod tests {
             if i == 16 {
                 router.kill_shard(0).expect("shard 0 was live");
             }
-            let q = Request::optimize(ArchKind::SyncBus, n).procs(32).query();
+            let q = Query::Optimize {
+                arch: ArchKind::SyncBus,
+                machine: MachineSpec::default(),
+                workload: WorkloadSpec {
+                    n,
+                    stencil: StencilSpec::FivePoint,
+                    shape: ShapeKey::Square,
+                },
+                procs: Some(32),
+                memory_words: None,
+            };
             assert!(matches!(client.call(q), Response::Single(Ok(_))));
         }
         let seconds = t0.elapsed().as_secs_f64().max(1e-9);

@@ -8,7 +8,8 @@
 
 use parspeed_chaos::FaultPlan;
 use parspeed_engine::{
-    routing_hash, ArchKind, Engine, Query, Request, Response, ShapeKey, StencilSpec,
+    routing_hash, ArchKind, Engine, MachineSpec, Query, Response, ShapeKey, StencilSpec,
+    WorkloadSpec,
 };
 use parspeed_router::ring::HashRing;
 use parspeed_router::{BreakerPolicy, RetryPolicy, Router, RouterConfig};
@@ -17,7 +18,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn query(n: usize) -> Query {
-    Request::optimize(ArchKind::SyncBus, n).procs(32).query()
+    Query::Optimize {
+        arch: ArchKind::SyncBus,
+        machine: MachineSpec::default(),
+        workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+        procs: Some(32),
+        memory_words: None,
+    }
 }
 
 /// A wall-clock measurement: the one query class that must never be

@@ -8,7 +8,10 @@
 //! [`Engine::run_batch`] on a reference engine — the serial-identity
 //! property extended to the fleet.
 
-use parspeed_engine::{jsonl, ArchKind, Engine, Query, Request, Response, WIRE_VERSION};
+use parspeed_engine::{
+    jsonl, ArchKind, Engine, MachineSpec, Query, Response, ShapeKey, StencilSpec, WorkloadSpec,
+    WIRE_VERSION,
+};
 use parspeed_router::{Router, RouterConfig};
 use parspeed_server::ServerConfig;
 use std::sync::{Arc, Barrier};
@@ -32,7 +35,17 @@ impl Lcg {
 /// so a leaked or swapped reply is always a visible value mismatch.
 fn query_for(client: usize, tag: usize) -> Query {
     assert!(tag < 101);
-    Request::optimize(ArchKind::SyncBus, 64 + (client * 101 + tag)).procs(32).query()
+    Query::Optimize {
+        arch: ArchKind::SyncBus,
+        machine: MachineSpec::default(),
+        workload: WorkloadSpec {
+            n: 64 + (client * 101 + tag),
+            stencil: StencilSpec::FivePoint,
+            shape: ShapeKey::Square,
+        },
+        procs: Some(32),
+        memory_words: None,
+    }
 }
 
 fn fleet(shards: usize, window: Duration) -> Router {

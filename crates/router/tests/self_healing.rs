@@ -8,8 +8,8 @@
 
 use parspeed_chaos::FaultPlan;
 use parspeed_engine::{
-    jsonl, routing_hash, ArchKind, CheckpointPolicy, CheckpointStore, Engine, Query, Request,
-    Response, SolverKind, StencilSpec,
+    jsonl, routing_hash, ArchKind, CheckpointPolicy, CheckpointStore, Engine, MachineSpec, Query,
+    Response, ShapeKey, SolverKind, StencilSpec, WorkloadSpec,
 };
 use parspeed_router::ring::HashRing;
 use parspeed_router::{Router, RouterConfig, SupervisorPolicy};
@@ -18,7 +18,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn query(n: usize) -> Query {
-    Request::optimize(ArchKind::SyncBus, n).procs(32).query()
+    Query::Optimize {
+        arch: ArchKind::SyncBus,
+        machine: MachineSpec::default(),
+        workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+        procs: Some(32),
+        memory_words: None,
+    }
 }
 
 /// A supervised fleet tuned for test speed: millisecond debounce and

@@ -9,14 +9,23 @@
 //! answer the documented `overloaded` refusal with a machine-readable
 //! `retry_after_ms=` hint.
 
-use parspeed_engine::{routing_hash, ArchKind, Engine, Query, Request, Response};
+use parspeed_engine::{
+    routing_hash, ArchKind, Engine, MachineSpec, Query, Response, ShapeKey, StencilSpec,
+    WorkloadSpec,
+};
 use parspeed_router::ring::HashRing;
 use parspeed_router::{Router, RouterConfig};
 use parspeed_server::ServerConfig;
 use std::time::Duration;
 
 fn query(n: usize) -> Query {
-    Request::optimize(ArchKind::SyncBus, n).procs(32).query()
+    Query::Optimize {
+        arch: ArchKind::SyncBus,
+        machine: MachineSpec::default(),
+        workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+        procs: Some(32),
+        memory_words: None,
+    }
 }
 
 /// A fleet whose backends hold requests in a long window, so the test

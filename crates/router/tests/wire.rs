@@ -7,7 +7,9 @@
 //! Everything else scatters, gathers, and comes back bit-identical to a
 //! serial engine, in slot order, parse errors included.
 
-use parspeed_engine::{jsonl, ArchKind, Engine, Query, Request, WIRE_VERSION};
+use parspeed_engine::{
+    jsonl, ArchKind, Engine, MachineSpec, Query, ShapeKey, StencilSpec, WorkloadSpec, WIRE_VERSION,
+};
 use parspeed_router::{Router, RouterConfig};
 use parspeed_server::ServerConfig;
 use std::io::{BufRead, BufReader, Write};
@@ -40,7 +42,13 @@ fn roundtrip(addr: SocketAddr, lines: &[&str]) -> Vec<String> {
 }
 
 fn optimize(n: usize) -> Query {
-    Request::optimize(ArchKind::SyncBus, n).procs(64).query()
+    Query::Optimize {
+        arch: ArchKind::SyncBus,
+        machine: MachineSpec::default(),
+        workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+        procs: Some(64),
+        memory_words: None,
+    }
 }
 
 #[test]

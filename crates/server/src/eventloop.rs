@@ -547,7 +547,11 @@ impl EventLoop {
             // Blank lines consume a line number but answer nothing, so
             // error slots keep matching the client's own line count.
             c.line_no += 1;
-            if !c.rbuf[start..end].iter().all(|b| b.is_ascii_whitespace()) {
+            if end - start > max_line {
+                // The whole line arrived in one read: it answers as it
+                // would have while still arriving.
+                answer_oversize(&c.conn, c.line_no, max_line);
+            } else if !c.rbuf[start..end].iter().all(|b| b.is_ascii_whitespace()) {
                 let backlog = c.pending_out();
                 let shed_msg = (backlog >= shed_limit).then(|| shed_message(backlog));
                 // Slice the line out of the reusable buffer: zero-copy

@@ -40,13 +40,22 @@
 //! `parspeed serve`.
 //!
 //! ```
-//! use parspeed_engine::{ArchKind, Engine, EvalValue, Request, Response};
+//! use parspeed_engine::{
+//!     ArchKind, Engine, EvalValue, MachineSpec, Query, Response, ShapeKey, StencilSpec,
+//!     WorkloadSpec,
+//! };
 //! use parspeed_server::{Server, ServerConfig};
 //! use std::sync::Arc;
 //!
 //! let server = Server::start(Arc::new(Engine::default()), ServerConfig::default());
 //! let client = server.client();
-//! let response = client.call(Request::optimize(ArchKind::SyncBus, 256).procs(64).query());
+//! let response = client.call(Query::Optimize {
+//!     arch: ArchKind::SyncBus,
+//!     machine: MachineSpec::default(),
+//!     workload: WorkloadSpec { n: 256, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+//!     procs: Some(64),
+//!     memory_words: None,
+//! });
 //! match response {
 //!     Response::Single(Ok(EvalValue::Optimum { processors, .. })) => {
 //!         assert_eq!(processors, 14); // the paper's §6.1 anchor
@@ -435,10 +444,16 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parspeed_engine::{ArchKind, EvalValue, Request};
+    use parspeed_engine::{ArchKind, EvalValue, MachineSpec, ShapeKey, StencilSpec, WorkloadSpec};
 
     fn optimize(n: usize) -> Query {
-        Request::optimize(ArchKind::SyncBus, n).procs(64).query()
+        Query::Optimize {
+            arch: ArchKind::SyncBus,
+            machine: MachineSpec::default(),
+            workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+            procs: Some(64),
+            memory_words: None,
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   seq)` answers *that* slot's query; any routing mix-up surfaces as a
 //!   value mismatch because no two slots share a query.
 
-use parspeed_engine::{ArchKind, Engine, Query, Request, Response};
+use parspeed_engine::{
+    ArchKind, Engine, MachineSpec, Query, Response, ShapeKey, StencilSpec, WorkloadSpec,
+};
 use parspeed_server::{Server, ServerConfig};
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
@@ -40,7 +42,17 @@ impl Lcg {
 /// answer — a leaked or swapped reply is always a visible mismatch.
 fn query_for(client: usize, tag: usize) -> Query {
     assert!(tag < 101);
-    Request::optimize(ArchKind::SyncBus, 64 + (client * 101 + tag)).procs(32).query()
+    Query::Optimize {
+        arch: ArchKind::SyncBus,
+        machine: MachineSpec::default(),
+        workload: WorkloadSpec {
+            n: 64 + (client * 101 + tag),
+            stencil: StencilSpec::FivePoint,
+            shape: ShapeKey::Square,
+        },
+        procs: Some(32),
+        memory_words: None,
+    }
 }
 
 /// Runs one scripted schedule and checks every reply against the serial

@@ -5,7 +5,10 @@
 //! frame exactly as whole ones.
 
 use parspeed_engine::jsonl;
-use parspeed_engine::{jsonl::render_response, ArchKind, Engine, Query, Request, WIRE_VERSION};
+use parspeed_engine::{
+    jsonl::render_response, ArchKind, Engine, MachineSpec, Query, ShapeKey, StencilSpec,
+    WorkloadSpec, WIRE_VERSION,
+};
 use parspeed_server::{EventLoopConfig, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -45,7 +48,13 @@ fn proc_status(field: &str) -> u64 {
 fn soak_queries() -> Vec<Query> {
     [64usize, 128, 256]
         .iter()
-        .map(|&n| Request::optimize(ArchKind::SyncBus, n).procs(64).query())
+        .map(|&n| Query::Optimize {
+            arch: ArchKind::SyncBus,
+            machine: MachineSpec::default(),
+            workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+            procs: Some(64),
+            memory_words: None,
+        })
         .collect()
 }
 
@@ -387,6 +396,27 @@ fn pipelined_lines_cut_across_reads_frame_exactly() {
     assert_eq!(v.get("line").unwrap().as_usize(), Some(2), "{}", replies[1]);
     assert_eq!(replies[2], expected[1], "the line starting in the discard's last read");
     assert_eq!(replies[3], expected[2]);
+    server.shutdown();
+}
+
+/// A line past `max_line` whose newline arrives in the same read as the
+/// bytes that cross the limit answers the oversize error too, so the
+/// bound does not depend on how the client's writes were split.
+#[test]
+fn an_oversize_line_read_whole_answers_the_limit() {
+    let (server, addr) = start_server(ServerConfig {
+        event_loop: EventLoopConfig { max_line: 4096, ..EventLoopConfig::default() },
+        ..base_config()
+    });
+    let oversize = format!("{{\"op\":\"table1\",\"pad\":\"{}\"}}", "x".repeat(5000));
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(format!("{oversize}\n{}\n", soak_lines()[0]).as_bytes()).expect("write");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let replies: Vec<String> = BufReader::new(stream).lines().map(|l| l.expect("read")).collect();
+    assert_eq!(replies.len(), 2, "{replies:?}");
+    assert!(replies[0].contains("4096-byte limit"), "{}", replies[0]);
+    assert!(replies[0].contains(r#""line":1"#), "{}", replies[0]);
+    assert!(replies[1].contains(r#""ok":true"#), "{}", replies[1]);
     server.shutdown();
 }
 

@@ -3,7 +3,7 @@
 //! answer well-formed wire records, and turning observation off leaves
 //! no residue (and costs no samples).
 
-use parspeed_engine::{jsonl, Engine, Query, Request, Response, SolverKind};
+use parspeed_engine::{jsonl, Engine, Query, Response, SolverKind, StencilSpec};
 use parspeed_obs::Stage;
 use parspeed_server::{Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
@@ -14,7 +14,15 @@ use std::time::{Duration, Instant};
 fn heavy(i: usize) -> Query {
     // Distinct CG solves (no two share a cache key), heavy enough that
     // engine exec dominates the end-to-end time.
-    Request::solve(31).solver(SolverKind::Cg).tol(1e-10).max_iters(10_000 + i).query()
+    Query::Solve {
+        n: 31,
+        solver: SolverKind::Cg,
+        tol: 1e-10,
+        stencil: StencilSpec::FivePoint,
+        partitions: 4,
+        max_iters: 10_000 + i,
+        check: None,
+    }
 }
 
 fn roundtrip(addr: SocketAddr, lines: &[&str]) -> Vec<String> {

@@ -3,13 +3,21 @@
 //! the server recovers to full throughput after the burst (no stuck
 //! permits), and drain-on-shutdown flushes every accepted request.
 
-use parspeed_engine::{ArchKind, Engine, Query, Request, Response};
+use parspeed_engine::{
+    ArchKind, Engine, MachineSpec, Query, Response, ShapeKey, StencilSpec, WorkloadSpec,
+};
 use parspeed_server::{Server, ServerConfig};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn optimize(n: usize) -> Query {
-    Request::optimize(ArchKind::SyncBus, n).procs(32).query()
+    Query::Optimize {
+        arch: ArchKind::SyncBus,
+        machine: MachineSpec::default(),
+        workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+        procs: Some(32),
+        memory_words: None,
+    }
 }
 
 /// Deterministic saturation: the window is far longer than the test, so

@@ -5,13 +5,21 @@
 //! server survives.
 
 use parspeed_chaos::FaultPlan;
-use parspeed_engine::{ArchKind, Engine, Query, Request, Response};
+use parspeed_engine::{
+    ArchKind, Engine, MachineSpec, Query, Response, ShapeKey, StencilSpec, WorkloadSpec,
+};
 use parspeed_server::{BrownoutConfig, Server, ServerConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn optimize(n: usize) -> Query {
-    Request::optimize(ArchKind::SyncBus, n).procs(32).query()
+    Query::Optimize {
+        arch: ArchKind::SyncBus,
+        machine: MachineSpec::default(),
+        workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+        procs: Some(32),
+        memory_words: None,
+    }
 }
 
 /// A request whose deadline expires while it queues answers the

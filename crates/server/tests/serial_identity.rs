@@ -19,9 +19,7 @@
 //! one exclusion: it is a wall-clock measurement, nondeterministic by
 //! definition, so bit-identity is not a meaningful property for it.
 
-use parspeed_engine::{
-    ArchKind, Engine, Lever, MinSizeVariant, Query, Request, Response, SimArchKind, SolverKind,
-};
+use parspeed_engine::{jsonl, Engine, Query, Response};
 use parspeed_server::{Server, ServerConfig};
 use proptest::prelude::*;
 use std::sync::{Arc, Barrier};
@@ -30,19 +28,22 @@ use std::time::Duration;
 /// Every deterministic query kind, smallest instances that still
 /// exercise real code paths.
 fn pool() -> Vec<Query> {
-    vec![
-        Request::optimize(ArchKind::SyncBus, 256).procs(64).query(),
-        Request::optimize(ArchKind::Hypercube, 512).query(),
-        Request::minsize(MinSizeVariant::SyncSquare, 14).query(),
-        Request::isoeff(ArchKind::SyncBus, 16, 0.5).query(),
-        Request::leverage(Lever::Bus, 2.0, 128).query(),
-        Request::sweep(32, 128).query(),
-        Request::table1(128).query(),
-        Request::compare(64).procs(16).query(),
-        Request::simulate(SimArchKind::SyncBus, 32, 2).query(),
-        Request::solve(15).solver(SolverKind::Cg).tol(1e-6).max_iters(10_000).query(),
-        Request::experiment("e1").quick(true).query(),
+    [
+        r#"{"op":"optimize","arch":"sync-bus","n":256,"stencil":"5pt","shape":"square","procs":64}"#,
+        r#"{"op":"optimize","arch":"hypercube","n":512,"stencil":"5pt","shape":"square"}"#,
+        r#"{"op":"minsize","variant":"sync-square","e":6.0,"k":1.0,"procs":14}"#,
+        r#"{"op":"isoeff","arch":"sync-bus","stencil":"5pt","shape":"square","procs":16,"efficiency":0.5}"#,
+        r#"{"op":"leverage","n":128,"stencil":"5pt","shape":"square","lever":"bus","factor":2.0}"#,
+        r#"{"op":"sweep","arch":["sync-bus"],"stencil":"5pt","shape":["square"],"n_from":32,"n_to":128}"#,
+        r#"{"op":"table1","n":128}"#,
+        r#"{"op":"compare","n":64,"stencil":"5pt","shape":"square","procs":16}"#,
+        r#"{"op":"simulate","arch":"sync-bus","n":32,"stencil":"5pt","shape":"strip","procs":2}"#,
+        r#"{"op":"solve","n":15,"solver":"cg","tol":1e-6,"max_iters":10000}"#,
+        r#"{"op":"experiment","id":"e1","quick":true}"#,
     ]
+    .iter()
+    .map(|line| jsonl::parse_query(line).expect("pool lines parse").query)
+    .collect()
 }
 
 proptest! {

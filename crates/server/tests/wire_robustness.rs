@@ -206,6 +206,32 @@ fn huge_deadline_budget_saturates_instead_of_killing_the_connection() {
 }
 
 #[test]
+fn an_oversized_sweep_answers_in_its_slot_and_the_server_keeps_serving() {
+    let (server, addr) = start_tcp_server();
+    // Four 30-long axes and seven doubling sides: 30⁴ × 7 = 5.67 M points
+    // from a 961-byte line. Expanded, they are gigabytes, so the planner
+    // counts them first and refuses the line in its slot.
+    let axis = |item: &str| vec![item; 30].join(",");
+    let sweep = format!(
+        r#"{{"op":"sweep","version":2,"arch":[{}],"stencil":[{}],"shape":[{}],"procs":[{}],"n_from":64,"n_to":4096}}"#,
+        axis(r#""sync-bus""#),
+        axis(r#""5pt""#),
+        axis(r#""square""#),
+        axis("16"),
+    );
+    assert_eq!(sweep.len(), 961);
+    let replies = roundtrip(addr, &[&sweep, GOOD_V2]);
+    assert_eq!(replies.len(), 2, "{replies:?}");
+    assert!(replies[0].contains(r#""error_kind":"invalid_request""#), "{}", replies[0]);
+    let v = jsonl::parse(&replies[1]).unwrap();
+    assert_eq!(v.get("ok"), Some(&jsonl::Json::Bool(true)), "{}", replies[1]);
+    // A new connection is still served.
+    let again = roundtrip(addr, &[GOOD_V2]);
+    assert_eq!(again, replies[1..]);
+    server.shutdown();
+}
+
+#[test]
 fn health_keeps_the_frozen_prefix_and_appends_brownout() {
     let (server, addr) = start_tcp_server();
     let replies = roundtrip(addr, &[r#"{"op":"health","version":2}"#]);

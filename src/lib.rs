@@ -41,13 +41,19 @@
 //! ```
 //!
 //! The same question through the engine — planned, deduplicated, and
-//! cached, with builder-style query construction:
+//! cached — as a typed query:
 //!
 //! ```
 //! use parspeed::prelude::*;
 //!
 //! let engine = Engine::builder().build();
-//! let out = engine.run_batch(&[Request::optimize(ArchKind::SyncBus, 256).procs(64).query()]);
+//! let out = engine.run_batch(&[Query::Optimize {
+//!     arch: ArchKind::SyncBus,
+//!     machine: MachineSpec::default(),
+//!     workload: WorkloadSpec { n: 256, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+//!     procs: Some(64),
+//!     memory_words: None,
+//! }]);
 //! match &out.responses[0] {
 //!     Response::Single(Ok(EvalValue::Optimum { processors, .. })) => {
 //!         assert_eq!(*processors, 14);
@@ -77,7 +83,7 @@ pub mod prelude {
     };
     pub use parspeed_engine::{
         ArchKind, BatchTelemetry, Engine, EngineBuilder, EvalOutcome, EvalValue, MachineSpec,
-        ParspeedError, Query, Request, Response, ShapeKey, SimArchKind, SolverKind, StencilSpec,
+        ParspeedError, Query, Response, ShapeKey, SimArchKind, SolverKind, StencilSpec,
         WorkloadSpec, WIRE_VERSION,
     };
     pub use parspeed_grid::{Grid2D, RectDecomposition, StripDecomposition, WorkingRectangles};
