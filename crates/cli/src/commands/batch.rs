@@ -1,9 +1,10 @@
 //! `parspeed batch` — run a JSONL request batch through the query engine.
 
 use crate::args::{err, Args, CliError};
-use parspeed_engine::{jsonl, Engine};
+use parspeed_engine::{jsonl, Engine, ParspeedError, Response};
 use parspeed_obs::{render_exposition, StageSet, StageSummary};
 use std::io::Read as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 pub const KEYS: &[&str] = &["input", "cache", "cache-capacity", "shards", "threads"];
@@ -90,7 +91,9 @@ pub struct BatchReply {
 }
 
 /// Evaluates the JSONL payload and renders the JSONL reply (separated from
-/// [`run`] so tests can drive it without touching stdin or files).
+/// [`run`] so tests can drive it without touching stdin or files). Should
+/// the engine panic, every parsed slot answers `internal` and `stats`
+/// appends no telemetry record.
 pub fn run_lines(engine: &Engine, text: &str, stats: bool) -> BatchReply {
     // Parse every line first; parse failures keep their slot so responses
     // line up with requests. Line numbers are 1-based over the raw input
@@ -107,18 +110,29 @@ pub fn run_lines(engine: &Engine, text: &str, stats: bool) -> BatchReply {
     }
     let queries: Vec<parspeed_engine::Query> =
         parsed.iter().filter_map(|(_, p)| p.as_ref().ok().map(|pl| pl.query.clone())).collect();
-    let out = engine.run_batch(&queries);
+    // The batcher's shield: a panic inside the engine answers every parsed
+    // slot `internal` in its place instead of ending the process with no
+    // reply at all. Parse-error slots keep their own replies.
+    let out = catch_unwind(AssertUnwindSafe(|| engine.run_batch(&queries))).ok();
+    let panicked = Response::Invalid(ParspeedError::Internal(
+        "the engine panicked while serving the batch; the request may or may not have been \
+         evaluated"
+            .into(),
+    ));
 
     let mut v1_lines = 0usize;
     let mut rendered = Vec::with_capacity(lines.len() + 1);
-    let mut responses = out.responses.iter();
+    let mut responses = out.as_ref().map(|out| out.responses.iter());
     for (line_no, p) in &parsed {
         match p {
             Ok(parsed_line) => {
                 if parsed_line.version < parspeed_engine::WIRE_VERSION {
                     v1_lines += 1;
                 }
-                let response = responses.next().expect("one response per parsed query");
+                let response = match &mut responses {
+                    Some(responses) => responses.next().expect("one response per parsed query"),
+                    None => &panicked,
+                };
                 rendered.push(jsonl::render_response(
                     &parsed_line.query,
                     response,
@@ -129,7 +143,8 @@ pub fn run_lines(engine: &Engine, text: &str, stats: bool) -> BatchReply {
             Err(e) => rendered.push(jsonl::render_parse_error(e, *line_no)),
         }
     }
-    if stats {
+    // A batch that panicked has no telemetry to report.
+    if let Some(out) = out.as_ref().filter(|_| stats) {
         rendered.push(jsonl::render_telemetry(&out.telemetry));
     }
     BatchReply { stdout: rendered.join("\n"), v1_lines }
@@ -257,6 +272,42 @@ mod tests {
         // renderer skips empty histograms rather than printing zeros.
         assert!(!text.contains("stage=\"queue\""), "{text}");
         assert!(!text.contains("stage=\"route\""), "{text}");
+    }
+
+    /// A panic inside the engine answers each parsed slot `internal` in
+    /// its place, parse-error slots keep their own replies, and the run
+    /// returns instead of ending the process.
+    #[test]
+    fn an_engine_panic_answers_internal_in_every_parsed_slot() {
+        let engine = Engine::builder()
+            .threads(1)
+            .experiment_runner(|_, _| panic!("experiment runner failed"))
+            .build();
+        let text = [
+            r#"{"op":"table1","version":2,"n":512,"stencil":"5pt"}"#,
+            "not json",
+            r#"{"op":"experiment","version":2,"id":"e1","quick":true}"#,
+            r#"{"op":"minsize","variant":"sync-square","e":6.0,"k":1.0,"procs":14}"#,
+        ]
+        .join("\n");
+        let reply = run_lines(&engine, &text, true);
+        let out: Vec<&str> = reply.stdout.lines().collect();
+        assert_eq!(out.len(), 4, "one reply per line and no telemetry: {out:?}");
+        for (slot, version) in [(0, 2), (2, 2), (3, 1)] {
+            let back = jsonl::parse(out[slot]).unwrap();
+            assert_eq!(back.get("ok"), Some(&jsonl::Json::Bool(false)), "{}", out[slot]);
+            assert_eq!(back.get("line").unwrap().as_usize(), Some(slot + 1), "{}", out[slot]);
+            assert!(out[slot].contains("panicked"), "{}", out[slot]);
+            if version == 2 {
+                assert_eq!(back.get("error_kind").unwrap().as_str(), Some("internal"));
+            }
+        }
+        let alone = lines("not json", false);
+        assert_eq!(
+            out[1].replace("\"line\":2", "\"line\":1"),
+            alone[0],
+            "parse slot keeps its reply"
+        );
     }
 
     #[test]

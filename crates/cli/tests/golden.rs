@@ -178,6 +178,21 @@ fn batch_v1_golden() {
     assert_eq!(actual, expected, "wire-v1 batch responses drifted");
 }
 
+/// Every wire-v2 reply shape, byte for byte: each model op, a sweep with
+/// a custom stencil and an unlimited budget, `invalid_request` and
+/// `infeasible` slots, v1 and v2 parse errors, and an experiment report
+/// whose text carries `\n` escapes and non-ASCII characters. Recorded
+/// from the tree-building renderer, so the direct reply writer must
+/// reproduce its every byte.
+#[test]
+fn batch_v2_golden() {
+    let input = golden_dir().join("batch_v2_input.jsonl");
+    let expected =
+        std::fs::read_to_string(golden_dir().join("batch_v2_output.jsonl")).expect("golden");
+    let actual = run_cli(&["batch", "--input", input.to_str().unwrap()]);
+    assert_eq!(actual, expected, "wire-v2 batch responses drifted");
+}
+
 /// `rbsor` and `multigrid` replies, byte for byte (full `{:?}` digits of
 /// every float): the golden was recorded from the natural-layout
 /// red-black sweep and V-cycle, so any bit a kernel change moves shows.

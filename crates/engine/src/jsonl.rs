@@ -10,15 +10,18 @@
 //! input line number in `"line"`.
 //!
 //! The environment has no serde, so this module carries a small, strict
-//! JSON reader/writer of its own. Floats are written with Rust's
-//! shortest-round-trip formatting and parsed with `str::parse::<f64>`, so
-//! a value survives a serialize → parse round trip bit-identically.
+//! JSON reader/writer of its own. Requests are read into a [`Json`] tree;
+//! replies are written field by field straight into one `String`, with
+//! static keys and no tree, through the same number writer and string
+//! escaper [`Json::render`] uses, so the two writers agree on every byte.
+//! Floats are written with Rust's shortest-round-trip formatting and
+//! parsed with `str::parse::<f64>`, so a value survives a serialize →
+//! parse round trip bit-identically.
 
 use crate::error::ParspeedError;
-use crate::plan::PointLabel;
 use crate::request::{
-    ArchKind, CheckSpec, EvalOutcome, EvalValue, Lever, MachineSpec, MinSizeVariant, Query,
-    ShapeKey, SimArchKind, SolverKind, StencilSpec, WorkloadSpec,
+    ArchKind, CheckSpec, EvalValue, Lever, MachineSpec, MinSizeVariant, Query, ShapeKey,
+    SimArchKind, SolverKind, StencilSpec, WorkloadSpec,
 };
 use crate::{BatchTelemetry, Response};
 use std::fmt::Write as _;
@@ -100,39 +103,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => {
-                if x.is_finite() {
-                    let integral =
-                        x.fract() == 0.0 && x.abs() < 1e15 && !(*x == 0.0 && x.is_sign_negative());
-                    if integral {
-                        // Counts print bare; the round trip is still exact.
-                        let _ = write!(out, "{}", *x as i64);
-                    } else {
-                        // Rust's Debug float formatting is shortest-round-
-                        // trip and always a valid JSON number.
-                        let _ = write!(out, "{x:?}");
-                    }
-                } else {
-                    out.push_str("null"); // JSON has no NaN/inf
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for ch in s.chars() {
-                    match ch {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Json::Num(x) => write_num(out, *x),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -149,7 +121,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    Json::Str(k.clone()).write(out);
+                    write_str(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -157,6 +129,51 @@ impl Json {
             }
         }
     }
+}
+
+/// Appends `x` by the wire's number rules: an integral value below 1e15
+/// prints as an integer, `-0` as `-0.0`, any other finite value in Rust's
+/// shortest round-trip form, and a non-finite one as `null` (JSON has no
+/// NaN or infinity). Parsing the text back recovers a finite `x` bit for
+/// bit.
+fn write_num(out: &mut String, x: f64) {
+    if !x.is_finite() {
+        out.push_str("null");
+    } else if x.fract() == 0.0 && x.abs() < 1e15 && !(x == 0.0 && x.is_sign_negative()) {
+        let _ = write!(out, "{}", x as i64);
+    } else {
+        // Debug float formatting is shortest-round-trip and always a
+        // valid JSON number.
+        let _ = write!(out, "{x:?}");
+    }
+}
+
+/// Appends `s` as a JSON string: `"`, `\`, `\n`, `\r` and `\t` are
+/// escaped, other C0 controls become `\u00XX`, and everything else is
+/// copied as raw UTF-8, one unescaped run at a time.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // Every byte escaped is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// Deepest array/object nesting [`parse`] accepts. Every request this
@@ -735,50 +752,112 @@ fn query_of(obj: &Json) -> Result<Query, String> {
     }
 }
 
-fn value_fields(value: &EvalValue) -> Vec<(String, Json)> {
+/// Room for a typical single reply (~400 bytes) without regrowing.
+const REPLY_CAPACITY: usize = 512;
+
+/// One JSON object written field by field straight into a reply buffer.
+/// Keys are static literals that need no escaping; values go through the
+/// number writer and escaper [`Json::write`] uses, so a direct reply and
+/// a rendered tree agree on every byte.
+struct Obj<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> Obj<'a> {
+    fn open(out: &'a mut String) -> Self {
+        out.push('{');
+        Obj { out, empty: true }
+    }
+
+    /// Writes `"key":`, after a comma unless it is the first field, and
+    /// returns the buffer the value goes into.
+    fn key(&mut self, key: &'static str) -> &mut String {
+        self.out.push_str(if self.empty { "\"" } else { ",\"" });
+        self.empty = false;
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        self.out
+    }
+
+    fn num(&mut self, key: &'static str, x: f64) {
+        write_num(self.key(key), x);
+    }
+
+    /// A count is a number on this wire: below 1e15 it prints bare.
+    fn count(&mut self, key: &'static str, n: usize) {
+        self.num(key, n as f64);
+    }
+
+    fn str(&mut self, key: &'static str, s: &str) {
+        write_str(self.key(key), s);
+    }
+
+    fn bool(&mut self, key: &'static str, b: bool) {
+        self.key(key).push_str(if b { "true" } else { "false" });
+    }
+
+    /// Writes `"key":[…]` with one object per item, its fields written
+    /// by `fields`.
+    fn objs<T>(&mut self, key: &'static str, items: &[T], fields: impl Fn(&mut Obj, &T)) {
+        let out = self.key(key);
+        out.push('[');
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let mut obj = Obj::open(out);
+            fields(&mut obj, item);
+            obj.close();
+        }
+        out.push(']');
+    }
+
+    fn close(self) {
+        self.out.push('}');
+    }
+}
+
+/// Opens a reply object: `version` leads on wire v2; v1 adds nothing.
+fn open_reply(out: &mut String, version: u32) -> Obj<'_> {
+    let mut obj = Obj::open(out);
+    if version >= WIRE_VERSION {
+        obj.count("version", WIRE_VERSION as usize);
+    }
+    obj
+}
+
+fn write_value(obj: &mut Obj, value: &EvalValue) {
     match value {
         EvalValue::Optimum { processors, area, cycle_time, speedup, efficiency, used_all } => {
-            vec![
-                ("processors".into(), Json::Num(*processors as f64)),
-                ("area".into(), Json::Num(*area)),
-                ("cycle_time".into(), Json::Num(*cycle_time)),
-                ("speedup".into(), Json::Num(*speedup)),
-                ("efficiency".into(), Json::Num(*efficiency)),
-                ("used_all".into(), Json::Bool(*used_all)),
-            ]
+            obj.count("processors", *processors);
+            obj.num("area", *area);
+            obj.num("cycle_time", *cycle_time);
+            obj.num("speedup", *speedup);
+            obj.num("efficiency", *efficiency);
+            obj.bool("used_all", *used_all);
         }
-        EvalValue::MinSize { n_side, log2_points } => vec![
-            ("n_side".into(), Json::Num(*n_side)),
-            ("log2_points".into(), Json::Num(*log2_points)),
-        ],
-        EvalValue::Isoefficiency { n } => vec![("n".into(), Json::Num(*n as f64))],
-        EvalValue::Leverage { baseline, upgraded, factor } => vec![
-            ("baseline".into(), Json::Num(*baseline)),
-            ("upgraded".into(), Json::Num(*upgraded)),
-            ("factor".into(), Json::Num(*factor)),
-        ],
-        EvalValue::Table1 { rows } => vec![(
-            "rows".into(),
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::Obj(vec![
-                            ("architecture".into(), Json::Str(r.architecture.into())),
-                            ("optimal_speedup".into(), Json::Num(r.optimal_speedup)),
-                            ("formula".into(), Json::Str(r.formula.into())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )],
+        EvalValue::MinSize { n_side, log2_points } => {
+            obj.num("n_side", *n_side);
+            obj.num("log2_points", *log2_points);
+        }
+        EvalValue::Isoefficiency { n } => obj.count("n", *n),
+        EvalValue::Leverage { baseline, upgraded, factor } => {
+            obj.num("baseline", *baseline);
+            obj.num("upgraded", *upgraded);
+            obj.num("factor", *factor);
+        }
+        EvalValue::Table1 { rows } => obj.objs("rows", rows, |row, r| {
+            row.str("architecture", r.architecture);
+            row.num("optimal_speedup", r.optimal_speedup);
+            row.str("formula", r.formula);
+        }),
         EvalValue::Simulate { cycle_time, max_compute, comm_fraction, predicted, seq_time } => {
-            vec![
-                ("cycle_time".into(), Json::Num(*cycle_time)),
-                ("max_compute".into(), Json::Num(*max_compute)),
-                ("comm_fraction".into(), Json::Num(*comm_fraction)),
-                ("predicted".into(), Json::Num(*predicted)),
-                ("seq_time".into(), Json::Num(*seq_time)),
-            ]
+            obj.num("cycle_time", *cycle_time);
+            obj.num("max_compute", *max_compute);
+            obj.num("comm_fraction", *comm_fraction);
+            obj.num("predicted", *predicted);
+            obj.num("seq_time", *seq_time);
         }
         EvalValue::Solve {
             converged,
@@ -788,91 +867,35 @@ fn value_fields(value: &EvalValue) -> Vec<(String, Json)> {
             global_reductions,
             resumed_from,
         } => {
-            let mut fields = vec![
-                ("converged".into(), Json::Bool(*converged)),
-                ("iterations".into(), Json::Num(*iterations as f64)),
-                ("final_diff".into(), Json::Num(*final_diff)),
-                ("max_error".into(), Json::Num(*max_error)),
-            ];
+            obj.bool("converged", *converged);
+            obj.count("iterations", *iterations);
+            obj.num("final_diff", *final_diff);
+            obj.num("max_error", *max_error);
             if let Some(r) = global_reductions {
-                fields.push(("global_reductions".into(), Json::Num(*r as f64)));
+                obj.count("global_reductions", *r);
             }
             if let Some(from) = resumed_from {
-                fields.push(("resumed_from_iteration".into(), Json::Num(*from as f64)));
+                obj.count("resumed_from_iteration", *from);
             }
-            fields
         }
-        EvalValue::Threads { points } => vec![(
-            "points".into(),
-            Json::Arr(
-                points
-                    .iter()
-                    .map(|p| {
-                        Json::Obj(vec![
-                            ("threads".into(), Json::Num(p.threads as f64)),
-                            ("secs_per_iter".into(), Json::Num(p.secs_per_iter)),
-                            ("speedup".into(), Json::Num(p.speedup)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )],
-        EvalValue::Report(text) => vec![("text".into(), Json::Str(text.clone()))],
+        EvalValue::Threads { points } => obj.objs("points", points, |point, p| {
+            point.count("threads", p.threads);
+            point.num("secs_per_iter", p.secs_per_iter);
+            point.num("speedup", p.speedup);
+        }),
+        EvalValue::Report(text) => obj.str("text", text),
     }
 }
 
-/// The leading fields of a response object: `version` first on wire v2,
-/// nothing extra on legacy v1.
-fn response_head(op: &str, version: u32) -> Vec<(String, Json)> {
-    let mut fields = Vec::new();
+/// The fields of a refusal: `ok`, the input `line`, `error_kind` on wire
+/// v2, and the message.
+fn write_error(obj: &mut Obj, e: &ParspeedError, version: u32, line: usize) {
+    obj.bool("ok", false);
+    obj.count("line", line);
     if version >= WIRE_VERSION {
-        fields.push(("version".into(), Json::Num(WIRE_VERSION as f64)));
+        obj.str("error_kind", e.kind());
     }
-    fields.push(("op".into(), Json::Str(op.into())));
-    fields
-}
-
-fn error_fields(e: &ParspeedError, version: u32, line: usize) -> Vec<(String, Json)> {
-    let mut fields =
-        vec![("ok".into(), Json::Bool(false)), ("line".into(), Json::Num(line as f64))];
-    if version >= WIRE_VERSION {
-        fields.push(("error_kind".into(), Json::Str(e.kind().into())));
-    }
-    fields.push(("error".into(), Json::Str(e.to_string())));
-    fields
-}
-
-fn outcome_obj(op: &str, outcome: &EvalOutcome, version: u32, line: usize) -> Json {
-    let mut fields = response_head(op, version);
-    match outcome {
-        Ok(value) => {
-            fields.push(("ok".into(), Json::Bool(true)));
-            fields.extend(value_fields(value));
-        }
-        Err(e) => fields.extend(error_fields(e, version, line)),
-    }
-    Json::Obj(fields)
-}
-
-fn point_obj(label: &PointLabel, outcome: &EvalOutcome) -> Json {
-    let mut fields = vec![
-        ("arch".into(), Json::Str(label.arch.into())),
-        ("n".into(), Json::Num(label.n as f64)),
-        ("stencil".into(), Json::Str(label.stencil.clone())),
-        ("shape".into(), Json::Str(label.shape.into())),
-        ("procs".into(), Json::Str(label.budget.clone())),
-    ];
-    match outcome {
-        Ok(value) => {
-            fields.push(("ok".into(), Json::Bool(true)));
-            fields.extend(value_fields(value));
-        }
-        Err(e) => {
-            fields.push(("ok".into(), Json::Bool(false)));
-            fields.push(("error".into(), Json::Str(e.to_string())));
-        }
-    }
-    Json::Obj(fields)
+    obj.str("error", e.message());
 }
 
 /// The wire op name of a query.
@@ -896,56 +919,69 @@ pub fn op_name(query: &Query) -> &'static str {
 /// `version`; `line` is the 1-based input line number, carried on error
 /// responses.
 pub fn render_response(query: &Query, response: &Response, version: u32, line: usize) -> String {
-    let op = op_name(query);
+    let mut out = String::with_capacity(REPLY_CAPACITY);
+    let mut obj = open_reply(&mut out, version);
+    obj.str("op", op_name(query));
     match response {
-        Response::Single(outcome) => outcome_obj(op, outcome, version, line).render(),
-        Response::Sweep(points) => {
-            let mut fields = response_head(op, version);
-            fields.push(("ok".into(), Json::Bool(true)));
-            fields.push((
-                "points".into(),
-                Json::Arr(points.iter().map(|(l, o)| point_obj(l, o)).collect()),
-            ));
-            Json::Obj(fields).render()
+        Response::Single(Ok(value)) => {
+            obj.bool("ok", true);
+            write_value(&mut obj, value);
         }
-        Response::Invalid(e) => {
-            let mut fields = response_head(op, version);
-            fields.extend(error_fields(e, version, line));
-            Json::Obj(fields).render()
+        Response::Single(Err(e)) | Response::Invalid(e) => write_error(&mut obj, e, version, line),
+        Response::Sweep(points) => {
+            obj.bool("ok", true);
+            obj.objs("points", points, |point, (label, outcome)| {
+                point.str("arch", label.arch);
+                point.count("n", label.n);
+                point.str("stencil", &label.stencil);
+                point.str("shape", label.shape);
+                point.str("procs", &label.budget);
+                match outcome {
+                    Ok(value) => {
+                        point.bool("ok", true);
+                        write_value(point, value);
+                    }
+                    Err(e) => {
+                        point.bool("ok", false);
+                        point.str("error", e.message());
+                    }
+                }
+            });
         }
     }
+    obj.close();
+    out
 }
 
 /// Serializes a parse failure for one input line (the line never became a
 /// [`Query`]); `line` is the 1-based input line number. Lines that
 /// declared wire v2 get the v2 error shape (`version`, `error_kind`).
 pub fn render_parse_error(e: &LineError, line: usize) -> String {
-    let mut fields = Vec::new();
-    if e.version >= WIRE_VERSION {
-        fields.push(("version".into(), Json::Num(WIRE_VERSION as f64)));
-    }
-    fields.extend(error_fields(&e.error, e.version, line));
-    Json::Obj(fields).render()
+    let mut out = String::with_capacity(REPLY_CAPACITY);
+    let mut obj = open_reply(&mut out, e.version);
+    write_error(&mut obj, &e.error, e.version, line);
+    obj.close();
+    out
 }
 
 /// Serializes batch telemetry as a trailing JSONL record (always a
 /// wire-v2 record — it is new in this schema).
 pub fn render_telemetry(t: &BatchTelemetry) -> String {
-    Json::Obj(vec![
-        ("version".into(), Json::Num(WIRE_VERSION as f64)),
-        ("op".into(), Json::Str("telemetry".into())),
-        ("queries".into(), Json::Num(t.queries as f64)),
-        ("atoms".into(), Json::Num(t.atoms as f64)),
-        ("unique".into(), Json::Num(t.unique as f64)),
-        ("dedup_factor".into(), Json::Num(t.dedup_factor())),
-        ("cache_hits".into(), Json::Num(t.cache_hits as f64)),
-        ("cache_hit_rate".into(), Json::Num(t.hit_rate())),
-        ("evaluated".into(), Json::Num(t.evaluated as f64)),
-        ("effects".into(), Json::Num(t.effects as f64)),
-        ("wall_seconds".into(), Json::Num(t.wall_seconds)),
-        ("queries_per_second".into(), Json::Num(t.queries_per_second())),
-    ])
-    .render()
+    let mut out = String::with_capacity(REPLY_CAPACITY);
+    let mut obj = open_reply(&mut out, WIRE_VERSION);
+    obj.str("op", "telemetry");
+    obj.count("queries", t.queries);
+    obj.count("atoms", t.atoms);
+    obj.count("unique", t.unique);
+    obj.num("dedup_factor", t.dedup_factor());
+    obj.count("cache_hits", t.cache_hits);
+    obj.num("cache_hit_rate", t.hit_rate());
+    obj.count("evaluated", t.evaluated);
+    obj.count("effects", t.effects);
+    obj.num("wall_seconds", t.wall_seconds);
+    obj.num("queries_per_second", t.queries_per_second());
+    obj.close();
+    out
 }
 
 #[cfg(test)]

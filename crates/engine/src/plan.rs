@@ -259,7 +259,7 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
         Query::Optimize { arch, machine, workload, procs, memory_words } => {
             Ok(Planned::Single(optimize_key(
                 *arch,
-                machine.to_key(),
+                machine.to_key()?,
                 workload.n,
                 workload.stencil,
                 workload.shape,
@@ -278,7 +278,7 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
             }
             Ok(Planned::Single(EvalKey::MinSize {
                 variant: *variant,
-                machine: machine.to_key(),
+                machine: machine.to_key()?,
                 e: F64Key::new(*e),
                 k: F64Key::new(*k),
                 procs: *procs,
@@ -296,7 +296,7 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
             let (e, k) = model_constants(*stencil, *shape)?;
             Ok(Planned::Single(EvalKey::Isoefficiency {
                 arch: *arch,
-                machine: machine.to_key(),
+                machine: machine.to_key()?,
                 shape: *shape,
                 e: F64Key::new(e),
                 k,
@@ -313,7 +313,7 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
             check_side(workload.n, Workload::MAX_SIDE)?;
             let (e, k) = model_constants(workload.stencil, workload.shape)?;
             Ok(Planned::Single(EvalKey::Leverage {
-                machine: machine.to_key(),
+                machine: machine.to_key()?,
                 n: workload.n,
                 shape: workload.shape,
                 e: F64Key::new(e),
@@ -326,13 +326,13 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
         Query::Table1 { machine, n, stencil } => {
             check_side(*n, Workload::MAX_SIDE)?;
             Ok(Planned::Single(EvalKey::Table1 {
-                machine: machine.to_key(),
+                machine: machine.to_key()?,
                 n: *n,
                 stencil: StencilKey::from_spec(*stencil)?,
             }))
         }
         Query::Compare { machine, workload, procs } => {
-            let mkey = machine.to_key();
+            let mkey = machine.to_key()?;
             let mut points = Vec::with_capacity(6);
             for arch in ArchKind::all() {
                 let key = optimize_key(
@@ -368,7 +368,7 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
             crate::exec::build_decomposition(n, p, workload.shape)?;
             Ok(Planned::Single(EvalKey::Simulate {
                 arch: *arch,
-                machine: machine.to_key(),
+                machine: machine.to_key()?,
                 n,
                 shape: workload.shape,
                 stencil,
@@ -477,7 +477,7 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
                         "sweep grid exceeds the maximum of {MAX_SWEEP_POINTS} points"
                     ))
                 })?;
-            let mkey = machine.to_key();
+            let mkey = machine.to_key()?;
             let mut points = Vec::with_capacity(count);
             // Grid order: arch, stencil, shape, budget, then the doubling
             // grid sides — the same order the CLI sweep prints.
@@ -944,5 +944,72 @@ mod tests {
         };
         let plan = Plan::build(&[q]);
         assert!(matches!(&plan.slots[0], Slot::Invalid(e) if e.to_string().contains("empty axis")));
+    }
+
+    /// A `simulate` at a prime side near 2³² with one processor more was
+    /// refused only after an 11 s search over every column count; the
+    /// largest composite side, where the divisor walk is longest, plans
+    /// too. Both plan in bounded time on the thread that routes requests.
+    /// (The bound is ~100× what the divisor walk takes.)
+    #[test]
+    fn simulate_planning_at_the_largest_sides_is_bounded() {
+        let simulate = |n: usize, procs: usize| {
+            crate::jsonl::parse_query(&format!(
+                r#"{{"op":"simulate","version":2,"arch":"sync-bus","n":{n},"stencil":"5pt","shape":"square","procs":{procs}}}"#
+            ))
+            .unwrap()
+            .query
+        };
+        let start = std::time::Instant::now();
+        let plan = Plan::build(&[simulate(4294967291, 4294967292)]);
+        assert!(
+            matches!(&plan.slots[0], Slot::Invalid(e) if e.kind() == "invalid_request"
+                && e.message().contains("no near-square decomposition")),
+            "{:?}",
+            plan.slots[0]
+        );
+        let max = Workload::MAX_SIDE;
+        assert_eq!(Plan::build(&[simulate(max, max)]).unique.len(), 1);
+        let took = start.elapsed();
+        assert!(took < std::time::Duration::from_secs(1), "planning took {took:?}");
+    }
+
+    /// Machine overrides outside the models' domain answer
+    /// `invalid_request` at plan time, naming the field; zero bus costs,
+    /// the paper's free-communication idealization, still plan.
+    #[test]
+    fn machine_overrides_are_checked_at_plan_time() {
+        let with = |machine: MachineSpec| Query::Optimize {
+            arch: ArchKind::SyncBus,
+            machine,
+            workload: WorkloadSpec {
+                n: 256,
+                stencil: StencilSpec::FivePoint,
+                shape: ShapeKey::Square,
+            },
+            procs: None,
+            memory_words: None,
+        };
+        let base = MachineSpec::default();
+        for (bad, field) in [
+            (MachineSpec { tfp: Some(0.0), ..base }, "machine.tfp"),
+            (MachineSpec { tfp: Some(f64::INFINITY), ..base }, "machine.tfp"),
+            (MachineSpec { b: Some(-1.0), ..base }, "machine.b"),
+            (MachineSpec { c: Some(f64::NAN), ..base }, "machine.c"),
+            (MachineSpec { alpha: Some(-1e-9), ..base }, "machine.alpha"),
+            (MachineSpec { beta: Some(f64::NEG_INFINITY), ..base }, "machine.beta"),
+            (MachineSpec { w: Some(-0.5), ..base }, "machine.w"),
+            (MachineSpec { packet: Some(0), ..base }, "machine.packet"),
+        ] {
+            let plan = Plan::build(&[with(bad)]);
+            assert!(
+                matches!(&plan.slots[0], Slot::Invalid(e) if e.kind() == "invalid_request"
+                    && e.message().contains(field)),
+                "{bad:?}: {:?}",
+                plan.slots[0]
+            );
+        }
+        let free = MachineSpec { b: Some(0.0), c: Some(0.0), w: Some(0.0), ..base };
+        assert_eq!(Plan::build(&[with(free)]).unique.len(), 1);
     }
 }

@@ -582,9 +582,12 @@ impl MachineSpec {
             && self.w.is_none()
     }
 
-    /// The canonical key this spec resolves to. Bare presets — the bulk of
-    /// real traffic — are memoized; the planner calls this per atom.
-    pub fn to_key(&self) -> MachineKey {
+    /// The canonical key this spec resolves to, or `invalid_request` when
+    /// an override lies outside the models' domain: every field finite,
+    /// `tfp` > 0, `packet` ≥ 1, and the other costs ≥ 0. Bare presets —
+    /// the bulk of real traffic — are memoized; the planner calls this
+    /// per query.
+    pub fn to_key(&self) -> Result<MachineKey, ParspeedError> {
         use std::sync::OnceLock;
         static PRESETS: OnceLock<[MachineKey; 2]> = OnceLock::new();
         if self.is_bare_preset() {
@@ -594,10 +597,42 @@ impl MachineSpec {
                     MachineKey::new(&MachineParams::flex32_defaults()),
                 ]
             });
-            presets[self.flex32 as usize]
+            Ok(presets[self.flex32 as usize])
         } else {
-            MachineKey::new(&self.resolve())
+            self.check()?;
+            Ok(MachineKey::new(&self.resolve()))
         }
+    }
+
+    /// Checks every override against the domain the models are defined
+    /// on: each field finite, `tfp` > 0, `packet` ≥ 1, and `b`, `c`,
+    /// `alpha`, `beta` and `w` ≥ 0 — zero is the paper's
+    /// free-communication idealization. Outside it the closed forms
+    /// divide by zero or leave the paper's cubic form, and the simulator
+    /// schedules negative or infinite work.
+    fn check(&self) -> Result<(), ParspeedError> {
+        let costs = [
+            ("tfp", self.tfp),
+            ("b", self.b),
+            ("c", self.c),
+            ("alpha", self.alpha),
+            ("beta", self.beta),
+            ("w", self.w),
+        ];
+        for (name, value) in costs {
+            let Some(x) = value else { continue };
+            let (in_domain, domain) =
+                if name == "tfp" { (x > 0.0, "positive") } else { (x >= 0.0, "non-negative") };
+            if !(x.is_finite() && in_domain) {
+                return Err(ParspeedError::invalid(format!(
+                    "machine.{name} must be {domain} and finite, got {x}"
+                )));
+            }
+        }
+        if self.packet == Some(0) {
+            return Err(ParspeedError::invalid("machine.packet must be at least 1"));
+        }
+        Ok(())
     }
 
     /// Resolves the spec into concrete machine parameters.

@@ -207,6 +207,32 @@ fn threads(rng: &mut TestRng) -> String {
     )
 }
 
+/// Machine overrides: an optional preset, then each field present or not,
+/// drawn from `REALS` plus `1e400` (which the reader parses as infinity).
+fn machine(rng: &mut TestRng) -> String {
+    let mut fields = Vec::new();
+    if rng.below(3) == 0 {
+        fields.push(format!(r#""preset":{}"#, name(rng, &["paper", "flex32"])));
+    }
+    for field in ["tfp", "b", "c", "alpha", "beta", "packet", "w"] {
+        if rng.below(2) == 0 {
+            let value =
+                if rng.below(REALS.len() as u64 + 1) == 0 { "1e400" } else { pick(rng, REALS) };
+            fields.push(format!(r#""{field}":{value}"#));
+        }
+    }
+    format!(r#","machine":{{{}}}"#, fields.join(","))
+}
+
+/// A line from an op that takes a machine, carrying drawn overrides.
+fn with_machine(rng: &mut TestRng) -> String {
+    let ops: [fn(&mut TestRng) -> String; 8] =
+        [optimize, minsize, isoeff, leverage, sweep, table1, compare, simulate];
+    let line = pick(rng, &ops)(rng);
+    let machine = machine(rng);
+    format!("{}{machine}}}", line.strip_suffix('}').expect("a line is one object"))
+}
+
 /// Draws one request line from an op's generator.
 struct Line(fn(&mut TestRng) -> String);
 
@@ -307,6 +333,10 @@ proptest! {
     }
 
     fn threads_edges_answer_in_their_slot(batch in lines(threads)) {
+        answer_in_their_slots(&batch)?;
+    }
+
+    fn machine_edges_answer_in_their_slot(batch in lines(with_machine)) {
         answer_in_their_slots(&batch)?;
     }
 }
