@@ -131,10 +131,11 @@ minimizes — quantization, memory floor, and infeasibility included.
   --warm-fraction F    fraction (0..=1) of a shard's hot keys the
                        replacement replays before rejoining (default
                        0.5)
-  --checkpoint-every N checkpoint long solves every N convergence
-                       checks into a fleet-shared store, so an
-                       interrupted solve resumes on its failover shard
-                       instead of restarting (default off)
+  --checkpoint-every N checkpoint long `jacobi` and `parallel` solves
+                       every N convergence checks into a fleet-shared
+                       store, so an interrupted solve resumes on its
+                       failover shard instead of restarting (default
+                       off; other solvers take no snapshots)
   --stats              print per-shard telemetry after draining
   --predict            predict the optimal fleet size and exit
   --distinct D         distinct cache keys the workload touches

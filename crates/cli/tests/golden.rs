@@ -205,6 +205,23 @@ fn batch_solve_golden() {
     assert_eq!(actual, expected, "rbsor/multigrid solve replies drifted");
 }
 
+/// Every solver's replies, byte for byte: each of the six at several
+/// sides, zero- and one-step budgets, a tolerance above 1, sparse check
+/// schedules (and policies the every-iteration solvers ignore), and a
+/// capped run of each at n = 255 (multigrid's at 4 V-cycles, plus 40 at
+/// n = 63, so a debug build answers the file in about 2 s). Recorded
+/// while each solver still had a loop of its own, so moving them onto one
+/// check-scheduled loop must reproduce every iteration count,
+/// `final_diff` and edge reply.
+#[test]
+fn batch_solvers_golden() {
+    let input = golden_dir().join("batch_solvers_input.jsonl");
+    let expected =
+        std::fs::read_to_string(golden_dir().join("batch_solvers_output.jsonl")).expect("golden");
+    let actual = run_cli(&["batch", "--input", input.to_str().unwrap()]);
+    assert_eq!(actual, expected, "solve replies drifted");
+}
+
 /// `threads` measures wall time, so only its structure is pinned.
 #[test]
 fn threads_structure() {

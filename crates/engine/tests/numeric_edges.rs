@@ -197,6 +197,31 @@ fn solve(rng: &mut TestRng) -> String {
     )
 }
 
+/// Check periods, geometric starts and gap caps at the edges of `usize`.
+const CHECK_COUNTS: &[u64] = &[0, 1, 2, 1 << 32, u64::MAX];
+
+/// A tiny `solve` under a drawn check schedule, valid or refused. A
+/// schedule whose next check lies past `usize::MAX` must check at the
+/// cap, not overflow.
+fn scheduled_solve(rng: &mut TestRng) -> String {
+    let policy = if rng.below(2) == 0 {
+        format!("every:{}", pick(rng, CHECK_COUNTS))
+    } else {
+        format!(
+            "geometric:{},{},{}",
+            pick(rng, CHECK_COUNTS),
+            pick(rng, &["1", "1.0000001", "2", "1e300"]),
+            pick(rng, CHECK_COUNTS),
+        )
+    };
+    format!(
+        r#"{{"op":"solve","version":2,"n":{},"solver":{},"check_policy":"{policy}","max_iters":{}}}"#,
+        pick(rng, &[1, 2, 7]),
+        name(rng, &["jacobi", "sor", "parallel"]),
+        pick(rng, &[0, 1, 2, 3]),
+    )
+}
+
 fn threads(rng: &mut TestRng) -> String {
     // Counts stay at most one past the bound: should the bound ever
     // stop refusing them, the measurement starts 64 workers, not billions.
@@ -329,6 +354,10 @@ proptest! {
     }
 
     fn solve_edges_answer_in_their_slot(batch in lines(solve)) {
+        answer_in_their_slots(&batch)?;
+    }
+
+    fn check_schedule_edges_answer_in_their_slot(batch in lines(scheduled_solve)) {
         answer_in_their_slots(&batch)?;
     }
 

@@ -11,8 +11,9 @@
 //! actually happens.
 //!
 //! [`CheckScheduler`] is the feedback-driven interface, re-exported from
-//! `parspeed-solver`, whose one check-scheduled solve loop
-//! (`parspeed_solver::run_schedule`) consults it;
+//! `parspeed-solver`, whose one check-scheduled loop
+//! (`parspeed_solver::run_schedule`, which runs all six solvers)
+//! consults it;
 //! [`CheckPolicy`](crate::CheckPolicy) implements it by ignoring the
 //! feedback, and [`AdaptiveChecker`] implements the rate estimator.
 

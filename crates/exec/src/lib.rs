@@ -16,8 +16,8 @@
 //! * [`CheckPolicy`], [`CheckScheduler`] and [`SolveRun`] — convergence-check
 //!   schedules (§4, after Saltz, Naik & Nicol \[13\]) and a scheduled
 //!   solve's outcome, re-exported from `parspeed-solver`, which owns them
-//!   beside the one check-scheduled solve loop both crates' Jacobi
-//!   solvers run;
+//!   beside `run_schedule`, the one check-scheduled loop that all six
+//!   solvers run, this crate's executor among them;
 //! * [`AdaptiveChecker`] — the rate-estimating schedule of \[13\] itself:
 //!   observed differences predict the convergence iteration and checks
 //!   cluster there;

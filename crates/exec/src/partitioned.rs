@@ -31,11 +31,11 @@
 //! difference from that same pass.
 //!
 //! Every solve ([`PartitionedJacobi::solve`], `solve_checkpointed` and
-//! `solve_scheduled`) runs [`run_schedule`], the loop the sequential
-//! [`JacobiSolver`](parspeed_solver::JacobiSolver) runs too. As its
-//! [`Stepper`], the executor only says that a block is one
-//! [`PartitionedJacobi::iterate_block`], a snapshot is the assembled
-//! solution, and a restore writes every partition's owned interior.
+//! `solve_scheduled`) runs [`run_schedule`], the one loop every solver in
+//! `parspeed-solver` runs too. As its [`Stepper`], the executor only says
+//! that a block is one [`PartitionedJacobi::iterate_block`], a snapshot
+//! is the assembled solution, and a restore writes every partition's
+//! owned interior.
 
 use crate::adaptive::CheckScheduler;
 use crate::{CheckPolicy, SolveRun};
@@ -317,8 +317,8 @@ impl Stepper for PartitionedJacobi {
         self.iterate_block(block, at_check).unwrap_or(0.0)
     }
 
-    fn capture(&self, iteration: usize, checks: usize) -> Checkpoint {
-        Checkpoint::capture(&self.solution(), iteration, checks)
+    fn capture(&self, iteration: usize, checks: usize) -> Option<Checkpoint> {
+        Some(Checkpoint::capture(&self.solution(), iteration, checks))
     }
 
     /// Installs a snapshot into a fresh executor: every partition's owned

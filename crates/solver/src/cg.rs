@@ -7,11 +7,18 @@
 //! result. [`CgStats`] therefore counts the global reductions alongside
 //! the numerics, so `parspeed-core::fem` can price them.
 
-use crate::{PoissonProblem, SolveStatus};
+use crate::{run_schedule, CheckPolicy, PoissonProblem, SolveStatus};
 use parspeed_grid::Grid2D;
 
 /// Conjugate-gradient solver for `-∇²u = f` (5-point discretization,
 /// zero Dirichlet boundary folded into the right-hand side).
+///
+/// One [`run_schedule`] step is one CG iteration, checked every
+/// iteration against the relative residual `‖r‖₂/‖b‖₂`. CG declines
+/// checkpoint snapshots: its state is the iterate `x`, the residual `r`,
+/// the search direction `p` and `ρ = r·r`, and a restart from `x` alone
+/// rebuilds `r` as `b − A·x` and restarts `p` at `r`, which is not
+/// bit-identical to the uninterrupted run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CgSolver {
     /// Relative residual tolerance `‖r‖₂ / ‖b‖₂`.
@@ -88,34 +95,37 @@ impl CgSolver {
         let mut ap = vec![0.0f64; n * n];
         let b_norm = dot(&b, &b).sqrt().max(f64::MIN_POSITIVE);
         let mut rr = dot(&r, &r);
-        let mut reductions = 2; // ‖b‖ and initial r·r
 
-        let mut iterations = 0;
-        let mut converged = rr.sqrt() / b_norm < self.tol;
-        while !converged && iterations < self.max_iters {
-            apply_a(&p, &mut ap, n, h2);
-            let alpha = rr / dot(&p, &ap);
-            for i in 0..x.len() {
-                x[i] += alpha * p[i];
-                r[i] -= alpha * ap[i];
-            }
-            let rr_new = dot(&r, &r);
-            reductions += 2; // p·Ap and r·r
-            let beta = rr_new / rr;
-            for i in 0..p.len() {
-                p[i] = r[i] + beta * p[i];
-            }
-            rr = rr_new;
-            iterations += 1;
-            converged = rr.sqrt() / b_norm < self.tol;
-        }
+        // Unlike an update difference, the residual is known before any
+        // step, so a zero budget or a tolerance it already meets answers
+        // here, at iteration 0.
+        let rel0 = rr.sqrt() / b_norm;
+        let status = if rel0 < self.tol || self.max_iters == 0 {
+            SolveStatus { converged: rel0 < self.tol, iterations: 0, final_diff: rel0 }
+        } else {
+            let mut step = |_: usize, _: bool| {
+                apply_a(&p, &mut ap, n, h2);
+                let alpha = rr / dot(&p, &ap);
+                for i in 0..x.len() {
+                    x[i] += alpha * p[i];
+                    r[i] -= alpha * ap[i];
+                }
+                let rr_new = dot(&r, &r);
+                let beta = rr_new / rr;
+                for i in 0..p.len() {
+                    p[i] = r[i] + beta * p[i];
+                }
+                rr = rr_new;
+                rr.sqrt() / b_norm
+            };
+            let mut every = CheckPolicy::Every(1);
+            run_schedule(&mut step, &mut every, self.tol, self.max_iters, 1, None).0.into()
+        };
 
-        let u = Grid2D::from_fn(n, n, 1, |rr_, cc| x[rr_ * n + cc]);
-        (
-            u,
-            SolveStatus { converged, iterations, final_diff: rr.sqrt() / b_norm },
-            CgStats { iterations, global_reductions: reductions },
-        )
+        let u = Grid2D::from_fn(n, n, 1, |row, col| x[row * n + col]);
+        // ‖b‖ and the initial r·r, then p·Ap and r·r each iteration.
+        let global_reductions = 2 + 2 * status.iterations;
+        (u, status, CgStats { iterations: status.iterations, global_reductions })
     }
 }
 

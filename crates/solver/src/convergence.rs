@@ -8,18 +8,23 @@
 //! rate-estimating `AdaptiveChecker`; `parspeed-core::convergence` prices
 //! a schedule.
 //!
-//! [`run_schedule`] is the one loop that runs a schedule:
+//! [`run_schedule`] is the one loop that decides when every solve stops.
+//! All six solvers run on it and only say, through [`Stepper`], how
+//! their iterate advances and what it measures at a check:
 //! [`JacobiSolver`](crate::JacobiSolver) and `parspeed-exec`'s
-//! `PartitionedJacobi` only say, through [`Stepper`], how their iterate
-//! advances, is captured and is restored. The loop steps in blocks that
+//! `PartitionedJacobi` advance in blocks and keep snapshots;
+//! [`SorSolver`](crate::SorSolver) steps one in-place sweep,
+//! [`RedBlackSolver`](crate::RedBlackSolver) both colour half-sweeps,
+//! [`MultigridSolver`](crate::MultigridSolver) one V-cycle and
+//! [`CgSolver`](crate::CgSolver) one CG iteration, each a closure over
+//! its own state that keeps no snapshots. The loop steps in blocks that
 //! never cross the next check, so the gap until the next check is also
 //! the budget the communication-avoiding loops spend (block-of-k temporal
 //! tiling and deep-halo sub-iteration blocks), and no iterate between
-//! checks is wasted. It counts checks, resumes from a surviving
-//! [`Checkpoint`] and fast-forwards the schedule to it, snapshots every
-//! k-th check before the cap, and drops a converged solve's snapshot.
-//! [`SorSolver`](crate::SorSolver) keeps its own one-sweep-per-iteration
-//! loop: it has no blocks and no snapshots.
+//! checks is wasted. It counts iterations and checks, resumes from a
+//! surviving [`Checkpoint`] and fast-forwards the schedule to it,
+//! snapshots every k-th check before the cap, and drops a converged
+//! solve's snapshot.
 
 use crate::checkpoint::{Checkpoint, CheckpointCtx};
 use crate::SolveStatus;
@@ -61,7 +66,9 @@ impl CheckPolicy {
     }
 
     /// Given the iteration of the previous check, the iteration of the
-    /// next one (strictly increasing).
+    /// next one (strictly increasing). A check past `usize::MAX` never
+    /// comes: the sum saturates there, so a solve under such a schedule
+    /// checks at its cap.
     ///
     /// For [`CheckPolicy::Geometric`] the growth rule is
     /// `next = last + clamp(⌈last·(factor − 1)⌉, 1, max_interval)` (with
@@ -71,13 +78,13 @@ impl CheckPolicy {
     /// becomes arithmetic with gap `max_interval`.
     pub fn next_check(&self, last: usize) -> usize {
         match self {
-            CheckPolicy::Every(d) => last + d.max(&1),
+            CheckPolicy::Every(d) => last.saturating_add(*d.max(&1)),
             CheckPolicy::Geometric { factor, max_interval, start } => {
                 assert!(*factor > 1.0, "geometric factor must exceed 1");
                 let prev_interval = last.max(*start) as f64;
                 let interval =
                     ((prev_interval * (factor - 1.0)).ceil() as usize).clamp(1, *max_interval);
-                last + interval
+                last.saturating_add(interval)
             }
         }
     }
@@ -88,6 +95,9 @@ impl CheckPolicy {
         let mut k = self.first_check();
         while k <= max_iters {
             v.push(k);
+            if k == usize::MAX {
+                break;
+            }
             k = self.next_check(k);
         }
         v
@@ -125,7 +135,8 @@ pub struct SolveRun {
     pub iterations: usize,
     /// Convergence checks performed, counted the same way.
     pub checks: usize,
-    /// Last observed global max-norm update difference.
+    /// The [`Stepper`]'s convergence measure at the last check (infinite
+    /// when no check ran).
     pub final_diff: f64,
 }
 
@@ -140,36 +151,57 @@ impl From<SolveRun> for SolveStatus {
 }
 
 /// One solve's iterate, as [`run_schedule`] drives it.
+///
+/// A stepper that keeps no snapshots writes only [`advance`]; any
+/// `FnMut(block, at_check) -> f64` closure is one.
+///
+/// [`advance`]: Stepper::advance
 pub trait Stepper {
     /// Advances `block ≥ 1` iterations. When `at_check` is set, returns
-    /// the max-norm update difference of the last of them; the value is
-    /// ignored otherwise.
+    /// the solver's convergence measure after the last of them, the value
+    /// [`run_schedule`] compares with `tol` (the max-norm update
+    /// difference for the Jacobi family); the value is ignored otherwise.
     fn advance(&mut self, block: usize, at_check: bool) -> f64;
 
     /// A snapshot of the current iterate, taken at `iteration` after
-    /// `checks` convergence checks.
-    fn capture(&self, iteration: usize, checks: usize) -> Checkpoint;
+    /// `checks` convergence checks, or `None` (the default) when this
+    /// solve keeps no snapshots.
+    fn capture(&self, _iteration: usize, _checks: usize) -> Option<Checkpoint> {
+        None
+    }
 
     /// Installs `cp` as the current iterate if it fits this solve;
-    /// returns whether it did.
-    fn restore(&mut self, cp: &Checkpoint) -> bool;
+    /// returns whether it did. The default declines every snapshot, so
+    /// the solve starts from iteration 0.
+    fn restore(&mut self, _cp: &Checkpoint) -> bool {
+        false
+    }
 }
 
-/// Runs `stepper` under `scheduler` until the max-norm update difference
-/// at a scheduled check falls below `tol`, or `max_iters` is reached
-/// (which also checks). Each [`Stepper::advance`] covers at most
-/// `max_block` iterations and never crosses the next check, so only the
-/// block landing on a check pays for the reduction.
+impl<F: FnMut(usize, bool) -> f64> Stepper for F {
+    fn advance(&mut self, block: usize, at_check: bool) -> f64 {
+        self(block, at_check)
+    }
+}
+
+/// Runs `stepper` under `scheduler` until its convergence measure at a
+/// scheduled check falls below `tol`, or `max_iters` is reached (which
+/// also checks). Each [`Stepper::advance`] covers at most `max_block`
+/// iterations and never crosses the next check, so only the block
+/// landing on a check pays for the reduction. Iteration 0 is never
+/// checked: with `max_iters = 0` the solve answers unconverged with an
+/// infinite difference, so a solver that knows its measure before any
+/// step answers that case itself.
 ///
 /// With a checkpoint context, a surviving snapshot for `ctx.key` is
 /// restored first and the schedule fast-forwarded to it. A
 /// [`CheckPolicy`] is a pure function of the iteration count, so the
 /// resumed solve checks, converges and snapshots exactly where the
 /// uninterrupted one did. Every `ctx.policy.every`-th check before the
-/// cap snapshots the iterate; a converged solve removes its snapshot, a
-/// capped one keeps it so that a retry with a larger budget resumes. The
-/// second return is the iteration the solve resumed from (`None` when it
-/// started fresh).
+/// cap snapshots the iterate (if the stepper captures one); a converged
+/// solve removes its snapshot, a capped one keeps it so that a retry
+/// with a larger budget resumes. The second return is the iteration the
+/// solve resumed from (`None` when it started fresh).
 pub fn run_schedule(
     stepper: &mut dyn Stepper,
     scheduler: &mut dyn CheckScheduler,
@@ -220,7 +252,9 @@ pub fn run_schedule(
                 checks_since_snapshot += 1;
                 if checks_since_snapshot >= ctx.policy.every {
                     checks_since_snapshot = 0;
-                    ctx.store.save(ctx.key, stepper.capture(done, checks));
+                    if let Some(cp) = stepper.capture(done, checks) {
+                        ctx.store.save(ctx.key, cp);
+                    }
                 }
             }
         }
@@ -292,8 +326,8 @@ mod tests {
             0.5f64.powi(self.done as i32 - 1)
         }
 
-        fn capture(&self, iteration: usize, checks: usize) -> Checkpoint {
-            Checkpoint { iteration, checks, rows: 0, cols: 0, interior: Vec::new() }
+        fn capture(&self, iteration: usize, checks: usize) -> Option<Checkpoint> {
+            Some(Checkpoint { iteration, checks, rows: 0, cols: 0, interior: Vec::new() })
         }
 
         fn restore(&mut self, cp: &Checkpoint) -> bool {
@@ -339,6 +373,47 @@ mod tests {
         );
         assert!(store.is_empty());
         assert_eq!(store.resumes(), 1);
+    }
+
+    #[test]
+    fn a_check_past_usize_max_saturates_so_the_cap_checks() {
+        let mut huge = CheckPolicy::Geometric { start: 1, factor: 1e300, max_interval: usize::MAX };
+        assert_eq!(huge.next_check(1), usize::MAX);
+        assert_eq!(CheckPolicy::Every(usize::MAX).next_check(1), usize::MAX);
+        assert_eq!(CheckPolicy::Every(3).next_check(usize::MAX - 1), usize::MAX);
+        assert_eq!(CheckPolicy::Every(usize::MAX).schedule(usize::MAX), [usize::MAX]);
+        // Checks at 1, then at the cap: the next scheduled check never comes.
+        let mut s = Halving { done: 0, blocks: Vec::new() };
+        let (run, _) = run_schedule(&mut s, &mut huge, 0.0, 3, 8, None);
+        assert_eq!((run.iterations, run.checks), (3, 2));
+        assert_eq!(s.blocks, [(1, true), (2, true)]);
+    }
+
+    /// Keeps the default `capture` and `restore`, so it declines snapshots.
+    struct Fresh(Halving);
+
+    impl Stepper for Fresh {
+        fn advance(&mut self, block: usize, at_check: bool) -> f64 {
+            self.0.advance(block, at_check)
+        }
+    }
+
+    #[test]
+    fn a_stepper_that_declines_snapshots_starts_fresh_and_saves_nothing() {
+        use crate::checkpoint::{CheckpointPolicy, CheckpointStore};
+        let store = CheckpointStore::new(1);
+        let stale = Checkpoint { iteration: 4, checks: 2, rows: 0, cols: 0, interior: Vec::new() };
+        store.save(1, stale);
+        let taken = store.taken();
+        let ctx = CheckpointCtx { store: &store, policy: CheckpointPolicy::every(1), key: 1 };
+        let mut s = Fresh(Halving { done: 0, blocks: Vec::new() });
+        let (run, from) = run_schedule(&mut s, &mut CheckPolicy::Every(2), 0.0, 6, 8, Some(ctx));
+        assert_eq!(from, None);
+        assert_eq!(store.resumes(), 0);
+        assert_eq!(store.taken(), taken);
+        assert_eq!(s.0.blocks, [(2, true), (2, true), (2, true)]);
+        assert_eq!((run.iterations, run.checks), (6, 3));
+        assert_eq!(store.load(1).map(|cp| cp.iteration), Some(4), "nothing overwrote it");
     }
 
     #[test]

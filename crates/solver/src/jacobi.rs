@@ -177,8 +177,8 @@ impl Stepper for JacobiRun<'_> {
         d
     }
 
-    fn capture(&self, iteration: usize, checks: usize) -> Checkpoint {
-        Checkpoint::capture(&self.u, iteration, checks)
+    fn capture(&self, iteration: usize, checks: usize) -> Option<Checkpoint> {
+        Some(Checkpoint::capture(&self.u, iteration, checks))
     }
 
     fn restore(&mut self, cp: &Checkpoint) -> bool {

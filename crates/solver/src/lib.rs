@@ -17,9 +17,10 @@
 //!   temporal tiling between checks;
 //! * [`CheckPolicy`] — fixed convergence-check schedules (§4, after Saltz,
 //!   Naik & Nicol \[13\]), and [`run_schedule`], the one check-scheduled
-//!   solve loop (blocks up to each check, resume, snapshots) that
-//!   [`JacobiSolver`] and `parspeed-exec`'s partitioned executor both run
-//!   through [`Stepper`];
+//!   loop that decides when every solve stops (blocks up to each check,
+//!   resume, snapshots): all six solvers, this crate's five and
+//!   `parspeed-exec`'s partitioned executor, run on it through
+//!   [`Stepper`];
 //! * [`SorSolver`] — Gauss-Seidel and SOR with the optimal relaxation
 //!   factor;
 //! * [`RedBlackSolver`] — red-black Gauss-Seidel/SOR, the parallelizable
@@ -36,7 +37,8 @@
 //!   levels run on the pool and coarse ones inline;
 //! * [`Manufactured`] — analytic solutions for verification;
 //! * [`CheckpointPolicy`] / [`CheckpointStore`] — checkpoint/restart for
-//!   long solves: snapshots at convergence-check boundaries, bounded
+//!   long Jacobi solves (the steppers that capture their iterate):
+//!   snapshots at convergence-check boundaries, bounded
 //!   in-memory store keyed by the canonical cache-key hash, bit-identical
 //!   resume (the serving tier's failover path picks a solve up where the
 //!   lost shard left it instead of restarting at iteration zero).
@@ -73,6 +75,8 @@ pub struct SolveStatus {
     pub converged: bool,
     /// Iterations actually performed.
     pub iterations: usize,
-    /// Last max-norm update difference observed at a convergence check.
+    /// The convergence measure at the last check: the max-norm update
+    /// difference for the Jacobi family, the relative residual for
+    /// [`CgSolver`] and [`MultigridSolver`].
     pub final_diff: f64,
 }

@@ -34,7 +34,7 @@ use crate::split::{
     colour_cells, cross, half_sweep, laned_max, plane_buffer, plane_len, plane_width, SplitGrid,
     Update,
 };
-use crate::{PoissonProblem, SolveStatus};
+use crate::{run_schedule, CheckPolicy, PoissonProblem, SolveStatus};
 use parspeed_grid::Grid2D;
 use rayon::prelude::*;
 
@@ -247,7 +247,8 @@ fn vcycle(levels: &mut [Level], scratch: &mut [f64], cfg: &MultigridSolver) {
 
 impl MultigridSolver {
     /// Solves `problem` by repeated V-cycles; the problem's interior side
-    /// must satisfy [`valid_side`].
+    /// must satisfy [`valid_side`]. One [`run_schedule`] step is one
+    /// V-cycle and its relative residual, checked every cycle.
     pub fn solve(&self, problem: &PoissonProblem) -> (Grid2D, SolveStatus) {
         let n = problem.n();
         assert!(valid_side(n), "multigrid needs n = 2^k − 1, got {n}");
@@ -266,26 +267,23 @@ impl MultigridSolver {
         // One residual the size of the fine level's planes, which also
         // has room for the padded result the solve returns in it.
         let mut res = plane_buffer(2 * plane_len(n));
+        if self.max_cycles == 0 {
+            // No cycle ran: the residual is still the initial one.
+            let status = SolveStatus { converged: false, iterations: 0, final_diff: 1.0 };
+            return (levels[0].u.to_grid_in(res), status);
+        }
         let fine_residual = |levels: &[Level], res: &mut [f64]| {
             let fine = &levels[0];
             residual(&fine.u, &fine.f, fine.h2, res)
         };
-
         let norm0 = fine_residual(&levels, &mut res).max(f64::MIN_POSITIVE);
-        let mut cycles = 0;
-        let mut rel = 1.0;
-        let mut converged = false;
-        while cycles < self.max_cycles {
+        let mut cycle = |_: usize, _: bool| {
             vcycle(&mut levels, &mut res, self);
-            cycles += 1;
-            rel = fine_residual(&levels, &mut res) / norm0;
-            if rel < self.tol {
-                converged = true;
-                break;
-            }
-        }
-        let u = levels.into_iter().next().expect("the fine level").u;
-        (u.to_grid_in(res), SolveStatus { converged, iterations: cycles, final_diff: rel })
+            fine_residual(&levels, &mut res) / norm0
+        };
+        let mut every = CheckPolicy::Every(1);
+        let (run, _) = run_schedule(&mut cycle, &mut every, self.tol, self.max_cycles, 1, None);
+        (levels[0].u.to_grid_in(res), run.into())
     }
 }
 

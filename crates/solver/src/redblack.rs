@@ -15,7 +15,7 @@
 //! bit-identical to the in-place sequential red-black sweep.
 
 use crate::split::{half_sweep, SplitGrid, Update};
-use crate::{PoissonProblem, SolveStatus};
+use crate::{run_schedule, CheckPolicy, PoissonProblem, SolveStatus};
 use parspeed_grid::Grid2D;
 
 /// Red-black SOR solver (5-point stencil: the colouring argument requires
@@ -51,28 +51,22 @@ impl RedBlackSolver {
         self
     }
 
-    /// Solves `problem` (5-point stencil).
+    /// Solves `problem` (5-point stencil); one [`run_schedule`] step is
+    /// both colour half-sweeps, checked every iteration.
     pub fn solve(&self, problem: &PoissonProblem) -> (Grid2D, SolveStatus) {
         assert!(self.omega > 0.0 && self.omega < 2.0, "SOR needs 0 < ω < 2");
         let h2 = problem.h() * problem.h();
         let mut u = SplitGrid::initial(problem);
         let f = SplitGrid::from_interior(problem.forcing());
         let update = Update::Relax(self.omega);
-
-        let mut iterations = 0;
-        let mut diff = f64::INFINITY;
-        let mut converged = false;
-        while iterations < self.max_iters {
+        let mut sweep = |_: usize, _: bool| {
             let d_red = half_sweep(&mut u, &f, h2, 0, update, self.parallel);
             let d_black = half_sweep(&mut u, &f, h2, 1, update, self.parallel);
-            iterations += 1;
-            diff = d_red.max(d_black);
-            if diff < self.tol {
-                converged = true;
-                break;
-            }
-        }
-        (u.to_grid_in(f.into_buffer()), SolveStatus { converged, iterations, final_diff: diff })
+            d_red.max(d_black)
+        };
+        let mut every = CheckPolicy::Every(1);
+        let (run, _) = run_schedule(&mut sweep, &mut every, self.tol, self.max_iters, 1, None);
+        (u.to_grid_in(f.into_buffer()), run.into())
     }
 }
 

@@ -1,7 +1,7 @@
 //! Gauss-Seidel and successive over-relaxation (lexicographic ordering).
 
 use crate::apply::sor_sweep;
-use crate::{CheckPolicy, PoissonProblem, SolveStatus};
+use crate::{run_schedule, CheckPolicy, PoissonProblem, SolveStatus};
 use parspeed_grid::Grid2D;
 use parspeed_stencil::Stencil;
 
@@ -38,31 +38,17 @@ impl SorSolver {
         Self { tol, max_iters: 200_000, omega: 2.0 / (1.0 + h.sin()), check: CheckPolicy::Every(1) }
     }
 
-    /// Solves `problem` with `stencil` by in-place relaxation sweeps.
+    /// Solves `problem` with `stencil` by in-place relaxation sweeps; one
+    /// [`run_schedule`] step is one sweep.
     pub fn solve(&self, problem: &PoissonProblem, stencil: &Stencil) -> (Grid2D, SolveStatus) {
         assert!(self.omega > 0.0 && self.omega < 2.0, "SOR needs 0 < ω < 2");
-        let halo = stencil.reach();
         let h2 = problem.h() * problem.h();
-        let mut u = problem.initial_grid(halo);
+        let mut u = problem.initial_grid(stencil.reach());
         let f = problem.forcing();
-
-        let mut iterations = 0;
-        let mut diff = f64::INFINITY;
-        let mut next_check = self.check.first_check();
-        while iterations < self.max_iters {
-            let sweep_diff = sor_sweep(stencil, &mut u, f, h2, self.omega);
-            iterations += 1;
-            if iterations >= next_check.min(self.max_iters) {
-                diff = sweep_diff;
-                if diff < self.tol {
-                    return (u, SolveStatus { converged: true, iterations, final_diff: diff });
-                }
-                while next_check <= iterations {
-                    next_check = self.check.next_check(next_check);
-                }
-            }
-        }
-        (u, SolveStatus { converged: false, iterations, final_diff: diff })
+        let mut sweep = |_: usize, _: bool| sor_sweep(stencil, &mut u, f, h2, self.omega);
+        let mut check = self.check;
+        let (run, _) = run_schedule(&mut sweep, &mut check, self.tol, self.max_iters, 1, None);
+        (u, run.into())
     }
 }
 
