@@ -299,11 +299,10 @@ pub fn run_effect(effect: &EffectKey, runner: Option<ExperimentRunner>) -> EvalO
 /// Evaluates `keys` in parallel, returning outcomes in input order.
 ///
 /// `pool` pins the thread count (an engine built with
-/// [`threads`](crate::EngineBuilder::threads)); with `None` the first key
-/// runs inline and its time, times the keys left, is the batch's work
-/// estimate — so a batch of cheap model keys stays on the calling thread
-/// and a batch of solves fans out. Single-key batches skip the pool
-/// entirely.
+/// [`threads`](crate::EngineBuilder::threads)), whatever the batch's
+/// size; with `None` the first key runs inline and its time, times the
+/// keys left, is the batch's work estimate — so a batch of cheap model
+/// keys stays on the calling thread and a batch of solves fans out.
 pub fn evaluate_all(keys: &[EvalKey], pool: Option<&ThreadPool>) -> Vec<EvalOutcome> {
     evaluate_all_ckpt(keys, pool, None)
 }
@@ -317,21 +316,29 @@ pub fn evaluate_all_ckpt(
     pool: Option<&ThreadPool>,
     ckpt: Option<(&CheckpointStore, CheckpointPolicy)>,
 ) -> Vec<EvalOutcome> {
-    let eval = |key: &EvalKey| {
+    fan_out(keys, pool, |key| {
         let ctx =
             ckpt.map(|(store, policy)| CheckpointCtx { store, policy, key: checkpoint_key(key) });
         evaluate_ckpt(key, ctx)
-    };
-    if keys.len() <= 1 {
-        return keys.iter().map(eval).collect();
-    }
+    })
+}
+
+/// Runs `eval` over `keys` as [`evaluate_all`] describes.
+fn fan_out<T: Send>(
+    keys: &[EvalKey],
+    pool: Option<&ThreadPool>,
+    eval: impl Fn(&EvalKey) -> T + Sync,
+) -> Vec<T> {
     if let Some(pool) = pool {
         return pool.install(|| keys.par_iter().map(eval).collect());
+    }
+    if keys.len() <= 1 {
+        return keys.iter().map(eval).collect();
     }
     let start = Instant::now();
     let first = eval(&keys[0]);
     let work = start.elapsed().as_secs_f64() * (keys.len() - 1) as f64;
-    let rest: Vec<EvalOutcome> = keys[1..].par_iter().with_work(work).map(eval).collect();
+    let rest: Vec<T> = keys[1..].par_iter().with_work(work).map(eval).collect();
     std::iter::once(first).chain(rest).collect()
 }
 
@@ -353,6 +360,20 @@ mod tests {
             k: 1,
             budget: BudgetKey::Limited(64),
             memory_words: None,
+        }
+    }
+
+    #[test]
+    fn a_pinned_pool_pins_every_batch_size() {
+        // `--threads N` governs a key alone in its batch as it governs
+        // a key among others.
+        let keys = vec![key_256_square_64(); 3];
+        for threads in [1, 3] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            for n in 1..=3 {
+                let seen = fan_out(&keys[..n], Some(&pool), |_| rayon::current_num_threads());
+                assert_eq!(seen, vec![threads; n], "{n} key(s) on {threads} thread(s)");
+            }
         }
     }
 

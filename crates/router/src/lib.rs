@@ -1404,7 +1404,7 @@ impl WireHandler for RouterHandler {
         }
     }
 
-    fn disconnect(&self, conn: &Arc<ConnShared>, _v1_lines: u64) {
+    fn disconnect(&self, conn: &Arc<ConnShared>) {
         conn.mark_eof();
     }
 

@@ -20,6 +20,7 @@ use parspeed_obs::{ResilienceCounters, Stage};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -91,6 +92,9 @@ pub struct ConnShared {
     /// Where a duplicate-seq route is counted (`reorder_drops`); `None`
     /// on bare test connections.
     resilience: Option<Arc<ResilienceCounters>>,
+    /// Wire-v1 request lines the server admitted on this connection, for
+    /// the deprecation note at its disconnect.
+    pub(crate) v1_lines: AtomicU64,
     /// Called (outside the state lock) whenever `route` releases at
     /// least one reply — the event-loop frontend's "this connection has
     /// output" signal. In-process clients leave it unset and block on
@@ -117,6 +121,7 @@ impl ConnShared {
             id,
             obs: None,
             resilience: None,
+            v1_lines: AtomicU64::new(0),
             waker: Mutex::new(None),
             state: Mutex::new(Router::default()),
             cv: Condvar::new(),

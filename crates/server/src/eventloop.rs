@@ -99,10 +99,8 @@ pub trait WireHandler: Send + Sync + 'static {
     fn admit(&self, conn: &Arc<ConnShared>, admission: Admission, shed: Option<&str>);
 
     /// The connection's read half ended (EOF, error, or server drain):
-    /// emit any per-connection notes (`v1_lines` counts the
-    /// connection's deprecated wire-v1 requests) and mark the reorder
-    /// buffer EOF.
-    fn disconnect(&self, conn: &Arc<ConnShared>, v1_lines: u64);
+    /// emit any per-connection notes and mark the reorder buffer EOF.
+    fn disconnect(&self, conn: &Arc<ConnShared>);
 
     /// Whether the tier is draining for shutdown (checked every tick;
     /// the loop then stops accepting/reading, flushes, and exits).
@@ -140,7 +138,6 @@ fn dispatch_line(
     conn: &Arc<ConnShared>,
     text: &str,
     line_no: usize,
-    v1_lines: &mut u64,
     shed: Option<&str>,
 ) {
     let seq = conn.alloc_seq();
@@ -161,9 +158,6 @@ fn dispatch_line(
     };
     match parsed {
         Ok(parsed) => {
-            if parsed.version < WIRE_VERSION {
-                *v1_lines += 1;
-            }
             let admitted = Instant::now();
             let deadline =
                 parsed.deadline_ms.and_then(|ms| admitted.checked_add(Duration::from_millis(ms)));
@@ -284,7 +278,6 @@ struct LoopConn {
     wbuf: Vec<u8>,
     wpos: usize,
     line_no: usize,
-    v1_lines: u64,
     /// The read half is done (peer EOF, error, or drain) — only
     /// flushing remains.
     eof: bool,
@@ -444,7 +437,6 @@ impl EventLoop {
             wbuf: Vec::new(),
             wpos: 0,
             line_no: 0,
-            v1_lines: 0,
             eof: false,
             paused: false,
             discarding: false,
@@ -491,7 +483,7 @@ impl EventLoop {
             let c = self.conns[slot].as_mut().expect("slot live");
             if !c.eof {
                 c.eof = true;
-                handler.disconnect(&c.conn, c.v1_lines);
+                handler.disconnect(&c.conn);
             }
         }
         self.pump(token, freed);
@@ -558,14 +550,7 @@ impl EventLoop {
                 // for valid UTF-8 (the lossy conversion only allocates
                 // on invalid bytes, which then answer a parse error).
                 let text = String::from_utf8_lossy(&c.rbuf[start..end]);
-                dispatch_line(
-                    &*handler,
-                    &c.conn,
-                    text.trim(),
-                    c.line_no,
-                    &mut c.v1_lines,
-                    shed_msg.as_deref(),
-                );
+                dispatch_line(&*handler, &c.conn, text.trim(), c.line_no, shed_msg.as_deref());
             }
             if end == c.rbuf.len() {
                 start = end; // unterminated final line at EOF
@@ -641,7 +626,7 @@ impl EventLoop {
             let c = self.conns[slot].as_mut().expect("slot live");
             if !c.eof {
                 c.eof = true;
-                handler.disconnect(&c.conn, c.v1_lines);
+                handler.disconnect(&c.conn);
             }
             self.close(slot, freed);
             return;
@@ -675,7 +660,7 @@ impl EventLoop {
         let Some(c) = self.conns[slot].as_mut() else { return };
         if !c.eof {
             c.eof = true;
-            handler.disconnect(&c.conn, c.v1_lines);
+            handler.disconnect(&c.conn);
         }
         self.close(slot, freed);
     }
@@ -699,7 +684,7 @@ impl EventLoop {
             let Some(c) = self.conns[slot].as_mut() else { continue };
             if !c.eof {
                 c.eof = true;
-                handler.disconnect(&c.conn, c.v1_lines);
+                handler.disconnect(&c.conn);
             }
         }
     }

@@ -325,8 +325,11 @@ impl WireHandler for ServerHandler {
 
     fn admit(&self, conn: &Arc<ConnShared>, a: Admission, shed: Option<&str>) {
         let shared = &self.shared;
+        // The one place wire-v1 lines are counted: live for `stats`,
+        // and per connection for the note at its disconnect.
         if a.version < WIRE_VERSION {
             shared.counters.add(&shared.counters.v1_lines, 1);
+            conn.v1_lines.fetch_add(1, Ordering::Relaxed);
         }
         let job = Job {
             conn: Arc::clone(conn),
@@ -344,7 +347,8 @@ impl WireHandler for ServerHandler {
 
     /// Logs the once-per-connection wire-v1 deprecation note (the same
     /// one `parspeed batch` prints in file mode).
-    fn disconnect(&self, conn: &Arc<ConnShared>, v1_lines: u64) {
+    fn disconnect(&self, conn: &Arc<ConnShared>) {
+        let v1_lines = conn.v1_lines.load(Ordering::Relaxed);
         if v1_lines > 0 {
             eprintln!(
                 "note: connection {} sent {v1_lines} request line(s) using deprecated wire v1; \

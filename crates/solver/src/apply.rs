@@ -11,8 +11,10 @@
 //! full interior for [`jacobi_sweep_blend`], a temporal-tiling band step
 //! driven by [`parspeed_grid::BandSchedule`], or a partition's deep-halo
 //! ghost region), and [`jacobi_sweep_blend_par`], the same pass row-parallel
-//! under rayon on as many pool threads as its work [`sweep_seconds`] pays
-//! for: the paper's optimal `P` for the grid's size. Each output row
+//! under rayon. It declares its work, [`sweep_seconds`], a function of the
+//! grid's size alone, and runs on the thread count the pool has timed
+//! fastest for that size: the paper's optimal `P` for the grid's size,
+//! measured on this machine. Each output row
 //! dispatches on [`Stencil::kernel_kind`]: the four catalogue stencils run
 //! hand-fused kernels that read whole padded row slices with hoisted
 //! halo/offset arithmetic, while any other stencil falls back to the
@@ -37,8 +39,6 @@
 use parspeed_grid::{Grid2D, Region};
 use parspeed_stencil::{KernelKind, Stencil};
 use rayon::prelude::*;
-use std::sync::OnceLock;
-use std::time::Instant;
 
 /// Column-tile width of the fused traversal. A tile bounds the reuse
 /// distance between the padded source rows two consecutive output rows
@@ -46,35 +46,18 @@ use std::time::Instant;
 /// longer fits.
 const COL_TILE: usize = 512;
 
-/// Seconds per flop of the fused sweep on this machine — the paper's
-/// `t_fp` — measured once: the fastest of nine 5-point sweeps of a 128²
-/// grid (noise only ever adds time).
-fn flop_seconds() -> f64 {
-    static T_FP: OnceLock<f64> = OnceLock::new();
-    *T_FP.get_or_init(|| {
-        let (n, s) = (128, Stencil::five_point());
-        let mut src = Grid2D::new(n, n, 1);
-        src.fill(1.0);
-        let mut dst = src.clone();
-        let f = Grid2D::new(n, n, 0);
-        jacobi_sweep(&s, &src, &mut dst, &f, 1e-4);
-        let fastest = (0..9)
-            .map(|_| {
-                let t = Instant::now();
-                jacobi_sweep(&s, std::hint::black_box(&src), &mut dst, &f, 1e-4);
-                t.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min);
-        fastest / ((n * n) as f64 * s.flops_per_point())
-    })
-}
+/// The nominal `t_fp` that prices declared work, in seconds per flop:
+/// fixed, so that an operation's work is a function of its size alone.
+/// Its value only places the pool's size classes and its floor; the pool
+/// times the thread counts themselves.
+const FLOP_SECONDS: f64 = 0.25e-9;
 
 /// The serial work `W`, in seconds, of `points` updates costing
-/// `flops_per_point` each (`W = points · E · t_fp`): what the row-parallel
-/// kernels declare to the pool, which weighs it against its fan-out cost
-/// to pick their thread count.
+/// `flops_per_point` each (`W = points · E · t_fp` at the nominal
+/// `t_fp`): what the row-parallel kernels declare to the pool, which
+/// runs each size class on the thread count its trials timed fastest.
 pub fn sweep_seconds(points: usize, flops_per_point: f64) -> f64 {
-    points as f64 * flops_per_point * flop_seconds()
+    points as f64 * flops_per_point * FLOP_SECONDS
 }
 
 /// Jacobi sweep over the whole interior of `src` into `dst`.
@@ -707,17 +690,14 @@ mod tests {
 
     #[test]
     fn sweep_work_follows_the_problem_size() {
-        let t_fp = flop_seconds();
-        assert!(t_fp > 0.0 && t_fp < 1e-6, "t_fp = {t_fp} s");
         let e = Stencil::five_point().flops_per_point();
         assert_eq!(sweep_seconds(0, e), 0.0);
         assert_eq!(sweep_seconds(400, e), 4.0 * sweep_seconds(100, e));
-        // Against a fan-out of 10 µs a thread, a 15² sweep stays inline
-        // and a 2047² one takes every thread on offer.
-        let cost = rayon::Fanout { per_thread: 1e-5, fixed: 0.0 };
-        let per_point = t_fp * e;
-        assert_eq!(cost.best_threads(225.0 * per_point, 4), 1);
-        assert_eq!(cost.best_threads(sweep_seconds(2047 * 2047, e), 4), 4);
+        // ×4 per doubling of n, and the same work for the same size on
+        // every call: nothing is timed.
+        let n2 = |n: usize| sweep_seconds(n * n, e);
+        assert!((n2(2047) / n2(1023) - 4.0).abs() < 0.01);
+        assert_eq!(n2(127).to_bits(), (127.0 * 127.0 * e * FLOP_SECONDS).to_bits());
     }
 
     #[test]
