@@ -1,6 +1,7 @@
 //! One module per reproduced artifact, indexed by id (`e1`..`e17`) for
-//! [`run`] and [`run_all`]; the artifact table in `EXPERIMENTS.md` maps
-//! each id to its binary and paper artifact.
+//! [`run`] and [`run_all`], which `parspeed experiment --id <id>` serves
+//! through the engine; the artifact table in `EXPERIMENTS.md` maps each
+//! id to its paper artifact.
 
 pub mod ablations;
 pub mod fig6;
@@ -45,8 +46,8 @@ const ALL: &[(&str, &str, Runner)] = &[
     ("e17", "E17 ablations (tolerance, contours, combine hardware)", ablations::run),
 ];
 
-/// Runs every experiment and concatenates the reports (the `run_all`
-/// binary). `quick` trims sweep sizes for CI.
+/// Runs every experiment and concatenates the reports (`parspeed
+/// experiment --id all`). `quick` trims sweep sizes for CI.
 pub fn run_all(quick: bool) -> String {
     let mut out = String::new();
     for (_, title, run) in ALL {

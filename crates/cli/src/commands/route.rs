@@ -75,9 +75,10 @@ stdin reaches EOF (Ctrl-D), drains every in-flight reply, and exits.
 A lost or tripped shard does not lose requests: in-flight idempotent
 work fails over around the ring with capped, deterministically jittered
 backoff; per-shard circuit breakers open on consecutive failures or a
-reply stall and readmit the shard through a half-open probe. Backoff
-waits and the stall check run on the router's one timer thread, so no
-connection ever waits behind another request's recovery. Requests
+reply stall and readmit the shard through a half-open probe at the
+probe time, with or without traffic. Backoff waits, the stall check and
+the readmission run on the router's one timer thread, so no connection
+ever waits behind another request's recovery. Requests
 may carry \"deadline_ms\"; an expired budget answers its own slot with
 \"error_kind\":\"deadline_exceeded\".
 
@@ -221,6 +222,9 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         ("queue-depth", backend.queue_depth),
         ("retry-max", config.retry.max_attempts as usize),
         ("breaker-threshold", config.breaker.failure_threshold as usize),
+        // Zero would count every lane holding a request at a timer tick
+        // as stalled.
+        ("stall-after-ms", config.breaker.stall_after.as_millis() as usize),
     ] {
         if value == 0 {
             return Err(err(format!("flag `--{flag}` must be at least 1")));

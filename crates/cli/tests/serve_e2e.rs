@@ -114,3 +114,17 @@ fn serve_and_route_refuse_the_removed_frontend_flags() {
         }
     }
 }
+
+#[test]
+fn route_refuses_a_zero_stall_threshold() {
+    // Zero would trip every shard holding a request at a timer tick.
+    let out = Command::new(env!("CARGO_BIN_EXE_parspeed"))
+        .args(["route", "--stall-after-ms", "0"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run parspeed");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("`--stall-after-ms` must be at least 1"), "{stderr}");
+    assert!(out.stdout.is_empty(), "route must not start serving");
+}

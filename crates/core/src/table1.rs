@@ -10,8 +10,8 @@
 //! | Switching network | `E·n²·Tfp / (16·w·k·log₂n + E·Tfp)`                      |
 //!
 //! [`rows`] evaluates the four entries; [`fit_scaling_exponent`] fits the
-//! empirical growth exponent `d log(speedup) / d log(n²)` so tests (and the
-//! `table1_summary` experiment) can check the paper's asymptotic claims:
+//! empirical growth exponent `d log(speedup) / d log(n²)` so tests (and
+//! `parspeed experiment --id e5`) can check the paper's asymptotic claims:
 //! 1 for the hypercube, 1/3 for the synchronous bus with squares, slightly
 //! under 1 for the banyan.
 

@@ -16,9 +16,10 @@
 //!   `stall_after` with no reply) or fails repeatedly (consecutive
 //!   `internal`-kind replies reach `failure_threshold`) is tripped out
 //!   of the ring. In-flight requests on the tripped shard redispatch;
-//!   after `probe_after` the shard is readmitted half-open, and one
-//!   successful reply recloses the breaker. A failed probe re-opens it
-//!   with a doubled probe interval.
+//!   `probe_after` later the router's timer readmits the shard
+//!   half-open, whether or not traffic arrives, and one successful
+//!   reply recloses the breaker. A failed probe re-opens it with a
+//!   doubled probe interval.
 //! * **Deadlines**: a request whose budget expires before any shard
 //!   answers is refused in-slot with the `deadline_exceeded` kind; the
 //!   remaining budget travels to the backend with every (re)dispatch.
@@ -63,8 +64,8 @@ impl Default for RetryPolicy {
 pub struct BreakerPolicy {
     /// Consecutive `internal`-kind replies that trip the breaker open.
     pub failure_threshold: u32,
-    /// How long an open breaker waits before readmitting the shard
-    /// half-open for a probe. Doubles on every failed probe.
+    /// How long an open breaker waits before the timer readmits the
+    /// shard half-open for a probe. Doubles on every failed probe.
     pub probe_after: Duration,
     /// A shard whose oldest in-flight request has waited this long with
     /// no reply at all is declared stalled and tripped.
@@ -161,6 +162,12 @@ pub(crate) enum BreakerState {
     /// Readmitted on probation; carries the interval to double if the
     /// probe fails.
     HalfOpen { probe_interval: Duration },
+}
+
+impl Default for BreakerState {
+    fn default() -> Self {
+        BreakerState::Closed { failures: 0 }
+    }
 }
 
 impl BreakerState {

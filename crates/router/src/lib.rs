@@ -39,17 +39,32 @@
 //!   for;
 //! * **sick shards trip a breaker** — a shard that stalls or fails
 //!   repeatedly is tripped out of the ring ([`BreakerPolicy`]),
-//!   readmitted half-open after a probe interval, and reclosed on the
-//!   first healthy reply (failed probes double the interval);
+//!   readmitted half-open at its probe time, and reclosed on the first
+//!   healthy reply (failed probes double the interval);
 //! * **graceful drain** — router shutdown refuses new work in-slot,
 //!   flushes every in-flight reply, then drains each backend.
 //!
-//! Nothing waits on a thread other requests wait on: failover backoff,
-//! replies held by an injected delay, and the stall check all live on
-//! the router's one timer thread. Besides the shards' batcher workers,
-//! a router runs that timer, one event-loop thread per
-//! [`Router::listen`], and — with a [`SupervisorPolicy`] — the
-//! supervisor, whose respawn probes and warm-up replays block it.
+//! Nothing waits on a thread other requests wait on. The router's one
+//! timer thread owns everything that happens at a time rather than on a
+//! reply:
+//!
+//! * failover backoff;
+//! * replies held by an injected delay;
+//! * stall trips;
+//! * probe readmission — an open breaker goes half-open at its probe
+//!   time whether or not traffic arrives.
+//!
+//! Besides the shards' batcher workers, a router runs that timer, one
+//! event-loop thread per [`Router::listen`], and — with a
+//! [`SupervisorPolicy`] — the supervisor, whose respawn probes and
+//! warm-up replays block it.
+//!
+//! Each shard is one record: its backend (server, engine, client), the
+//! requests in flight on it, its hot keys, its armed faults, and its
+//! state (breaker, supervision, warm-up). One lock rule holds: a
+//! shard's state may be held while taking the ring, and every other
+//! lock is taken alone. No router lock is held across a call into an
+//! engine, a server, a client, or the fault plan.
 //!
 //! Every recovery action counts into the fleet-level
 //! [`parspeed_obs::ResilienceCounters`], answered on the wire by the
@@ -162,7 +177,7 @@ struct Pending {
     deadline: Option<Instant>,
     /// Dispatch attempts already burned (0 on first dispatch).
     attempts: u32,
-    /// When this slot was last submitted to a lane (stall detection).
+    /// When this slot was last submitted to a shard (stall detection).
     submitted: Instant,
 }
 
@@ -199,13 +214,14 @@ impl Pending {
     }
 }
 
-/// One shard's scatter lane: the in-process client into its server plus
-/// the requests in flight on it.
-struct Lane {
-    /// The in-process client into this shard's *current* server. A
-    /// respawn swaps it for a client into the replacement; readers take
-    /// the lock only long enough to clone the `Arc`.
-    client: Mutex<Arc<Client>>,
+/// One shard of the fleet: the backend serving it, the requests in
+/// flight on it, and the state that decides whether the ring routes
+/// here. Only `state` may be held while taking another lock (the ring).
+struct Shard {
+    /// The shard's *current* backend. A respawn installs the
+    /// replacement in one assignment; readers hold the lock only long
+    /// enough to clone an `Arc` out.
+    backend: Mutex<Backend>,
     /// Requests in flight here by router request id (drawn under this
     /// lock, so the first entry is the oldest). A reply, a kill, a trip,
     /// and the stall check each take an entry at most once; a reply
@@ -218,19 +234,59 @@ struct Lane {
     /// newest at the back (see [`HOT_KEYS_PER_SHARD`]): the warmup set
     /// a replacement shard replays before rejoining the ring.
     hot: Mutex<VecDeque<(u64, Query)>>,
-    /// Faults a chaos plan armed against this lane (all zero without
+    /// Faults a chaos plan armed against this shard (all zero without
     /// one).
     faults: LaneFaults,
+    /// Breaker, supervision, and warm-up progress.
+    state: Mutex<ShardState>,
 }
 
-impl Lane {
+impl Shard {
     fn client(&self) -> Arc<Client> {
-        Arc::clone(&self.client.lock().unwrap())
+        Arc::clone(&self.backend.lock().unwrap().client)
+    }
+
+    fn engine(&self) -> Arc<Engine> {
+        Arc::clone(&self.backend.lock().unwrap().engine)
     }
 
     /// Takes every entry, oldest first (a kill or a breaker trip).
     fn take_all(&self) -> Vec<Pending> {
         std::mem::take(&mut *self.inflight.lock().unwrap()).into_values().collect()
+    }
+
+    /// Remembers `query` in the hot-key ring (keys only, newest at the
+    /// back, distinct by routing hash). Effect queries are excluded —
+    /// replaying a wall-clock measurement is not a warmup.
+    fn record_hot(&self, hash: u64, query: &Query) {
+        if !query.retry_safe() {
+            return;
+        }
+        let mut hot = self.hot.lock().unwrap();
+        if let Some(pos) = hot.iter().position(|&(h, _)| h == hash) {
+            hot.remove(pos);
+        } else if hot.len() >= HOT_KEYS_PER_SHARD {
+            hot.pop_front();
+        }
+        hot.push_back((hash, query.clone()));
+    }
+}
+
+/// A shard's running backend: its server (`None` once a kill or the
+/// shutdown drain took it), that server's engine, and the in-process
+/// client the router submits through.
+struct Backend {
+    server: Option<Server>,
+    engine: Arc<Engine>,
+    client: Arc<Client>,
+}
+
+impl Backend {
+    fn start(engine: Arc<Engine>, shard: usize, config: ServerConfig) -> Backend {
+        let server =
+            Server::start(Arc::clone(&engine), ServerConfig { shard: Some(shard), ..config });
+        let client = Arc::new(server.client());
+        Backend { server: Some(server), engine, client }
     }
 }
 
@@ -246,16 +302,18 @@ struct TimerQueue {
     stop: bool,
 }
 
-/// Per-shard supervision state (under `Core::sup`).
-#[derive(Debug, Clone, Copy, Default)]
-struct SupState {
-    /// When the supervisor first observed this shard lost (`None` while
-    /// healthy).
+/// Everything about a shard that moves with time or supervision.
+#[derive(Debug, Default)]
+struct ShardState {
+    breaker: BreakerState,
+    /// When the shard was last lost (a kill), or a respawn attempt last
+    /// failed: the supervisor's debounce and backoff count from here.
     lost_at: Option<Instant>,
     /// Respawn attempts burned (denied, failed, or successful).
     respawns: u32,
     /// Budget exhausted: the shard is out of the fleet for good.
     evicted: bool,
+    warmup: WarmupStatus,
 }
 
 /// Per-shard warmup progress (the `warmup` wire op).
@@ -277,34 +335,25 @@ struct Core {
     me: Weak<Core>,
     cfg: RouterConfig,
     ring: Mutex<HashRing>,
-    lanes: Vec<Lane>,
-    /// Each shard's engine; a respawn swaps in the replacement's.
-    engines: Vec<Mutex<Arc<Engine>>>,
-    servers: Mutex<Vec<Option<Server>>>,
+    shards: Vec<Shard>,
     epoch: Instant,
     draining: AtomicBool,
     /// Fleet-level recovery counters (the router-scoped `metrics` op).
     resilience: Arc<ResilienceCounters>,
-    /// Per-shard circuit breakers. Lock order: sup → breaker → ring →
-    /// lane.
-    breakers: Vec<Mutex<BreakerState>>,
     /// The installed deterministic fault plan, if any.
     faults: Mutex<Option<Arc<FaultPlan>>>,
     /// Builds a shard's engine — kept so the supervisor can build
     /// replacements with the caller's exact wiring (cache capacity,
     /// shared checkpoint store, …).
     factory: Box<dyn Fn(usize) -> Arc<Engine> + Send + Sync>,
-    /// Per-shard supervision state.
-    sup: Mutex<Vec<SupState>>,
-    /// Per-shard warmup progress.
-    warmups: Vec<Mutex<WarmupStatus>>,
     /// Next connection id (TCP and in-process clients share the space).
     next_conn_id: AtomicU64,
-    /// Next router request id (one per submission to a lane).
+    /// Next router request id (one per submission to a shard).
     next_request_id: AtomicU64,
     /// Deferred failovers and held replies (see [`Core::timer_loop`]).
     timer: Mutex<TimerQueue>,
-    /// Wakes the timer for a new earliest deadline or to stop.
+    /// Wakes the timer for a new earliest deadline, a new probe time,
+    /// or to stop.
     timer_cv: Condvar,
 }
 
@@ -319,14 +368,10 @@ impl Core {
         self.faults.lock().unwrap().clone()
     }
 
-    fn engine(&self, shard: usize) -> Arc<Engine> {
-        Arc::clone(&self.engines[shard].lock().unwrap())
-    }
-
     /// Scatter: hash the query's canonical key onto the ring and hand it
-    /// to the owning lane. Every refusal is answered in the request's
-    /// own reply slot — dispatch never blocks beyond the lane lock and
-    /// never drops a slot.
+    /// to the owning shard. Every refusal is answered in the request's
+    /// own reply slot — dispatch never blocks beyond the in-flight lock
+    /// and never drops a slot.
     fn dispatch(&self, mut pending: Pending) {
         if self.draining.load(Ordering::SeqCst) {
             pending
@@ -344,7 +389,6 @@ impl Core {
                     self.cfg.default_deadline.and_then(|d| Instant::now().checked_add(d));
             }
         }
-        self.admit_probes();
         if pending.deadline.is_some_and(|d| Instant::now() >= d) {
             ResilienceCounters::bump(&self.resilience.deadline_missed);
             pending.expire(
@@ -364,47 +408,32 @@ impl Core {
                 );
                 return;
             };
-            let lane = &self.lanes[shard];
-            self.record_hot(lane, hash, &pending.query);
-            let mut inflight = lane.inflight.lock().unwrap();
-            if lane.lost.load(Ordering::SeqCst) {
-                // Lost between the ring lookup and the lane lock; the
-                // ring has already rebalanced — route again.
+            let s = &self.shards[shard];
+            s.record_hot(hash, &pending.query);
+            let mut inflight = s.inflight.lock().unwrap();
+            if s.lost.load(Ordering::SeqCst) {
+                // Lost between the ring lookup and the in-flight lock;
+                // the ring has already rebalanced — route again.
                 continue;
             }
-            // Relaxed: the id publishes no data, and the lane lock orders
-            // a lane's draws.
+            // Relaxed: the id publishes no data, and the in-flight lock
+            // orders a shard's draws.
             let id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
             pending.submitted = Instant::now();
             let (query, deadline) = (pending.query.clone(), pending.deadline);
             inflight.insert(id, pending);
             drop(inflight);
-            // Outside the lane lock: a refusing backend settles before
-            // `submit_then` returns. The deadline budget travels along.
+            // Outside the in-flight lock: a refusing backend settles
+            // before `submit_then` returns. The deadline budget travels
+            // along.
             let core = Weak::clone(&self.me);
-            lane.client().submit_then(query, deadline, id, move |response| {
+            s.client().submit_then(query, deadline, id, move |response| {
                 if let Some(core) = core.upgrade() {
                     core.settle(shard, id, response);
                 }
             });
             return;
         }
-    }
-
-    /// Remembers `query` in the shard's hot-key ring (keys only, newest
-    /// at the back, distinct by routing hash). Effect queries are
-    /// excluded — replaying a wall-clock measurement is not a warmup.
-    fn record_hot(&self, lane: &Lane, hash: u64, query: &Query) {
-        if !query.retry_safe() {
-            return;
-        }
-        let mut hot = lane.hot.lock().unwrap();
-        if let Some(pos) = hot.iter().position(|&(h, _)| h == hash) {
-            hot.remove(pos);
-        } else if hot.len() >= HOT_KEYS_PER_SHARD {
-            hot.pop_front();
-        }
-        hot.push_back((hash, query.clone()));
     }
 
     /// Fires any fault-plan triggers due at this request index. Called
@@ -431,30 +460,30 @@ impl Core {
                     self.kill_shard(shard);
                 }
                 FaultAction::DelayLane { shard, millis } => {
-                    self.lanes[shard].faults.delay_ms.fetch_add(millis, Ordering::SeqCst);
+                    self.shards[shard].faults.delay_ms.fetch_add(millis, Ordering::SeqCst);
                     plan.record(format!("router: armed {millis} ms reply delay on lane {shard}"));
                 }
                 FaultAction::DropReply { shard } => {
-                    self.lanes[shard].faults.drop_next.fetch_add(1, Ordering::SeqCst);
+                    self.shards[shard].faults.drop_next.fetch_add(1, Ordering::SeqCst);
                     plan.record(format!("router: armed a reply drop on lane {shard}"));
                 }
                 FaultAction::DuplicateReply { shard } => {
-                    self.lanes[shard].faults.dup_next.fetch_add(1, Ordering::SeqCst);
+                    self.shards[shard].faults.dup_next.fetch_add(1, Ordering::SeqCst);
                     plan.record(format!("router: armed a duplicate reply on lane {shard}"));
                 }
                 FaultAction::WedgeLane { shard } => {
-                    self.lanes[shard].faults.wedged.store(true, Ordering::SeqCst);
+                    self.shards[shard].faults.wedged.store(true, Ordering::SeqCst);
                     plan.record(format!("router: wedged lane {shard} (replies will stall)"));
                 }
                 FaultAction::RespawnDeny { shard } => {
-                    self.lanes[shard].faults.respawn_deny.fetch_add(1, Ordering::SeqCst);
+                    self.shards[shard].faults.respawn_deny.fetch_add(1, Ordering::SeqCst);
                     plan.record(format!("router: armed a respawn denial on shard {shard}"));
                 }
                 FaultAction::CrashLoop { shard, times } => {
                     // One kill now, `times - 1` more armed against each
                     // future rejoin: the deterministic crash-loop.
                     let rejoins = times.saturating_sub(1);
-                    self.lanes[shard].faults.crashloop.store(rejoins, Ordering::SeqCst);
+                    self.shards[shard].faults.crashloop.store(rejoins, Ordering::SeqCst);
                     plan.record(format!("router: crash-looping shard {shard} ({times} kill(s))"));
                     self.kill_shard(shard);
                 }
@@ -468,37 +497,15 @@ impl Core {
         }
     }
 
-    /// Readmits breaker-opened shards whose probe time has arrived:
-    /// half-open, back in the ring, lane unwedged. Cheap (one mutex try
-    /// per shard), called on every dispatch.
-    fn admit_probes(&self) {
-        let now = Instant::now();
-        for (shard, slot) in self.breakers.iter().enumerate() {
-            let mut state = slot.lock().unwrap();
-            let BreakerState::Open { probe_at, probe_interval } = *state else { continue };
-            if now < probe_at || self.lanes[shard].lost.load(Ordering::SeqCst) {
-                continue;
-            }
-            *state = BreakerState::HalfOpen { probe_interval };
-            // A readmitted lane consumes replies again (an injected
-            // wedge is healed by the probe).
-            self.lanes[shard].faults.wedged.store(false, Ordering::SeqCst);
-            self.ring.lock().unwrap().add(shard);
-            if let Some(plan) = self.plan() {
-                plan.record(format!("router: shard {shard} readmitted half-open for a probe"));
-            }
-        }
-    }
-
     /// Records the health of one delivered reply into the shard's
     /// breaker: a healthy reply recloses a half-open breaker (or resets
     /// the failure streak); an `internal`-kind reply counts toward the
     /// trip threshold, and fails a probe outright.
     fn note_reply(&self, shard: usize, healthy: bool) {
-        let mut state = self.breakers[shard].lock().unwrap();
-        match (*state, healthy) {
+        let mut state = self.shards[shard].state.lock().unwrap();
+        match (state.breaker, healthy) {
             (BreakerState::HalfOpen { .. }, true) => {
-                *state = BreakerState::Closed { failures: 0 };
+                state.breaker = BreakerState::Closed { failures: 0 };
                 ResilienceCounters::bump(&self.resilience.breaker_reclosed);
                 drop(state);
                 if let Some(plan) = self.plan() {
@@ -508,15 +515,15 @@ impl Core {
                 }
             }
             (BreakerState::Closed { failures }, true) if failures > 0 => {
-                *state = BreakerState::Closed { failures: 0 };
+                state.breaker = BreakerState::Closed { failures: 0 };
             }
             (BreakerState::Closed { failures }, false) => {
                 if failures + 1 >= self.cfg.breaker.failure_threshold {
-                    *state = BreakerState::Closed { failures: 0 };
+                    state.breaker = BreakerState::Closed { failures: 0 };
                     drop(state);
                     self.trip_shard(shard, "consecutive failures");
                 } else {
-                    *state = BreakerState::Closed { failures: failures + 1 };
+                    state.breaker = BreakerState::Closed { failures: failures + 1 };
                 }
             }
             (BreakerState::HalfOpen { .. }, false) => {
@@ -531,32 +538,33 @@ impl Core {
 
     /// Trips one shard's breaker open: out of the ring, in-flight slots
     /// redispatched (their late backend replies will find nothing to
-    /// settle). The shard's server keeps running — readmission is the
-    /// probe's job.
+    /// settle). The shard's server keeps running — the timer readmits
+    /// it at the probe time.
     fn trip_shard(&self, shard: usize, why: &str) {
-        let lane = &self.lanes[shard];
-        if lane.lost.load(Ordering::SeqCst) {
+        let s = &self.shards[shard];
+        if s.lost.load(Ordering::SeqCst) {
             return;
         }
         {
-            let mut state = self.breakers[shard].lock().unwrap();
-            let interval = match *state {
+            let mut state = s.state.lock().unwrap();
+            let interval = match state.breaker {
                 BreakerState::Open { .. } => return, // already tripped
                 BreakerState::Closed { .. } => self.cfg.breaker.probe_after,
                 // A failed probe doubles the wait before the next one.
                 BreakerState::HalfOpen { probe_interval } => probe_interval * 2,
             };
-            *state = BreakerState::Open {
+            state.breaker = BreakerState::Open {
                 probe_at: Instant::now() + interval,
                 probe_interval: interval,
             };
-            let mut ring = self.ring.lock().unwrap();
-            if ring.members().contains(&shard) {
-                ring.remove(shard);
-            }
+            self.ring.lock().unwrap().remove(shard);
         }
+        // The new probe time enters the timer's next wait. (A timer in
+        // the middle of its pass misses this, and readmits up to one nap
+        // late.)
+        self.timer_cv.notify_one();
         ResilienceCounters::bump(&self.resilience.breaker_opened);
-        let drained = lane.take_all();
+        let drained = s.take_all();
         if let Some(plan) = self.plan() {
             plan.record(format!(
                 "router: breaker opened on shard {shard} ({why}); \
@@ -639,29 +647,34 @@ impl Core {
     /// was already out of the ring.
     fn kill_shard(&self, shard: usize) -> Option<ServerStats> {
         assert!(shard < self.cfg.shards, "shard {shard} out of range");
+        let s = &self.shards[shard];
         {
+            // Under the shard's state, so no probe readmits it between
+            // the ring removal and the flag.
+            let mut state = s.state.lock().unwrap();
             let mut ring = self.ring.lock().unwrap();
             if !ring.members().contains(&shard) {
                 return None;
             }
             ring.remove(shard);
+            // Flag, then drain: a racing dispatcher either inserted
+            // before the drain or sees the flag under the in-flight lock
+            // and re-routes.
+            s.lost.store(true, Ordering::SeqCst);
+            state.lost_at = Some(Instant::now());
         }
-        let lane = &self.lanes[shard];
-        // Flag, then drain: a racing dispatcher either inserted before
-        // the drain or sees the flag under the lane lock and re-routes.
-        lane.lost.store(true, Ordering::SeqCst);
-        let drained = lane.take_all();
+        // Claim the backend before redispatching (so a concurrent
+        // supervisor respawn can never install a replacement we would
+        // then tear down), but shut it down only after: failovers
+        // answer at the survivors' speed, not the corpse's.
+        let server = s.backend.lock().unwrap().server.take();
+        let drained = s.take_all();
         if let Some(plan) = self.plan() {
             plan.record(format!(
                 "router: shard {shard} lost; {} in-flight slot(s) redispatched",
                 drained.len()
             ));
         }
-        // Claim the backend before redispatching (so a concurrent
-        // supervisor respawn can never install a replacement we would
-        // then tear down), but shut it down only after: failovers
-        // answer at the survivors' speed, not the corpse's.
-        let server = self.servers.lock().unwrap()[shard].take();
         for p in drained {
             self.redispatch(p, shard);
         }
@@ -710,8 +723,8 @@ impl Core {
         // store once.
         let mut snapshot = self.resilience.snapshot();
         let mut seen: Vec<*const CheckpointStore> = Vec::new();
-        for shard in 0..self.cfg.shards {
-            let engine = self.engine(shard);
+        for shard in &self.shards {
+            let engine = shard.engine();
             if let Some(store) = engine.checkpoint_store() {
                 let ptr = Arc::as_ptr(store);
                 if seen.contains(&ptr) {
@@ -738,31 +751,27 @@ impl Core {
         ])
     }
 
+    /// Live cached outcomes per ring member, `(shard, resident keys)`.
+    fn resident_keys(&self) -> Vec<(usize, usize)> {
+        let members = self.ring.lock().unwrap().members().to_vec();
+        members.into_iter().map(|s| (s, self.shards[s].engine().cache_len())).collect()
+    }
+
     /// The serving-only `topology` record: the live fleet as the ring
     /// sees it, plus each member's resident cache keys — the live
     /// workload profile [`predict`] sizes fleets from.
     fn topology(&self) -> jsonl::Json {
-        let (members, replicas) = {
-            let ring = self.ring.lock().unwrap();
-            (ring.members().to_vec(), ring.replicas())
-        };
-        let lost: Vec<jsonl::Json> = (0..self.cfg.shards)
-            .filter(|s| !members.contains(s))
-            .map(|s| jsonl::Json::Num(s as f64))
-            .collect();
-        let resident: Vec<jsonl::Json> =
-            members.iter().map(|&s| jsonl::Json::Num(self.engine(s).cache_len() as f64)).collect();
+        let resident = self.resident_keys();
+        let num = |n: usize| jsonl::Json::Num(n as f64);
+        let lost = (0..self.cfg.shards).filter(|s| !resident.iter().any(|&(m, _)| m == *s));
         jsonl::Json::Obj(vec![
             ("version".into(), jsonl::Json::Num(WIRE_VERSION as f64)),
             ("op".into(), jsonl::Json::Str("topology".into())),
-            ("shards".into(), jsonl::Json::Num(members.len() as f64)),
-            ("replicas".into(), jsonl::Json::Num(replicas as f64)),
-            (
-                "members".into(),
-                jsonl::Json::Arr(members.iter().map(|&s| jsonl::Json::Num(s as f64)).collect()),
-            ),
-            ("lost".into(), jsonl::Json::Arr(lost)),
-            ("resident".into(), jsonl::Json::Arr(resident)),
+            ("shards".into(), num(resident.len())),
+            ("replicas".into(), num(self.cfg.replicas)),
+            ("members".into(), jsonl::Json::Arr(resident.iter().map(|&(s, _)| num(s)).collect())),
+            ("lost".into(), jsonl::Json::Arr(lost.map(num).collect())),
+            ("resident".into(), jsonl::Json::Arr(resident.iter().map(|&(_, n)| num(n)).collect())),
         ])
     }
 
@@ -770,16 +779,16 @@ impl Core {
     /// worker that produced it, applying any armed injected faults on
     /// the way.
     fn settle(&self, shard: usize, id: u64, response: Response) {
-        let lane = &self.lanes[shard];
-        // An injected wedge: the lane holds its replies back, as a hung
+        let s = &self.shards[shard];
+        // An injected wedge: the shard holds its replies back, as a hung
         // backend connection would — only the stall trip (which
         // redispatches the waiting slots) gets them out.
-        if lane.faults.wedged.load(Ordering::SeqCst) {
+        if s.faults.wedged.load(Ordering::SeqCst) {
             return;
         }
         // Gone means a kill or trip already redispatched the slot.
-        let Some(p) = lane.inflight.lock().unwrap().remove(&id) else { return };
-        if take_one(&lane.faults.drop_next) {
+        let Some(p) = s.inflight.lock().unwrap().remove(&id) else { return };
+        if take_one(&s.faults.drop_next) {
             // Injected reply drop: the backend's answer evaporates;
             // the slot retries instead of waiting forever.
             ResilienceCounters::bump(&self.resilience.replies_dropped);
@@ -789,7 +798,7 @@ impl Core {
             self.redispatch(p, shard);
             return;
         }
-        if take_one(&lane.faults.dup_next) {
+        if take_one(&s.faults.dup_next) {
             // Injected duplicate: the reply "arrives twice"; the
             // second copy is suppressed — every slot is delivered
             // exactly once, never routed twice.
@@ -798,7 +807,7 @@ impl Core {
                 plan.record(format!("router: suppressed a duplicate reply on lane {shard}"));
             }
         }
-        let delay = lane.faults.delay_ms.swap(0, Ordering::SeqCst);
+        let delay = s.faults.delay_ms.swap(0, Ordering::SeqCst);
         if delay > 0 {
             let at = Instant::now() + Duration::from_millis(delay);
             self.defer(at, Box::new(move |core| core.finish(shard, p, response)));
@@ -828,10 +837,12 @@ impl Core {
         }
     }
 
-    /// The timer thread: runs deferred work when due and trips stalled
-    /// lanes. It sleeps until its earliest deadline but never longer
-    /// than half the stall threshold, so dispatch never has to wake it.
-    /// Exits once the shutdown drain raised `stop` and nothing is held.
+    /// The timer thread: runs deferred work when due, then passes over
+    /// the shards ([`Core::tick_shards`]). It sleeps until its earliest
+    /// deadline or probe time but never longer than half the stall
+    /// threshold, so dispatch never has to wake it. Exits once the
+    /// shutdown drain raised `stop` and nothing is held; probe times
+    /// never hold it.
     fn timer_loop(&self) {
         let nap = (self.cfg.breaker.stall_after / 2).max(Duration::from_millis(1));
         let mut timer = self.timer.lock().unwrap();
@@ -848,7 +859,7 @@ impl Core {
                 return;
             }
             drop(timer);
-            let wake = self.trip_stalls(now, now + nap);
+            let wake = self.tick_shards(now, now + nap);
             timer = self.timer.lock().unwrap();
             let wake = timer.due.first().map_or(wake, |&(at, _)| wake.min(at));
             let left = wake.saturating_duration_since(Instant::now());
@@ -856,17 +867,39 @@ impl Core {
         }
     }
 
-    /// Trips every lane whose oldest in-flight request has waited the
-    /// stall threshold with no reply at all; returns the earlier of
-    /// `wake` and the next time a lane could stall.
-    fn trip_stalls(&self, now: Instant, mut wake: Instant) -> Instant {
-        for (shard, lane) in self.lanes.iter().enumerate() {
-            let oldest = lane.inflight.lock().unwrap().values().next().map(|p| p.submitted);
-            let Some(at) = oldest.map(|t| t + self.cfg.breaker.stall_after) else { continue };
-            if at <= now {
-                self.trip_shard(shard, "reply stall");
-            } else {
-                wake = wake.min(at);
+    /// The timer's pass over the shards: trips every shard whose oldest
+    /// in-flight request has waited the stall threshold with no reply
+    /// at all, and readmits every open breaker whose probe time has
+    /// come — half-open, back in the ring, wedge healed. Returns the
+    /// earlier of `wake` and the next time either could happen.
+    fn tick_shards(&self, now: Instant, mut wake: Instant) -> Instant {
+        for (shard, s) in self.shards.iter().enumerate() {
+            let oldest = s.inflight.lock().unwrap().values().next().map(|p| p.submitted);
+            if let Some(at) = oldest.map(|t| t + self.cfg.breaker.stall_after) {
+                if at <= now {
+                    self.trip_shard(shard, "reply stall");
+                } else {
+                    wake = wake.min(at);
+                }
+            }
+            let mut state = s.state.lock().unwrap();
+            let BreakerState::Open { probe_at, probe_interval } = state.breaker else { continue };
+            // A lost shard waits for the supervisor, not for its probe.
+            if s.lost.load(Ordering::SeqCst) {
+                continue;
+            }
+            if probe_at > now {
+                wake = wake.min(probe_at);
+                continue;
+            }
+            state.breaker = BreakerState::HalfOpen { probe_interval };
+            // A readmitted shard consumes replies again (an injected
+            // wedge is healed by the probe).
+            s.faults.wedged.store(false, Ordering::SeqCst);
+            self.ring.lock().unwrap().add(shard);
+            drop(state);
+            if let Some(plan) = self.plan() {
+                plan.record(format!("router: shard {shard} readmitted half-open for a probe"));
             }
         }
         wake
@@ -887,24 +920,22 @@ impl Core {
         }
     }
 
-    /// One supervision step for one shard: observe loss, debounce,
-    /// spend (or exhaust) the respawn budget, respawn.
+    /// One supervision step for one shard: debounce the loss, spend (or
+    /// exhaust) the respawn budget, respawn.
     fn supervise_shard(&self, shard: usize, policy: SupervisorPolicy) {
-        let lane = &self.lanes[shard];
-        if !lane.lost.load(Ordering::SeqCst) {
-            self.sup.lock().unwrap()[shard].lost_at = None;
+        let s = &self.shards[shard];
+        if !s.lost.load(Ordering::SeqCst) {
             return;
         }
         let attempt = {
-            let mut sup = self.sup.lock().unwrap();
-            let st = &mut sup[shard];
-            if st.evicted {
+            let mut state = s.state.lock().unwrap();
+            if state.evicted {
                 return;
             }
-            if st.respawns >= policy.max_respawns {
-                st.evicted = true;
-                let spent = st.respawns;
-                drop(sup);
+            if state.respawns >= policy.max_respawns {
+                state.evicted = true;
+                let spent = state.respawns;
+                drop(state);
                 // Machine-readable: the one line an operator's tooling
                 // greps for when a shard leaves the fleet for good.
                 if let Some(plan) = self.plan() {
@@ -914,8 +945,8 @@ impl Core {
                 }
                 return;
             }
-            let lost_at = *st.lost_at.get_or_insert_with(Instant::now);
-            let attempt = st.respawns + 1;
+            let lost_at = *state.lost_at.get_or_insert_with(Instant::now);
+            let attempt = state.respawns + 1;
             // Deterministic-jitter backoff on top of the debounce floor:
             // attempt 1 waits only `respawn_after`, later attempts add
             // the capped `backoff_ms` schedule.
@@ -930,13 +961,13 @@ impl Core {
             if lost_at.elapsed() < policy.respawn_after + Duration::from_millis(jitter) {
                 return;
             }
-            st.respawns = attempt; // every attempt spends budget
+            state.respawns = attempt; // every attempt spends budget
             attempt
         };
         // A scripted denial (chaos `respawn-deny:S`): the attempt burns
         // with no replacement — capacity was refused.
-        if take_one(&lane.faults.respawn_deny) {
-            self.sup.lock().unwrap()[shard].lost_at = Some(Instant::now());
+        if take_one(&s.faults.respawn_deny) {
+            s.state.lock().unwrap().lost_at = Some(Instant::now());
             if let Some(plan) = self.plan() {
                 plan.record(format!("router: respawn of shard {shard} denied (attempt {attempt})"));
             }
@@ -952,24 +983,27 @@ impl Core {
     /// the ring changes at most once per successful respawn, never
     /// half-way.
     fn respawn_shard(&self, shard: usize, attempt: u32, policy: SupervisorPolicy) {
-        let lane = &self.lanes[shard];
-        let abandon = |server: Server, why: &str| {
-            server.shutdown();
-            self.sup.lock().unwrap()[shard].lost_at = Some(Instant::now());
+        let s = &self.shards[shard];
+        let abandon = |fresh: Backend, why: &str| {
+            if let Some(server) = fresh.server {
+                server.shutdown();
+            }
+            {
+                let mut state = s.state.lock().unwrap();
+                state.lost_at = Some(Instant::now());
+                state.warmup.active = false;
+            }
             if let Some(plan) = self.plan() {
                 plan.record(format!(
                     "router: respawn of shard {shard} abandoned ({why}, attempt {attempt})"
                 ));
             }
         };
-        let engine = (self.factory)(shard);
-        let server =
-            Server::start(engine.clone(), ServerConfig { shard: Some(shard), ..self.cfg.backend });
-        let client = server.client();
+        let fresh = Backend::start((self.factory)(shard), shard, self.cfg.backend);
 
         // Readiness: the replacement must answer a real query before it
         // can own keys.
-        client.submit(Query::Optimize {
+        fresh.client.submit(Query::Optimize {
             arch: ArchKind::SyncBus,
             machine: MachineSpec::default(),
             workload: WorkloadSpec {
@@ -980,8 +1014,8 @@ impl Core {
             procs: Some(4),
             memory_words: None,
         });
-        if client.recv_timeout(self.cfg.breaker.stall_after).is_none() {
-            abandon(server, "readiness probe stalled");
+        if fresh.client.recv_timeout(self.cfg.breaker.stall_after).is_none() {
+            abandon(fresh, "readiness probe stalled");
             return;
         }
 
@@ -990,43 +1024,40 @@ impl Core {
         // every value through the normal engine path, so its replies
         // are bit-identical to any other shard's.
         let keys: Vec<Query> = {
-            let hot = lane.hot.lock().unwrap();
+            let hot = s.hot.lock().unwrap();
             let want = ((hot.len() as f64) * policy.warm_fraction.clamp(0.0, 1.0)).ceil() as usize;
             hot.iter().rev().take(want).map(|(_, q)| q.clone()).collect()
         };
-        *self.warmups[shard].lock().unwrap() =
+        s.state.lock().unwrap().warmup =
             WarmupStatus { active: true, target: keys.len() as u64, replayed: 0 };
         for query in &keys {
-            client.submit(query.clone());
-            if client.recv_timeout(self.cfg.breaker.stall_after).is_none() {
-                self.warmups[shard].lock().unwrap().active = false;
-                abandon(server, "warmup replay stalled");
+            fresh.client.submit(query.clone());
+            if fresh.client.recv_timeout(self.cfg.breaker.stall_after).is_none() {
+                abandon(fresh, "warmup replay stalled");
                 return;
             }
             ResilienceCounters::bump(&self.resilience.warmup_keys_replayed);
-            self.warmups[shard].lock().unwrap().replayed += 1;
+            s.state.lock().unwrap().warmup.replayed += 1;
         }
-        self.warmups[shard].lock().unwrap().active = false;
 
-        // Install: server and client in place, injected faults cleared,
+        // Install: the backend in place, injected faults cleared,
         // breaker closed — and only then the ring readmission that
-        // routes traffic here.
-        self.servers.lock().unwrap()[shard] = Some(server);
-        *self.engines[shard].lock().unwrap() = engine;
-        *lane.client.lock().unwrap() = Arc::new(client);
+        // routes traffic here. The replaced backend (the kill took its
+        // server) drops outside the lock.
+        let dead = std::mem::replace(&mut *s.backend.lock().unwrap(), fresh);
+        drop(dead);
         // Faults armed against the lost server die with it; denials and
         // crash-loops stay armed for the supervisor's next attempts.
-        lane.faults.delay_ms.store(0, Ordering::SeqCst);
-        lane.faults.drop_next.store(0, Ordering::SeqCst);
-        lane.faults.dup_next.store(0, Ordering::SeqCst);
-        lane.faults.wedged.store(false, Ordering::SeqCst);
-        *self.breakers[shard].lock().unwrap() = BreakerState::Closed { failures: 0 };
-        lane.lost.store(false, Ordering::SeqCst);
+        s.faults.delay_ms.store(0, Ordering::SeqCst);
+        s.faults.drop_next.store(0, Ordering::SeqCst);
+        s.faults.dup_next.store(0, Ordering::SeqCst);
+        s.faults.wedged.store(false, Ordering::SeqCst);
         {
-            let mut ring = self.ring.lock().unwrap();
-            if !ring.members().contains(&shard) {
-                ring.add(shard);
-            }
+            let mut state = s.state.lock().unwrap();
+            state.warmup.active = false;
+            state.breaker = BreakerState::Closed { failures: 0 };
+            s.lost.store(false, Ordering::SeqCst);
+            self.ring.lock().unwrap().add(shard);
         }
         ResilienceCounters::bump(&self.resilience.respawns);
         if let Some(plan) = self.plan() {
@@ -1038,37 +1069,38 @@ impl Core {
         }
         // An armed crash-loop (chaos `crashloop:S:N`): the replacement
         // dies on arrival, spending another respawn from the budget.
-        if take_one(&lane.faults.crashloop) {
+        if take_one(&s.faults.crashloop) {
             if let Some(plan) = self.plan() {
                 plan.record(format!("router: crash-loop killed shard {shard} again"));
             }
             self.kill_shard(shard);
-            self.sup.lock().unwrap()[shard].lost_at = Some(Instant::now());
         }
     }
 
     /// Each shard's one-word condition for `metrics` and `health`:
     /// `evicted` dominates `lost` dominates the breaker state.
     fn shard_states(&self) -> Vec<&'static str> {
-        let sup = self.sup.lock().unwrap();
-        (0..self.cfg.shards)
-            .map(|shard| {
-                if sup[shard].evicted {
-                    "evicted"
-                } else if self.lanes[shard].lost.load(Ordering::SeqCst) {
-                    "lost"
-                } else {
-                    self.breakers[shard].lock().unwrap().name()
-                }
-            })
-            .collect()
+        let word = |s: &Shard| {
+            let state = s.state.lock().unwrap();
+            if state.evicted {
+                "evicted"
+            } else if s.lost.load(Ordering::SeqCst) {
+                "lost"
+            } else {
+                state.breaker.name()
+            }
+        };
+        self.shards.iter().map(word).collect()
     }
 
     /// The `warmup` wire record: per-shard cache-warm rejoin progress.
     fn warmup(&self) -> jsonl::Json {
-        let shards: Vec<jsonl::Json> = (0..self.cfg.shards)
-            .map(|shard| {
-                let w = *self.warmups[shard].lock().unwrap();
+        let shards: Vec<jsonl::Json> = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(shard, s)| {
+                let w = s.state.lock().unwrap().warmup;
                 jsonl::Json::Obj(vec![
                     ("shard".into(), jsonl::Json::Num(shard as f64)),
                     ("active".into(), jsonl::Json::Bool(w.active)),
@@ -1111,43 +1143,26 @@ impl Router {
         factory: impl Fn(usize) -> Arc<Engine> + Send + Sync + 'static,
     ) -> Router {
         assert!(config.shards >= 1, "router needs at least one shard");
-        let mut engines = Vec::with_capacity(config.shards);
-        let mut servers = Vec::with_capacity(config.shards);
-        let mut lanes = Vec::with_capacity(config.shards);
-        for shard in 0..config.shards {
-            let engine = factory(shard);
-            let server = Server::start(
-                engine.clone(),
-                ServerConfig { shard: Some(shard), ..config.backend },
-            );
-            let client = server.client();
-            engines.push(Mutex::new(engine));
-            servers.push(Some(server));
-            lanes.push(Lane {
-                client: Mutex::new(Arc::new(client)),
+        let shards = (0..config.shards)
+            .map(|shard| Shard {
+                backend: Mutex::new(Backend::start(factory(shard), shard, config.backend)),
                 inflight: Mutex::new(BTreeMap::new()),
                 lost: AtomicBool::new(false),
                 hot: Mutex::new(VecDeque::new()),
                 faults: LaneFaults::default(),
-            });
-        }
+                state: Mutex::new(ShardState::default()),
+            })
+            .collect();
         let core = Arc::new_cyclic(|me| Core {
             me: Weak::clone(me),
             cfg: config,
             ring: Mutex::new(HashRing::with_shards(config.shards, config.replicas)),
-            lanes,
-            engines,
-            servers: Mutex::new(servers),
+            shards,
             epoch: Instant::now(),
             draining: AtomicBool::new(false),
             resilience: Arc::new(ResilienceCounters::new()),
-            breakers: (0..config.shards)
-                .map(|_| Mutex::new(BreakerState::Closed { failures: 0 }))
-                .collect(),
             faults: Mutex::new(None),
             factory: Box::new(factory),
-            sup: Mutex::new(vec![SupState::default(); config.shards]),
-            warmups: (0..config.shards).map(|_| Mutex::new(WarmupStatus::default())).collect(),
             next_conn_id: AtomicU64::new(0),
             next_request_id: AtomicU64::new(0),
             timer: Mutex::new(TimerQueue::default()),
@@ -1195,8 +1210,8 @@ impl Router {
     /// Shards the supervisor permanently evicted (respawn budget
     /// exhausted). Empty without a supervisor.
     pub fn evicted_shards(&self) -> Vec<usize> {
-        let sup = self.core.sup.lock().unwrap();
-        (0..self.core.cfg.shards).filter(|&s| sup[s].evicted).collect()
+        let states = self.core.shard_states().into_iter().enumerate();
+        states.filter(|&(_, state)| state == "evicted").map(|(shard, _)| shard).collect()
     }
 
     /// Installs (or clears, with `None`) a deterministic fault plan:
@@ -1211,8 +1226,7 @@ impl Router {
     /// the affinity evidence: with key-affinity routing the sum equals
     /// the workload's distinct key count, with no key cached twice.
     pub fn resident_keys(&self) -> Vec<(usize, usize)> {
-        let members = self.core.ring.lock().unwrap().members().to_vec();
-        members.into_iter().map(|s| (s, self.core.engine(s).cache_len())).collect()
+        self.core.resident_keys()
     }
 
     /// The serving-only `topology` record (also answered on the wire).
@@ -1274,18 +1288,19 @@ impl Router {
         if let Some(supervisor) = self.supervisor {
             let _ = supervisor.join();
         }
-        // Wait for every lane to settle: backends are still running, so
-        // every in-flight request gets its real reply (a wedged lane's
+        // Wait for every shard to settle: backends are still running, so
+        // every in-flight request gets its real reply (a wedged shard's
         // stall trip answers its slots).
-        for lane in &self.core.lanes {
-            while !lane.inflight.lock().unwrap().is_empty() {
+        for s in &self.core.shards {
+            while !s.inflight.lock().unwrap().is_empty() {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
         // Drain the backends before stopping the timer: their workers,
-        // still finishing a reply that just left its lane, are the only
+        // still finishing a reply that just left its shard, are the only
         // other threads that defer (a held reply, a dropped reply's retry).
-        let servers = std::mem::take(&mut *self.core.servers.lock().unwrap());
+        let servers: Vec<_> =
+            self.core.shards.iter().map(|s| s.backend.lock().unwrap().server.take()).collect();
         let stats = servers
             .into_iter()
             .enumerate()
@@ -1310,7 +1325,7 @@ pub struct RouterClient {
 
 impl RouterClient {
     /// Submits one query, returning its connection-local sequence
-    /// number. Never blocks beyond the lane lock: refusals (draining
+    /// number. Never blocks beyond the in-flight lock: refusals (draining
     /// router, empty ring) are answered in the reply slot like any
     /// other reply.
     pub fn submit(&self, query: Query) -> u64 {
@@ -1459,6 +1474,19 @@ mod tests {
         // One query was cached somewhere in the fleet.
         let total: usize = router.resident_keys().iter().map(|(_, n)| n).sum();
         assert_eq!(total, 1);
+        router.shutdown();
+    }
+
+    #[test]
+    fn warmup_wire_shape_is_frozen() {
+        let router = Router::start(RouterConfig { shards: 2, ..RouterConfig::default() });
+        // Every byte, as wire clients read it.
+        let expect = concat!(
+            r#"{"version":2,"op":"warmup","shards":["#,
+            r#"{"shard":0,"active":false,"target":0,"replayed":0},"#,
+            r#"{"shard":1,"active":false,"target":0,"replayed":0}]}"#,
+        );
+        assert_eq!(router.warmup().render(), expect);
         router.shutdown();
     }
 

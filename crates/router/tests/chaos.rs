@@ -5,10 +5,13 @@
 //! deadlines answered in-slot, stall breakers with half-open probes —
 //! must keep every reply slot answered and bit-identical where a real
 //! result is possible. The same seed must replay the same event trace.
+//! The breaker trips on stalls and on `internal` replies alike, and the
+//! router's timer readmits a tripped shard at its probe time whether or
+//! not traffic arrives.
 
 use parspeed_chaos::FaultPlan;
 use parspeed_engine::{
-    routing_hash, ArchKind, Engine, MachineSpec, Query, Response, ShapeKey, StencilSpec,
+    jsonl, routing_hash, ArchKind, Engine, MachineSpec, Query, Response, ShapeKey, StencilSpec,
     WorkloadSpec,
 };
 use parspeed_router::ring::HashRing;
@@ -58,6 +61,24 @@ fn side_on_shard(config: &RouterConfig, shard: usize) -> usize {
     (64..4096)
         .find(|&n| ring.route(routing_hash(&query(n))) == Some(shard))
         .expect("some key routes to the shard")
+}
+
+/// Shard `shard`'s state word on the router-scoped `metrics` record.
+fn breaker_state(router: &Router, shard: usize) -> String {
+    let metrics = router.metrics();
+    let Some(jsonl::Json::Arr(breakers)) = metrics.get("breakers") else {
+        panic!("no breakers array")
+    };
+    breakers[shard].get("state").and_then(jsonl::Json::as_str).expect("state word").to_string()
+}
+
+/// Polls the `metrics` record until shard `shard` reports `want`.
+fn wait_for_state(router: &Router, shard: usize, want: &str) {
+    let start = Instant::now();
+    while breaker_state(router, shard) != want {
+        assert!(start.elapsed() < Duration::from_secs(10), "shard {shard} never went {want}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 #[test]
@@ -169,6 +190,88 @@ fn a_wedged_lane_trips_the_breaker_and_the_probe_recloses_it() {
     assert!(events.iter().any(|e| e.contains("breaker opened on shard 0")), "{events:?}");
     assert!(events.iter().any(|e| e.contains("readmitted half-open")), "{events:?}");
     assert!(events.iter().any(|e| e.contains("breaker reclosed on shard 0")), "{events:?}");
+    router.shutdown();
+}
+
+#[test]
+fn an_idle_router_readmits_a_tripped_shard_at_its_probe_time() {
+    let mut config = fast_config(2);
+    let (probe_after, stall_after) = (Duration::from_millis(100), Duration::from_millis(200));
+    config.breaker = BreakerPolicy { failure_threshold: 3, probe_after, stall_after };
+    let side = side_on_shard(&config, 0);
+    let router = Router::start(config);
+    let plan = FaultPlan::parse("wedge:0@1", 7).expect("plan parses");
+    router.install_fault_plan(Some(Arc::new(plan)));
+    let client = router.client();
+    let expect = Engine::default().run_batch(&[query(side)]).responses.remove(0);
+
+    // Request 1 wedges its own shard; the stall trips it, and the slot
+    // answers from the survivor.
+    assert_eq!(client.call(query(side)), expect);
+    let tripped = Instant::now();
+    assert_eq!(router.resilience().snapshot().breaker_opened, 1);
+    assert_eq!(breaker_state(&router, 0), "open");
+
+    // No request is sent from here on. The timer alone readmits the
+    // shard, within one nap (`stall_after / 2`) of its probe time.
+    let by = probe_after + stall_after / 2;
+    while breaker_state(&router, 0) != "half-open" {
+        let state = breaker_state(&router, 0);
+        assert!(tripped.elapsed() < by, "still {state} {:?} after the trip", tripped.elapsed());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let topo = router.topology().render();
+    assert!(topo.contains(r#""members":[0,1]"#), "{topo}");
+    router.shutdown();
+}
+
+#[test]
+fn internal_replies_trip_the_breaker_and_a_failed_probe_doubles_the_wait() {
+    let mut config = fast_config(2);
+    let probe_after = Duration::from_millis(100);
+    config.breaker = BreakerPolicy {
+        failure_threshold: 3,
+        probe_after,
+        stall_after: Duration::from_millis(200),
+    };
+    // Every shard's experiment runner panics, so the batcher's panic
+    // shield answers every experiment with the `internal` kind.
+    let router = Router::start_with(config, |_| {
+        Arc::new(Engine::builder().experiment_runner(|_, _| panic!("experiment failed")).build())
+    });
+    let experiment = Query::Experiment { id: "e1".into(), quick: true };
+    let ring = HashRing::with_shards(config.shards, config.replicas);
+    let owner = ring.route(routing_hash(&experiment)).expect("nonempty ring");
+    let client = router.client();
+    let fails = |query: &Query| match client.call(query.clone()) {
+        Response::Invalid(e) => assert_eq!(e.kind(), "internal", "{e}"),
+        other => panic!("unexpected {other:?}"),
+    };
+
+    // Three `internal` replies in a row trip the owner.
+    for _ in 0..3 {
+        fails(&experiment);
+    }
+    assert_eq!(router.resilience().snapshot().breaker_opened, 1);
+    assert_eq!(breaker_state(&router, owner), "open");
+
+    // Readmitted half-open at its probe time, the owner fails its probe
+    // and opens again, now for twice the interval.
+    wait_for_state(&router, owner, "half-open");
+    let probed = Instant::now();
+    fails(&experiment);
+    assert_eq!(router.resilience().snapshot().breaker_opened, 2);
+    assert_eq!(breaker_state(&router, owner), "open");
+    wait_for_state(&router, owner, "half-open");
+    assert!(probed.elapsed() >= probe_after * 2, "reprobed after {:?}", probed.elapsed());
+
+    // A healthy key on the owner recloses the breaker.
+    let side = (64..4096)
+        .find(|&n| ring.route(routing_hash(&query(n))) == Some(owner))
+        .expect("some key routes to the owner");
+    assert!(matches!(client.call(query(side)), Response::Single(Ok(_))));
+    assert_eq!(router.resilience().snapshot().breaker_reclosed, 1);
+    assert_eq!(breaker_state(&router, owner), "closed");
     router.shutdown();
 }
 
