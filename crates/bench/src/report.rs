@@ -67,7 +67,7 @@ impl Table {
 
     /// Writes the table as CSV next to the experiment outputs.
     pub fn write_csv(&self, filename: &str) -> std::io::Result<PathBuf> {
-        let path = out_dir().join(filename);
+        let path = out_dir()?.join(filename);
         let mut s = String::new();
         let esc = |c: &str| {
             if c.contains(',') || c.contains('"') {
@@ -140,11 +140,16 @@ pub fn ascii_chart(title: &str, series: &[Series], width: usize, height: usize) 
 }
 
 /// The experiment output directory (`target/experiments`), created on
-/// first use.
-pub fn out_dir() -> PathBuf {
-    let base = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
-    std::fs::create_dir_all(&base).expect("cannot create target/experiments");
-    base
+/// first use. An error when it cannot be created, so that a missing
+/// directory costs only the CSV files and never the experiment.
+pub fn out_dir() -> std::io::Result<PathBuf> {
+    created(Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments"))
+}
+
+/// `dir`, created along with any missing parents.
+fn created(dir: PathBuf) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(&dir)?;
+    Ok(dir)
 }
 
 /// Compact scientific formatting for seconds.
@@ -221,6 +226,15 @@ mod tests {
         let s = std::fs::read_to_string(p).unwrap();
         assert!(s.starts_with("x,label\n"));
         assert!(s.contains("\"with,comma\""));
+    }
+
+    #[test]
+    fn a_directory_under_a_regular_file_is_an_error_not_a_panic() {
+        let file = std::env::temp_dir().join(format!("parspeed-report-{}", std::process::id()));
+        std::fs::write(&file, "").unwrap();
+        let made = created(file.join("experiments"));
+        std::fs::remove_file(&file).unwrap();
+        assert!(made.is_err(), "{made:?}");
     }
 
     #[test]

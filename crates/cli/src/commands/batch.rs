@@ -54,12 +54,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         (Some(c), None) | (None, Some(c)) => c,
         (None, None) => parspeed_engine::DEFAULT_CACHE_CAPACITY,
     };
-    let engine = Engine::builder()
-        .cache_capacity(capacity)
-        .cache_shards(args.usize_or("shards", 16)?)
-        .threads(args.usize_or("threads", 0)?)
-        .experiment_runner(crate::commands::experiment::runner)
-        .build();
+    let engine = super::serving_engine(args, capacity)?;
 
     // With --stats, also attribute engine time per stage; the recorder
     // costs nothing when absent, so plain runs stay uninstrumented.

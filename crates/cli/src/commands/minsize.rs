@@ -8,8 +8,7 @@ use crate::args::{Args, CliError};
 use crate::commands::service_call;
 use crate::select;
 use parspeed_bench::report::Table;
-use parspeed_engine::{EvalValue, MinSizeVariant, Query, Response};
-use parspeed_stencil::PartitionShape;
+use parspeed_engine::{BusVariant, EvalValue, Query, Response};
 
 pub const KEYS: &[&str] = &["stencil", "procs", "tfp", "b", "c", "alpha", "beta", "packet", "w"];
 pub const SWITCHES: &[&str] = &["flex32"];
@@ -21,15 +20,6 @@ The smallest grid side n whose optimal bus allocation uses all --procs
 processors, for each bus variant and partition shape (Fig. 7). Below that
 size, buying more processors buys nothing.";
 
-/// The variants in Fig. 7 presentation order (matching
-/// `BusVariant::all()`).
-const VARIANTS: [MinSizeVariant; 4] = [
-    MinSizeVariant::SyncStrip,
-    MinSizeVariant::AsyncStrip,
-    MinSizeVariant::SyncSquare,
-    MinSizeVariant::AsyncSquare,
-];
-
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let stencil = select::stencil_spec(args.str_or("stencil", "5pt"))?;
@@ -39,32 +29,28 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     }
     let machine = select::machine_spec(args)?;
 
-    let queries = VARIANTS
-        .iter()
-        .map(|&variant| {
-            let (e, k) = stencil.constants(variant.to_variant().shape());
+    // One query per variant, in Fig. 7 presentation order.
+    let queries = BusVariant::all()
+        .map(|variant| {
+            let (e, k) = stencil.constants(variant.shape());
             Query::MinSize { variant, machine, e, k: k as f64, procs }
         })
-        .collect();
+        .into();
     let responses = service_call(queries);
 
     let mut t = Table::new(
         format!("Minimal grid using all {procs} processors · {}", select::stencil_title(stencil)),
         &["bus variant", "shape", "min n", "min log2(n²)"],
     );
-    for (mv, response) in VARIANTS.iter().zip(responses) {
+    for (v, response) in BusVariant::all().into_iter().zip(responses) {
         let side = match response {
             Response::Single(Ok(EvalValue::MinSize { n_side, .. })) => n_side,
             Response::Single(Err(e)) | Response::Invalid(e) => return Err(CliError(e.to_string())),
             other => unreachable!("minsize queries produce minsize values, got {other:?}"),
         };
-        let v = mv.to_variant();
         t.row(vec![
             v.label().into(),
-            match v.shape() {
-                PartitionShape::Strip => "strip".into(),
-                PartitionShape::Square => "square".into(),
-            },
+            v.shape().name().into(),
             format!("{:.0}", side.ceil()),
             format!("{:.1}", 2.0 * side.log2()),
         ]);

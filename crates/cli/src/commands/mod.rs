@@ -5,7 +5,7 @@
 //! is planned, deduplicated, and cached.
 
 use crate::args::{err, Args, CliError};
-use parspeed_engine::{EvalOutcome, EvalValue, PointLabel, Query, Response};
+use parspeed_engine::{Engine, EvalOutcome, EvalValue, PointLabel, Query, Response};
 
 pub mod batch;
 pub mod compare;
@@ -47,6 +47,22 @@ COMMANDS:
 
 Architectures: hypercube, mesh, sync-bus, async-bus, scheduled-bus, banyan.
 Stencils: 5pt, 9pt-box, 9pt-star, 13pt. Shapes: strip, square.";
+
+/// The engine `serve` and `batch` run: `capacity` cached outcomes,
+/// experiments through this CLI's runner, and the `--shards` cache shards
+/// and `--threads` executor threads where given, the builder's defaults
+/// where not.
+pub(crate) fn serving_engine(args: &Args, capacity: usize) -> Result<Engine, CliError> {
+    let mut builder =
+        Engine::builder().cache_capacity(capacity).experiment_runner(experiment::runner);
+    if let Some(shards) = args.usize_opt("shards")? {
+        builder = builder.cache_shards(shards);
+    }
+    if let Some(threads) = args.usize_opt("threads")? {
+        builder = builder.threads(threads);
+    }
+    Ok(builder.build())
+}
 
 /// Routes a batch of queries through the process-wide engine; responses
 /// come back in query order.

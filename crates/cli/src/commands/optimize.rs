@@ -56,8 +56,8 @@ pub fn run(arch: &str, args: &Args) -> Result<String, CliError> {
     t.row(vec!["efficiency".into(), format!("{:.1}%", efficiency * 100.0)]);
     t.row(vec!["uses every processor".into(), if used_all { "yes" } else { "no" }.into()]);
     if let Some(words) = memory_words {
-        let (e, k) = stencil.constants(shape.to_shape());
-        let w = Workload::with_constants(n, shape.to_shape(), e, k);
+        let (e, k) = stencil.constants(shape);
+        let w = Workload::with_constants(n, shape, e, k);
         t.row(vec![
             "largest partition memory (words)".into(),
             format!("{:.0} of {words:.0}", MemoryBudget::partition_words(&w, processors)),

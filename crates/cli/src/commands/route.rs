@@ -6,7 +6,6 @@ use crate::args::{err, Args, CliError};
 use parspeed_engine::{CheckpointPolicy, CheckpointStore, Engine};
 use parspeed_router::predict::{predict, FleetModel, SweepPoint, WorkloadProfile};
 use parspeed_router::{BreakerPolicy, RetryPolicy, Router, RouterConfig, SupervisorPolicy};
-use parspeed_server::ServerConfig;
 use std::io::{BufRead as _, Write as _};
 use std::sync::Arc;
 use std::time::Duration;
@@ -67,7 +66,9 @@ the live fleet (members, ring replicas, per-shard resident keys),
 `{\"op\":\"metrics\"}` answers the router-scoped record — the
 resilience counters plus each shard's breaker state — and
 `{\"op\":\"stats\"}`/`trace` refuse with
-\"error_kind\":\"unsupported\" (per-shard state; probe a shard).
+\"error_kind\":\"unsupported\": they report per-shard state, and the
+shards run in-process with no address of their own. --stats prints each
+shard's counters after the drain.
 `{\"op\":\"health\"}` answers with \"shard\":null — backends answer
 theirs with their shard id. Prints `routing on HOST:PORT`, serves until
 stdin reaches EOF (Ctrl-D), drains every in-flight reply, and exits.
@@ -154,15 +155,9 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     if args.switch("predict") {
         return run_predict(args);
     }
-    let backend = ServerConfig {
-        window: Duration::from_micros(args.usize_or("window-us", 200)? as u64),
-        max_batch: args.usize_or("max-batch", 512)?,
-        workers: args.usize_or("workers", 2)?,
-        queue_depth: args.usize_or("queue-depth", 4096)?,
-        ..ServerConfig::default()
-    };
-    let retry_defaults = RetryPolicy::default();
-    let breaker_defaults = BreakerPolicy::default();
+    let defaults = RouterConfig::default();
+    let backend = super::serve::batching(args, defaults.backend)?;
+    let (retry, breaker) = (defaults.retry, defaults.breaker);
     let sup_defaults = SupervisorPolicy::default();
     let warm_fraction = args.f64_or("warm-fraction", sup_defaults.warm_fraction)?;
     if !(0.0..=1.0).contains(&warm_fraction) {
@@ -184,31 +179,26 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         (s, None) => s,
     };
     let config = RouterConfig {
-        shards: args.usize_or("shards", 4)?,
-        replicas: args.usize_or("replicas", 64)?,
+        shards: args.usize_or("shards", defaults.shards)?,
+        replicas: args.usize_or("replicas", defaults.replicas)?,
         backend,
         default_deadline: args.usize_opt("deadline-ms")?.map(|ms| Duration::from_millis(ms as u64)),
         retry: RetryPolicy {
-            max_attempts: args.usize_or("retry-max", retry_defaults.max_attempts as usize)? as u32,
-            backoff_base_ms: args
-                .usize_or("backoff-base-ms", retry_defaults.backoff_base_ms as usize)?
+            max_attempts: args.usize_or("retry-max", retry.max_attempts as usize)? as u32,
+            backoff_base_ms: args.usize_or("backoff-base-ms", retry.backoff_base_ms as usize)?
                 as u64,
-            backoff_cap_ms: args
-                .usize_or("backoff-cap-ms", retry_defaults.backoff_cap_ms as usize)?
-                as u64,
-            seed: args.usize_or("fault-seed", retry_defaults.seed as usize)? as u64,
+            backoff_cap_ms: args.usize_or("backoff-cap-ms", retry.backoff_cap_ms as usize)? as u64,
+            seed: args.usize_or("fault-seed", retry.seed as usize)? as u64,
         },
         breaker: BreakerPolicy {
             failure_threshold: args
-                .usize_or("breaker-threshold", breaker_defaults.failure_threshold as usize)?
+                .usize_or("breaker-threshold", breaker.failure_threshold as usize)?
                 as u32,
             probe_after: Duration::from_millis(
-                args.usize_or("probe-after-ms", breaker_defaults.probe_after.as_millis() as usize)?
-                    as u64,
+                args.usize_or("probe-after-ms", breaker.probe_after.as_millis() as usize)? as u64,
             ),
             stall_after: Duration::from_millis(
-                args.usize_or("stall-after-ms", breaker_defaults.stall_after.as_millis() as usize)?
-                    as u64,
+                args.usize_or("stall-after-ms", breaker.stall_after.as_millis() as usize)? as u64,
             ),
         },
         supervisor,
@@ -231,27 +221,26 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         }
     }
     let plan = super::serve::fault_plan(args)?;
-    let cache_capacity =
-        args.usize_or("cache-capacity", parspeed_engine::DEFAULT_CACHE_CAPACITY)?;
-    let threads = args.usize_or("threads", 0)?;
-    // One checkpoint store for the whole fleet: a solve interrupted on
-    // a dying shard resumes from its last checkpoint on the failover
-    // (or respawned) shard instead of restarting from iteration zero.
-    let checkpoints = match args.usize_opt("checkpoint-every")? {
+    // Every shard builds its engine from one builder.
+    let mut engine = Engine::builder()
+        .cache_capacity(args.usize_or("cache-capacity", parspeed_engine::DEFAULT_CACHE_CAPACITY)?)
+        .experiment_runner(crate::commands::experiment::runner);
+    if let Some(threads) = args.usize_opt("threads")? {
+        engine = engine.threads(threads);
+    }
+    // One checkpoint store for the whole fleet (the builder's clones share
+    // it): a solve interrupted on a dying shard resumes from its last
+    // checkpoint on the failover (or respawned) shard instead of
+    // restarting from iteration zero.
+    match args.usize_opt("checkpoint-every")? {
         Some(0) => return Err(err("flag `--checkpoint-every` must be at least 1")),
-        Some(every) => Some((Arc::new(CheckpointStore::new(64)), CheckpointPolicy::every(every))),
-        None => None,
-    };
-    let mut router = Router::start_with(config, move |_shard| {
-        let mut builder = Engine::builder()
-            .cache_capacity(cache_capacity)
-            .threads(threads)
-            .experiment_runner(crate::commands::experiment::runner);
-        if let Some((store, policy)) = &checkpoints {
-            builder = builder.checkpoints(Arc::clone(store), *policy);
+        Some(every) => {
+            engine = engine
+                .checkpoints(Arc::new(CheckpointStore::new(64)), CheckpointPolicy::every(every))
         }
-        Arc::new(builder.build())
-    });
+        None => {}
+    }
+    let mut router = Router::start_with(config, move |_shard| Arc::new(engine.clone().build()));
     if plan.is_some() {
         router.install_fault_plan(plan);
     }
@@ -359,6 +348,48 @@ mod tests {
         assert!(!points[0].degraded && points[1].degraded && !points[2].degraded);
         assert_eq!(points[1].shards, 6);
         assert_eq!(points[1].seconds, 10.1);
+    }
+
+    /// The default a usage text states for `--flag`: the words after
+    /// `(default ` in that flag's entry, up to `)` or `;`.
+    fn stated_default(usage: &str, flag: &str) -> String {
+        let entry = usage.split(&format!("\n  --{flag} ")).nth(1).expect("flag documented");
+        let entry = entry.split("\n  --").next().unwrap_or_default();
+        let (_, stated) = entry.split_once("(default ").expect("default stated");
+        stated.split([')', ';']).next().unwrap_or_default().to_string()
+    }
+
+    /// The commands read these defaults from the library's `Default`s, and
+    /// their help states them in words: the two must agree.
+    #[test]
+    fn help_states_the_library_defaults() {
+        let d = RouterConfig::default();
+        let batching = |b: &parspeed_server::ServerConfig| {
+            [
+                ("window-us", b.window.as_micros() as usize),
+                ("max-batch", b.max_batch),
+                ("workers", b.workers),
+                ("queue-depth", b.queue_depth),
+            ]
+        };
+        let route = [
+            ("shards", d.shards),
+            ("replicas", d.replicas),
+            ("retry-max", d.retry.max_attempts as usize),
+            ("backoff-base-ms", d.retry.backoff_base_ms as usize),
+            ("backoff-cap-ms", d.retry.backoff_cap_ms as usize),
+            ("breaker-threshold", d.breaker.failure_threshold as usize),
+            ("probe-after-ms", d.breaker.probe_after.as_millis() as usize),
+            ("stall-after-ms", d.breaker.stall_after.as_millis() as usize),
+        ];
+        for (flag, value) in route.into_iter().chain(batching(&d.backend)) {
+            assert_eq!(stated_default(USAGE, flag), value.to_string(), "route --{flag}");
+        }
+        let serve = parspeed_server::ServerConfig::default();
+        for (flag, value) in batching(&serve) {
+            let stated = stated_default(crate::commands::serve::USAGE, flag);
+            assert_eq!(stated, value.to_string(), "serve --{flag}");
+        }
     }
 
     #[test]

@@ -3,7 +3,6 @@
 
 use crate::args::{err, Args, CliError};
 use parspeed_chaos::FaultPlan;
-use parspeed_engine::Engine;
 use parspeed_server::{BrownoutConfig, EventLoopConfig, Server, ServerConfig};
 use std::io::{BufRead as _, Write as _};
 use std::sync::Arc;
@@ -98,6 +97,22 @@ result is produced the slot answers \"error_kind\":\"deadline_exceeded\"
   --no-observe         disable stage-latency recording and tracing
                        (counters and the stats op stay on)";
 
+/// The batching flags over `base`: the micro-batch window, the batch
+/// bound, the batcher workers and the submission-queue bound, each
+/// `base`'s own where its flag is absent.
+pub(crate) fn batching(args: &Args, base: ServerConfig) -> Result<ServerConfig, CliError> {
+    Ok(ServerConfig {
+        window: match args.usize_opt("window-us")? {
+            Some(us) => Duration::from_micros(us as u64),
+            None => base.window,
+        },
+        max_batch: args.usize_or("max-batch", base.max_batch)?,
+        workers: args.usize_or("workers", base.workers)?,
+        queue_depth: args.usize_or("queue-depth", base.queue_depth)?,
+        ..base
+    })
+}
+
 /// Parses the event-loop watermark flags over the defaults, keeping the
 /// shed-below-stop invariant.
 pub(crate) fn event_loop_config(args: &Args) -> Result<EventLoopConfig, CliError> {
@@ -145,16 +160,13 @@ pub(crate) fn fault_plan(args: &Args) -> Result<Option<Arc<FaultPlan>>, CliError
 
 /// Runs the subcommand.
 pub fn run(args: &Args) -> Result<String, CliError> {
+    let base = batching(args, ServerConfig::default())?;
     let config = ServerConfig {
-        window: Duration::from_micros(args.usize_or("window-us", 200)? as u64),
-        max_batch: args.usize_or("max-batch", 512)?,
-        workers: args.usize_or("workers", 2)?,
-        queue_depth: args.usize_or("queue-depth", 4096)?,
-        observe: !args.switch("no-observe"),
-        trace: args.usize_or("trace", 0)?,
-        shard: None,
+        observe: base.observe && !args.switch("no-observe"),
+        trace: args.usize_or("trace", base.trace)?,
         brownout: brownout_config(args)?,
         event_loop: event_loop_config(args)?,
+        ..base
     };
     if args.switch("metrics-human") && !config.observe {
         return Err(err("--metrics-human needs stage recording; drop --no-observe"));
@@ -169,13 +181,8 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         }
     }
     let plan = fault_plan(args)?;
-    let engine = Engine::builder()
-        .cache_capacity(args.usize_or("cache-capacity", parspeed_engine::DEFAULT_CACHE_CAPACITY)?)
-        .cache_shards(args.usize_or("shards", 16)?)
-        .threads(args.usize_or("threads", 0)?)
-        .experiment_runner(crate::commands::experiment::runner)
-        .build();
-    let mut server = Server::start(Arc::new(engine), config);
+    let capacity = args.usize_or("cache-capacity", parspeed_engine::DEFAULT_CACHE_CAPACITY)?;
+    let mut server = Server::start(Arc::new(super::serving_engine(args, capacity)?), config);
     if plan.is_some() {
         server.install_fault_plan(plan);
     }

@@ -3,7 +3,7 @@
 //! read their names back from those values.
 
 use crate::args::{err, Args, CliError};
-use parspeed_engine::{ArchKind, MachineSpec, ShapeKey, StencilSpec};
+use parspeed_engine::{ArchKind, MachineSpec, PartitionShape, StencilSpec};
 
 /// Architecture by CLI name. The name table lives in [`ArchKind`], so the
 /// CLI and the wire accept the same alias set.
@@ -23,8 +23,8 @@ pub fn stencil_title(spec: StencilSpec) -> &'static str {
 }
 
 /// Partition shape by CLI name.
-pub fn shape_key(name: &str) -> Result<ShapeKey, CliError> {
-    ShapeKey::parse(name).map_err(err)
+pub fn shape_key(name: &str) -> Result<PartitionShape, CliError> {
+    PartitionShape::parse(name).map_err(err)
 }
 
 /// The machine flags as one [`MachineSpec`]: `--flex32` starts from the
@@ -53,7 +53,7 @@ mod tests {
     fn stencil_and_shape_names_resolve() {
         assert_eq!(stencil_title(stencil_spec("5pt").unwrap()), "5-point");
         assert_eq!(stencil_title(stencil_spec("9pt-box").unwrap()), "9-point box");
-        assert_eq!(shape_key("strip").unwrap(), ShapeKey::Strip);
+        assert_eq!(shape_key("strip").unwrap(), PartitionShape::Strip);
         assert!(stencil_spec("7pt").is_err());
         assert!(shape_key("hexagon").is_err());
     }

@@ -21,7 +21,7 @@ use parspeed_stencil::PartitionShape;
 
 /// The bus variants of Fig. 7, in the paper's (a)/(b)/(c) order plus the
 /// async-square companion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BusVariant {
     /// Fig. 7(a): synchronous bus, strip partitions.
     SyncStrip,
@@ -43,6 +43,26 @@ impl BusVariant {
             BusVariant::SyncSquare,
             BusVariant::AsyncSquare,
         ]
+    }
+
+    /// The name the wire and the command line use.
+    pub fn name(&self) -> &'static str {
+        match self {
+            BusVariant::SyncStrip => "sync-strip",
+            BusVariant::AsyncStrip => "async-strip",
+            BusVariant::SyncSquare => "sync-square",
+            BusVariant::AsyncSquare => "async-square",
+        }
+    }
+
+    /// Parses a [`name`](BusVariant::name).
+    pub fn parse(name: &str) -> Result<Self, String> {
+        BusVariant::all().into_iter().find(|v| v.name() == name).ok_or_else(|| {
+            format!(
+                "unknown minsize variant `{name}`; one of: sync-strip, async-strip, \
+                 sync-square, async-square"
+            )
+        })
     }
 
     /// Display label.

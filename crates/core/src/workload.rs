@@ -77,7 +77,7 @@ impl Workload {
 }
 
 /// How many processors the machine offers the optimizer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProcessorBudget {
     /// Fixed machine of `N` processors (the paper's §6 bus analysis).
     Limited(usize),

@@ -11,7 +11,7 @@ use std::time::Instant;
 
 fn main() {
     let stencils = [StencilSpec::FivePoint, StencilSpec::NinePointBox];
-    let shapes = [ShapeKey::Strip, ShapeKey::Square];
+    let shapes = PartitionShape::all();
     let sizes = [256usize, 512, 1024, 2048, 4096];
     let budgets = [Some(8), Some(16), Some(32), Some(64), None];
     let archs = [ArchKind::SyncBus, ArchKind::AsyncBus, ArchKind::Hypercube, ArchKind::Banyan];

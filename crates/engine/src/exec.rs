@@ -16,9 +16,7 @@
 //! evaluations.
 
 use crate::error::ParspeedError;
-use crate::request::{
-    CheckKey, EffectKey, EvalKey, EvalOutcome, EvalValue, Lever, ShapeKey, SolverKind,
-};
+use crate::request::{CheckKey, EffectKey, EvalKey, EvalOutcome, EvalValue, Lever, SolverKind};
 use parspeed_arch::{
     AsyncBusSim, BanyanSim, CycleReport, IterationSpec, Mesh2dSim, NeighborExchangeSim,
     ScheduledBusSim, SyncBusSim,
@@ -33,6 +31,7 @@ use parspeed_solver::{
     CgSolver, CheckpointCtx, CheckpointPolicy, CheckpointStore, JacobiSolver, Manufactured,
     MultigridSolver, PoissonProblem, RedBlackSolver, SolveStatus, SorSolver,
 };
+use parspeed_stencil::PartitionShape;
 use rayon::prelude::*;
 use rayon::ThreadPool;
 use std::time::Instant;
@@ -59,10 +58,10 @@ pub type ExperimentRunner = fn(&str, bool) -> Result<String, String>;
 pub fn build_decomposition(
     n: usize,
     procs: usize,
-    shape: ShapeKey,
+    shape: PartitionShape,
 ) -> Result<Box<dyn Decomposition>, ParspeedError> {
     match shape {
-        ShapeKey::Strip => {
+        PartitionShape::Strip => {
             if procs > n {
                 return Err(ParspeedError::invalid(format!(
                     "{procs} strips need a grid of at least {procs} rows"
@@ -70,7 +69,7 @@ pub fn build_decomposition(
             }
             Ok(Box::new(StripDecomposition::new(n, procs)))
         }
-        ShapeKey::Square => RectDecomposition::near_square(n, procs)
+        PartitionShape::Square => RectDecomposition::near_square(n, procs)
             .map(|d| Box::new(d) as Box<dyn Decomposition>)
             .ok_or_else(|| {
                 ParspeedError::invalid(format!(
@@ -114,9 +113,9 @@ pub fn evaluate_ckpt(key: &EvalKey, ckpt: Option<CheckpointCtx<'_>>) -> EvalOutc
         EvalKey::Optimize { arch, machine, n, shape, e, k, budget, memory_words } => {
             let m = machine.to_params();
             let model = arch.model(&m);
-            let w = Workload::with_constants(n, shape.to_shape(), e.get(), k);
+            let w = Workload::with_constants(n, shape, e.get(), k);
             let memory = memory_words.map(|words| MemoryBudget::words(words.get()));
-            match optimize_constrained(model.as_ref(), &w, budget.to_budget(), memory) {
+            match optimize_constrained(model.as_ref(), &w, budget, memory) {
                 Ok(opt) => Ok(EvalValue::Optimum {
                     processors: opt.processors,
                     area: opt.area,
@@ -130,10 +129,9 @@ pub fn evaluate_ckpt(key: &EvalKey, ckpt: Option<CheckpointCtx<'_>>) -> EvalOutc
         }
         EvalKey::MinSize { variant, machine, e, k, procs } => {
             let m = machine.to_params();
-            let v = variant.to_variant();
             Ok(EvalValue::MinSize {
-                n_side: min_grid_side(&m, e.get(), k.get(), procs, v),
-                log2_points: min_problem_size_log2(&m, e.get(), k.get(), procs, v),
+                n_side: min_grid_side(&m, e.get(), k.get(), procs, variant),
+                log2_points: min_problem_size_log2(&m, e.get(), k.get(), procs, variant),
             })
         }
         EvalKey::Isoefficiency { arch, machine, shape, e, k, procs, efficiency } => {
@@ -141,7 +139,7 @@ pub fn evaluate_ckpt(key: &EvalKey, ckpt: Option<CheckpointCtx<'_>>) -> EvalOutc
             let model = arch.model(&m);
             // The template's own grid side is irrelevant: the search scales
             // it; only shape and the stencil constants carry through.
-            let template = Workload::with_constants(2, shape.to_shape(), e.get(), k);
+            let template = Workload::with_constants(2, shape, e.get(), k);
             match min_grid_for_efficiency(model.as_ref(), &template, procs, efficiency.get()) {
                 Some(n) => Ok(EvalValue::Isoefficiency { n }),
                 None => Err(ParspeedError::infeasible(format!(
@@ -153,12 +151,11 @@ pub fn evaluate_ckpt(key: &EvalKey, ckpt: Option<CheckpointCtx<'_>>) -> EvalOutc
         }
         EvalKey::Leverage { machine, n, shape, e, k, budget, lever, factor } => {
             let m = machine.to_params();
-            let w = Workload::with_constants(n, shape.to_shape(), e.get(), k);
-            let b = budget.to_budget();
+            let w = Workload::with_constants(n, shape, e.get(), k);
             let report = match lever {
-                Lever::Bus => leverage::bus_speedup(&m, &w, b, factor.get()),
-                Lever::Flop => leverage::flop_speedup(&m, &w, b, factor.get()),
-                Lever::Overhead => leverage::overhead_scaling(&m, &w, b, factor.get()),
+                Lever::Bus => leverage::bus_speedup(&m, &w, budget, factor.get()),
+                Lever::Flop => leverage::flop_speedup(&m, &w, budget, factor.get()),
+                Lever::Overhead => leverage::overhead_scaling(&m, &w, budget, factor.get()),
             };
             Ok(EvalValue::Leverage {
                 baseline: report.baseline,
@@ -186,7 +183,7 @@ pub fn evaluate_ckpt(key: &EvalKey, ckpt: Option<CheckpointCtx<'_>>) -> EvalOutc
                 Banyan => BanyanSim::new(&m).simulate(&spec).cycle,
             };
             let model = arch.model_kind().model(&m);
-            let w = Workload::new(n, &stencil, shape.to_shape());
+            let w = Workload::new(n, &stencil, shape);
             Ok(EvalValue::Simulate {
                 cycle_time: report.cycle_time,
                 max_compute: report.max_compute,
@@ -274,14 +271,8 @@ pub fn run_effect(effect: &EffectKey, runner: Option<ExperimentRunner>) -> EvalO
     match effect {
         EffectKey::Threads { n, stencil, shape, threads, iters, repeats } => {
             let problem = PoissonProblem::laplace(*n, 0.0);
-            let points = measure_scaling(
-                &problem,
-                &stencil.to_stencil(),
-                shape.to_shape(),
-                threads,
-                *iters,
-                *repeats,
-            );
+            let points =
+                measure_scaling(&problem, &stencil.to_stencil(), *shape, threads, *iters, *repeats);
             Ok(EvalValue::Threads { points })
         }
         EffectKey::Experiment { id, quick } => match runner {
@@ -345,20 +336,19 @@ fn fan_out<T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{
-        ArchKind, BudgetKey, F64Key, MachineKey, ShapeKey, SimArchKind, StencilKey,
-    };
+    use crate::request::{ArchKind, F64Key, MachineKey, SimArchKind};
     use parspeed_core::{ArchModel, MachineParams, ProcessorBudget, SyncBus};
+    use parspeed_stencil::KernelKind;
 
     fn key_256_square_64() -> EvalKey {
         EvalKey::Optimize {
             arch: ArchKind::SyncBus,
             machine: MachineKey::new(&MachineParams::paper_defaults()),
             n: 256,
-            shape: ShapeKey::Square,
+            shape: PartitionShape::Square,
             e: F64Key::new(6.0),
             k: 1,
-            budget: BudgetKey::Limited(64),
+            budget: ProcessorBudget::Limited(64),
             memory_words: None,
         }
     }
@@ -380,7 +370,7 @@ mod tests {
     #[test]
     fn optimize_matches_direct_core_call_bit_for_bit() {
         let m = MachineParams::paper_defaults();
-        let w = Workload::with_constants(256, ShapeKey::Square.to_shape(), 6.0, 1);
+        let w = Workload::with_constants(256, PartitionShape::Square, 6.0, 1);
         let direct = SyncBus::new(&m).optimize(&w, ProcessorBudget::Limited(64));
         match evaluate(&key_256_square_64()).unwrap() {
             EvalValue::Optimum { processors, area, cycle_time, speedup, efficiency, used_all } => {
@@ -401,10 +391,10 @@ mod tests {
             arch: ArchKind::SyncBus,
             machine: MachineKey::new(&MachineParams::paper_defaults()),
             n: 1024,
-            shape: ShapeKey::Square,
+            shape: PartitionShape::Square,
             e: F64Key::new(6.0),
             k: 1,
-            budget: BudgetKey::Limited(4),
+            budget: ProcessorBudget::Limited(4),
             memory_words: Some(crate::request::F64Key::new(8.0)), // 1024²/4 words needed
         };
         let out = evaluate(&key);
@@ -418,9 +408,9 @@ mod tests {
         let key = EvalKey::Table1 {
             machine: MachineKey::new(&m),
             n: 1024,
-            stencil: StencilKey::FivePoint,
+            stencil: KernelKind::FivePoint,
         };
-        let direct = table1::rows(&m, 1024, &StencilKey::FivePoint.to_stencil());
+        let direct = table1::rows(&m, 1024, &KernelKind::FivePoint.to_stencil());
         match evaluate(&key).unwrap() {
             EvalValue::Table1 { rows } => assert_eq!(rows, direct),
             other => panic!("expected table1, got {other:?}"),
@@ -434,11 +424,11 @@ mod tests {
             arch: SimArchKind::SyncBus,
             machine: MachineKey::new(&m),
             n: 64,
-            shape: ShapeKey::Strip,
-            stencil: StencilKey::FivePoint,
+            shape: PartitionShape::Strip,
+            stencil: KernelKind::FivePoint,
             procs: 4,
         };
-        let stencil = StencilKey::FivePoint.to_stencil();
+        let stencil = KernelKind::FivePoint.to_stencil();
         let decomp = StripDecomposition::new(64, 4);
         let spec = IterationSpec::new(&decomp, &stencil);
         let direct = SyncBusSim::new(&m).simulate(&spec);
@@ -458,7 +448,7 @@ mod tests {
             n: 31,
             solver: SolverKind::Cg,
             tol: F64Key::new(1e-9),
-            stencil: StencilKey::FivePoint,
+            stencil: KernelKind::FivePoint,
             partitions: 0,
             max_iters: 10_000,
             check: None,
@@ -491,7 +481,7 @@ mod tests {
             n: 16,
             solver: SolverKind::Jacobi,
             tol: F64Key::new(1e-8),
-            stencil: StencilKey::FivePoint,
+            stencil: KernelKind::FivePoint,
             partitions: 0,
             max_iters: 10_000,
             check: None,
@@ -511,7 +501,7 @@ mod tests {
         };
         let capped = JacobiSolver { tol: 1e-8, max_iters: 40, check: policy, ..Default::default() };
         let (_, partial, _) =
-            capped.solve_checkpointed(&problem, &StencilKey::FivePoint.to_stencil(), Some(ctx));
+            capped.solve_checkpointed(&problem, &KernelKind::FivePoint.to_stencil(), Some(ctx));
         assert!(!partial.converged && !store.is_empty(), "the interruption left a snapshot");
 
         // Failover: evaluating the same canonical key against the store
@@ -571,10 +561,10 @@ mod tests {
                 arch: ArchKind::all()[i % 6],
                 machine: MachineKey::new(&MachineParams::paper_defaults()),
                 n: 64 << (i % 4),
-                shape: if i % 2 == 0 { ShapeKey::Square } else { ShapeKey::Strip },
+                shape: if i % 2 == 0 { PartitionShape::Square } else { PartitionShape::Strip },
                 e: F64Key::new(6.0),
                 k: 1,
-                budget: BudgetKey::Limited(1 + i),
+                budget: ProcessorBudget::Limited(1 + i),
                 memory_words: None,
             })
             .collect();

@@ -20,10 +20,12 @@
 
 use crate::error::ParspeedError;
 use crate::request::{
-    ArchKind, CheckSpec, EvalValue, Lever, MachineSpec, MinSizeVariant, Query, ShapeKey,
-    SimArchKind, SolverKind, StencilSpec, WorkloadSpec,
+    ArchKind, CheckSpec, EvalValue, Lever, MachineSpec, Query, SimArchKind, SolverKind,
+    StencilSpec, WorkloadSpec,
 };
 use crate::{BatchTelemetry, Response};
+use parspeed_core::minsize::BusVariant;
+use parspeed_stencil::PartitionShape;
 use std::fmt::Write as _;
 
 /// The current JSONL wire schema version. Lines declaring 1 are still
@@ -428,7 +430,7 @@ fn parse_workload(obj: &Json) -> Result<WorkloadSpec, String> {
     Ok(WorkloadSpec {
         n: req_usize(field(obj, "n")?, "n")?,
         stencil: parse_stencil(field(obj, "stencil")?)?,
-        shape: ShapeKey::parse(req_str(field(obj, "shape")?, "shape")?)?,
+        shape: PartitionShape::parse(req_str(field(obj, "shape")?, "shape")?)?,
     })
 }
 
@@ -565,7 +567,7 @@ fn query_of(obj: &Json) -> Result<Query, String> {
         "minsize" => {
             check_fields(obj, op, &["variant", "machine", "e", "k", "procs"])?;
             Ok(Query::MinSize {
-                variant: MinSizeVariant::parse(req_str(field(obj, "variant")?, "variant")?)?,
+                variant: BusVariant::parse(req_str(field(obj, "variant")?, "variant")?)?,
                 machine: parse_machine(obj.get("machine"))?,
                 e: req_f64(field(obj, "e")?, "e")?,
                 k: req_f64(field(obj, "k")?, "k")?,
@@ -578,7 +580,7 @@ fn query_of(obj: &Json) -> Result<Query, String> {
                 arch: ArchKind::parse(req_str(field(obj, "arch")?, "arch")?)?,
                 machine: parse_machine(obj.get("machine"))?,
                 stencil: parse_stencil(field(obj, "stencil")?)?,
-                shape: ShapeKey::parse(req_str(field(obj, "shape")?, "shape")?)?,
+                shape: PartitionShape::parse(req_str(field(obj, "shape")?, "shape")?)?,
                 procs: req_usize(field(obj, "procs")?, "procs")?,
                 efficiency: req_f64(field(obj, "efficiency")?, "efficiency")?,
             })
@@ -638,7 +640,7 @@ fn query_of(obj: &Json) -> Result<Query, String> {
                 stencils,
                 shapes: str_list("shape")?
                     .into_iter()
-                    .map(ShapeKey::parse)
+                    .map(PartitionShape::parse)
                     .collect::<Result<Vec<_>, _>>()?,
                 budgets,
                 n_from: req_usize(field(obj, "n_from")?, "n_from")?,
@@ -720,8 +722,8 @@ fn query_of(obj: &Json) -> Result<Query, String> {
                     Some(v) => parse_stencil(v)?,
                 },
                 shape: match obj.get("shape") {
-                    None => ShapeKey::Strip,
-                    Some(v) => ShapeKey::parse(req_str(v, "shape")?)?,
+                    None => PartitionShape::Strip,
+                    Some(v) => PartitionShape::parse(req_str(v, "shape")?)?,
                 },
                 threads,
                 iters: match obj.get("iters") {

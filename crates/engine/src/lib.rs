@@ -14,9 +14,13 @@
 //!    [`Engine::run_batch`], the one way in;
 //! 2. **Planner** ([`plan`]) — expands macro-queries (grid sweeps,
 //!    all-architecture compares) into atomic evaluations, canonicalizes
-//!    each into an [`EvalKey`] (floats keyed by bit pattern; presets,
-//!    named stencils, and equivalent explicit constants collapse
-//!    together), and dedups the batch;
+//!    each into an [`EvalKey`] (presets, named stencils, and equivalent
+//!    explicit constants collapse together), and dedups the batch. A key
+//!    is built from the model crates' own types — [`PartitionShape`],
+//!    [`ProcessorBudget`], [`BusVariant`] and [`KernelKind`] — and from
+//!    the three key types [`request`] adds for floats, which hash by
+//!    their bits: [`F64Key`](request::F64Key), [`MachineKey`](request::MachineKey)
+//!    and [`CheckKey`];
 //! 3. **Cache** ([`cache`]) — a sharded LRU from canonical keys to
 //!    outcomes with hit/miss/eviction counters, so repeated traffic
 //!    short-circuits across batches;
@@ -35,13 +39,19 @@
 //! rate).
 //!
 //! ```
-//! use parspeed_engine::{Engine, Query, ArchKind, MachineSpec, StencilSpec, ShapeKey, WorkloadSpec};
+//! use parspeed_engine::{
+//!     ArchKind, Engine, MachineSpec, PartitionShape, Query, StencilSpec, WorkloadSpec,
+//! };
 //!
 //! let engine = Engine::builder().build();
 //! let q = Query::Optimize {
 //!     arch: ArchKind::SyncBus,
 //!     machine: MachineSpec::default(),
-//!     workload: WorkloadSpec { n: 256, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+//!     workload: WorkloadSpec {
+//!         n: 256,
+//!         stencil: StencilSpec::FivePoint,
+//!         shape: PartitionShape::Square,
+//!     },
 //!     procs: Some(64),
 //!     memory_words: None,
 //! };
@@ -69,13 +79,15 @@ pub use error::ParspeedError;
 pub use exec::{checkpoint_key, ExperimentRunner};
 pub use fxhash::{FxBuildHasher, FxHasher};
 pub use jsonl::WIRE_VERSION;
+pub use parspeed_core::minsize::BusVariant;
+pub use parspeed_core::ProcessorBudget;
 pub use parspeed_obs::{Recorder, Stage};
 pub use parspeed_solver::{CheckpointPolicy, CheckpointStore};
+pub use parspeed_stencil::{KernelKind, PartitionShape};
 pub use plan::{routing_hash, Plan, PlanTiming, PointLabel, Slot};
 pub use request::{
     ArchKind, CheckKey, CheckSpec, EffectKey, EvalKey, EvalOutcome, EvalValue, Lever, MachineSpec,
-    MinSizeVariant, Query, ShapeKey, SimArchKind, SolverKind, StencilKey, StencilSpec,
-    WorkloadSpec,
+    Query, SimArchKind, SolverKind, StencilSpec, WorkloadSpec,
 };
 pub use telemetry::BatchTelemetry;
 
@@ -433,7 +445,11 @@ mod tests {
         Query::Optimize {
             arch: ArchKind::SyncBus,
             machine: MachineSpec::default(),
-            workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+            workload: WorkloadSpec {
+                n,
+                stencil: StencilSpec::FivePoint,
+                shape: PartitionShape::Square,
+            },
             procs,
             memory_words: None,
         }
@@ -446,7 +462,11 @@ mod tests {
     fn compare(n: usize) -> Query {
         Query::Compare {
             machine: MachineSpec::default(),
-            workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+            workload: WorkloadSpec {
+                n,
+                stencil: StencilSpec::FivePoint,
+                shape: PartitionShape::Square,
+            },
             procs: None,
         }
     }
@@ -522,7 +542,7 @@ mod tests {
             table1(512),
             compare(128),
             Query::MinSize {
-                variant: MinSizeVariant::SyncSquare,
+                variant: BusVariant::SyncSquare,
                 machine: MachineSpec::default(),
                 e: 6.0,
                 k: 1.0,
@@ -619,7 +639,7 @@ mod tests {
             Query::Threads {
                 n: 32,
                 stencil: StencilSpec::FivePoint,
-                shape: ShapeKey::Strip,
+                shape: PartitionShape::Strip,
                 threads: vec![1],
                 iters: 1,
                 repeats: 1,

@@ -13,10 +13,11 @@
 use crate::error::ParspeedError;
 use crate::fxhash::FxBuildHasher;
 use crate::request::{
-    ArchKind, BudgetKey, CheckKey, CheckSpec, EffectKey, EvalKey, F64Key, MachineKey, Query,
-    ShapeKey, SolverKind, StencilKey, StencilSpec,
+    ArchKind, CheckKey, CheckSpec, EffectKey, EvalKey, F64Key, MachineKey, Query, SolverKind,
+    StencilSpec,
 };
-use parspeed_core::Workload;
+use parspeed_core::{ProcessorBudget, Workload};
+use parspeed_stencil::{KernelKind, PartitionShape};
 use std::collections::HashMap;
 
 /// The largest grid side a `solve` or `threads` query may ask for:
@@ -207,17 +208,13 @@ pub fn routing_hash(q: &Query) -> u64 {
     }
 }
 
-fn budget_key(procs: Option<usize>) -> BudgetKey {
-    match procs {
-        Some(p) => BudgetKey::Limited(p),
-        None => BudgetKey::Unlimited,
-    }
-}
-
 /// The `(E(S), k(P,S))` a closed-form model evaluates with. The models
 /// divide by `E(S)`, so it must be positive and finite.
-fn model_constants(stencil: StencilSpec, shape: ShapeKey) -> Result<(f64, usize), ParspeedError> {
-    let (e, k) = stencil.constants(shape.to_shape());
+fn model_constants(
+    stencil: StencilSpec,
+    shape: PartitionShape,
+) -> Result<(f64, usize), ParspeedError> {
+    let (e, k) = stencil.constants(shape);
     if !(e.is_finite() && e > 0.0) {
         return Err(ParspeedError::invalid(format!("E(S) must be positive and finite, got {e}")));
     }
@@ -229,7 +226,7 @@ fn optimize_key(
     machine: MachineKey,
     n: usize,
     stencil: StencilSpec,
-    shape: ShapeKey,
+    shape: PartitionShape,
     procs: Option<usize>,
     memory_words: Option<f64>,
 ) -> Result<EvalKey, ParspeedError> {
@@ -249,9 +246,30 @@ fn optimize_key(
         shape,
         e: F64Key::new(e),
         k,
-        budget: budget_key(procs),
+        budget: procs.map_or(ProcessorBudget::Unlimited, ProcessorBudget::Limited),
         memory_words: memory_words.map(F64Key::new),
     })
+}
+
+/// One point of a macro-query: its presentation label (the budget shown
+/// as `∞` or the count) and its optimize key.
+fn optimize_point(
+    arch: ArchKind,
+    machine: MachineKey,
+    n: usize,
+    stencil: StencilSpec,
+    shape: PartitionShape,
+    procs: Option<usize>,
+) -> Result<(PointLabel, EvalKey), ParspeedError> {
+    let key = optimize_key(arch, machine, n, stencil, shape, procs, None)?;
+    let label = PointLabel {
+        arch: arch.name(),
+        n,
+        stencil: stencil.name(),
+        shape: shape.name(),
+        budget: procs.map_or_else(|| "∞".into(), |p| p.to_string()),
+    };
+    Ok((label, key))
 }
 
 fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
@@ -318,7 +336,7 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
                 shape: workload.shape,
                 e: F64Key::new(e),
                 k,
-                budget: budget_key(*procs),
+                budget: procs.map_or(ProcessorBudget::Unlimited, ProcessorBudget::Limited),
                 lever: *lever,
                 factor: F64Key::new(*factor),
             }))
@@ -328,32 +346,14 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
             Ok(Planned::Single(EvalKey::Table1 {
                 machine: machine.to_key()?,
                 n: *n,
-                stencil: StencilKey::from_spec(*stencil)?,
+                stencil: stencil.kernel()?,
             }))
         }
         Query::Compare { machine, workload, procs } => {
-            let mkey = machine.to_key()?;
+            let (mkey, w) = (machine.to_key()?, workload);
             let mut points = Vec::with_capacity(6);
             for arch in ArchKind::all() {
-                let key = optimize_key(
-                    arch,
-                    mkey,
-                    workload.n,
-                    workload.stencil,
-                    workload.shape,
-                    *procs,
-                    None,
-                )?;
-                points.push((
-                    PointLabel {
-                        arch: arch.name(),
-                        n: workload.n,
-                        stencil: workload.stencil.name(),
-                        shape: workload.shape.name(),
-                        budget: budget_key(*procs).label(),
-                    },
-                    key,
-                ));
+                points.push(optimize_point(arch, mkey, w.n, w.stencil, w.shape, *procs)?);
             }
             Ok(Planned::Multi(points))
         }
@@ -362,7 +362,7 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
             if *procs == 0 {
                 return Err(ParspeedError::invalid("simulate needs at least one processor"));
             }
-            let stencil = StencilKey::from_spec(workload.stencil)?;
+            let stencil = workload.stencil.kernel()?;
             let (n, p) = (workload.n, *procs);
             // Same validation (and messages) the evaluator applies.
             crate::exec::build_decomposition(n, p, workload.shape)?;
@@ -407,11 +407,8 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
             }
             // Canonicalize away whatever this solver ignores, so
             // equivalent runs share a key (and a cache line).
-            let stencil = if solver.uses_stencil() {
-                StencilKey::from_spec(*stencil)?
-            } else {
-                StencilKey::FivePoint
-            };
+            let stencil =
+                if solver.uses_stencil() { stencil.kernel()? } else { KernelKind::FivePoint };
             let partitions = match solver {
                 SolverKind::Parallel => (*partitions).clamp(1, *n),
                 _ => 0,
@@ -447,7 +444,7 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
             }
             Ok(Planned::Effect(EffectKey::Threads {
                 n: *n,
-                stencil: StencilKey::from_spec(*stencil)?,
+                stencil: stencil.kernel()?,
                 shape: *shape,
                 threads: threads.clone(),
                 iters: (*iters).max(1),
@@ -487,18 +484,9 @@ fn plan_query(q: &Query) -> Result<Planned, ParspeedError> {
                         for procs in budgets {
                             let mut n = *n_from;
                             loop {
-                                let key =
-                                    optimize_key(*arch, mkey, n, *stencil, *shape, *procs, None)?;
-                                points.push((
-                                    PointLabel {
-                                        arch: arch.name(),
-                                        n,
-                                        stencil: stencil.name(),
-                                        shape: shape.name(),
-                                        budget: budget_key(*procs).label(),
-                                    },
-                                    key,
-                                ));
+                                points.push(optimize_point(
+                                    *arch, mkey, n, *stencil, *shape, *procs,
+                                )?);
                                 if n > *n_to / 2 {
                                     break;
                                 }
@@ -522,7 +510,11 @@ mod tests {
         Query::Optimize {
             arch: ArchKind::SyncBus,
             machine: MachineSpec::default(),
-            workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+            workload: WorkloadSpec {
+                n,
+                stencil: StencilSpec::FivePoint,
+                shape: PartitionShape::Square,
+            },
             procs,
             memory_words: None,
         }
@@ -542,14 +534,14 @@ mod tests {
 
     #[test]
     fn named_and_custom_stencils_dedup_together() {
-        let (e, k) = StencilSpec::FivePoint.constants(ShapeKey::Square.to_shape());
+        let (e, k) = StencilSpec::FivePoint.constants(PartitionShape::Square);
         let custom = Query::Optimize {
             arch: ArchKind::SyncBus,
             machine: MachineSpec::default(),
             workload: WorkloadSpec {
                 n: 256,
                 stencil: StencilSpec::Custom { e, k },
-                shape: ShapeKey::Square,
+                shape: PartitionShape::Square,
             },
             procs: Some(64),
             memory_words: None,
@@ -564,7 +556,7 @@ mod tests {
             archs: vec![ArchKind::SyncBus],
             machine: MachineSpec::default(),
             stencils: vec![StencilSpec::FivePoint],
-            shapes: vec![ShapeKey::Square],
+            shapes: vec![PartitionShape::Square],
             budgets: vec![None],
             n_from: 64,
             n_to: 512,
@@ -586,7 +578,7 @@ mod tests {
             archs: vec![ArchKind::SyncBus],
             machine: MachineSpec::default(),
             stencils: vec![StencilSpec::FivePoint],
-            shapes: vec![ShapeKey::Square],
+            shapes: vec![PartitionShape::Square],
             budgets: vec![Some(64)],
             n_from: 256,
             n_to: 256,
@@ -603,7 +595,7 @@ mod tests {
             workload: WorkloadSpec {
                 n: 256,
                 stencil: StencilSpec::FivePoint,
-                shape: ShapeKey::Square,
+                shape: PartitionShape::Square,
             },
             procs: Some(64),
         };
@@ -678,7 +670,7 @@ mod tests {
         let q = Query::Threads {
             n: 64,
             stencil: StencilSpec::FivePoint,
-            shape: ShapeKey::Strip,
+            shape: PartitionShape::Strip,
             threads: vec![1, 2],
             iters: 1,
             repeats: 1,
@@ -697,7 +689,8 @@ mod tests {
             workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape },
             procs,
         };
-        let plan = Plan::build(&[sim(8, 16, ShapeKey::Strip), sim(8, 97, ShapeKey::Square)]);
+        let plan =
+            Plan::build(&[sim(8, 16, PartitionShape::Strip), sim(8, 97, PartitionShape::Square)]);
         assert!(matches!(&plan.slots[0], Slot::Invalid(e) if e.to_string().contains("strips")));
         assert!(
             matches!(&plan.slots[1], Slot::Invalid(e) if e.to_string().contains("near-square"))
@@ -718,7 +711,7 @@ mod tests {
         let threads = |n| Query::Threads {
             n,
             stencil: StencilSpec::FivePoint,
-            shape: ShapeKey::Strip,
+            shape: PartitionShape::Strip,
             threads: vec![1],
             iters: 1,
             repeats: 1,
@@ -748,7 +741,7 @@ mod tests {
             archs: vec![ArchKind::SyncBus],
             machine: MachineSpec::default(),
             stencils: vec![StencilSpec::FivePoint],
-            shapes: vec![ShapeKey::Square],
+            shapes: vec![PartitionShape::Square],
             budgets: (0..budgets).map(Some).collect(),
             n_from,
             n_to,
@@ -779,7 +772,7 @@ mod tests {
             archs: vec![ArchKind::SyncBus; axis],
             machine: MachineSpec::default(),
             stencils: vec![StencilSpec::FivePoint; axis],
-            shapes: vec![ShapeKey::Square; axis],
+            shapes: vec![PartitionShape::Square; axis],
             budgets: vec![None; axis],
             n_from: 1,
             n_to: 1,
@@ -791,7 +784,7 @@ mod tests {
     fn model_sides_are_bounded_where_n_squared_fits() {
         let spec = MachineSpec::default();
         let square =
-            |n| WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square };
+            |n| WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: PartitionShape::Square };
         let every_op = |n| {
             [
                 opt(n, None),
@@ -807,7 +800,7 @@ mod tests {
                 Query::Simulate {
                     arch: SimArchKind::SyncBus,
                     machine: spec,
-                    workload: WorkloadSpec { shape: ShapeKey::Strip, ..square(n) },
+                    workload: WorkloadSpec { shape: PartitionShape::Strip, ..square(n) },
                     procs: 1,
                 },
                 sweep(1, n, n),
@@ -827,7 +820,7 @@ mod tests {
         let threads = |count| Query::Threads {
             n: 15,
             stencil: StencilSpec::FivePoint,
-            shape: ShapeKey::Strip,
+            shape: PartitionShape::Strip,
             threads: vec![1, count],
             iters: 1,
             repeats: 1,
@@ -872,7 +865,7 @@ mod tests {
             ),
             (
                 Query::MinSize {
-                    variant: crate::MinSizeVariant::SyncSquare,
+                    variant: crate::BusVariant::SyncSquare,
                     machine: MachineSpec::default(),
                     e: 6.0,
                     k: 1.0,
@@ -881,10 +874,54 @@ mod tests {
                 4_027_797_555_404_432_814,
             ),
         ];
+        // Pinned as wire lines, so the entries name no Rust type: every
+        // op's key kind, both shapes, a budget on a leverage, all four
+        // catalogue stencils, every minsize variant and one effect.
+        let wire = |line: &str| crate::jsonl::parse_query(line).unwrap().query;
+        let lines: &[(&str, u64)] = &[
+            (
+                r#"{"op":"optimize","version":2,"arch":"async-bus","n":512,"stencil":"9pt-box","shape":"strip","procs":32}"#,
+                11_465_471_787_375_176_754,
+            ),
+            (
+                r#"{"op":"leverage","version":2,"n":256,"stencil":"5pt","shape":"square","procs":16,"lever":"bus","factor":2}"#,
+                1_188_715_423_571_902_963,
+            ),
+            (
+                r#"{"op":"isoeff","version":2,"arch":"hypercube","stencil":"9pt-star","shape":"square","procs":64,"efficiency":0.5}"#,
+                16_113_843_498_741_534_479,
+            ),
+            (
+                r#"{"op":"simulate","version":2,"arch":"sync-bus","n":64,"stencil":"9pt-box","shape":"square","procs":16}"#,
+                15_588_268_080_513_594_005,
+            ),
+            (r#"{"op":"table1","version":2,"n":1024,"stencil":"13pt"}"#, 3_928_295_519_747_835_948),
+            (
+                r#"{"op":"solve","version":2,"n":31,"solver":"jacobi","tol":1e-6,"stencil":"9pt-star","max_iters":1000}"#,
+                5_011_784_423_778_764_521,
+            ),
+            (
+                r#"{"op":"minsize","version":2,"variant":"sync-strip","e":6.0,"k":1.0,"procs":14}"#,
+                2_398_658_665_508_001_826,
+            ),
+            (
+                r#"{"op":"minsize","version":2,"variant":"async-strip","e":6.0,"k":1.0,"procs":14}"#,
+                17_103_460_314_651_930_415,
+            ),
+            (
+                r#"{"op":"minsize","version":2,"variant":"async-square","e":6.0,"k":1.0,"procs":14}"#,
+                13_368_341_263_172_397_663,
+            ),
+            (
+                r#"{"op":"threads","version":2,"n":64,"stencil":"13pt","shape":"square","threads":[1,2],"iters":1,"repeats":1}"#,
+                3_520_633_000_293_111_210,
+            ),
+        ];
+        let pinned = pinned.iter().cloned().chain(lines.iter().map(|&(l, h)| (wire(l), h)));
         for (q, want) in pinned {
             assert_eq!(
-                routing_hash(q),
-                *want,
+                routing_hash(&q),
+                want,
                 "routing hash moved for {q:?} — this breaks ring placement"
             );
         }
@@ -895,14 +932,14 @@ mod tests {
         use crate::routing_hash;
         // Named and custom stencils with the same constants share a cache
         // line, so they must share a routing hash too.
-        let (e, k) = StencilSpec::FivePoint.constants(ShapeKey::Square.to_shape());
+        let (e, k) = StencilSpec::FivePoint.constants(PartitionShape::Square);
         let custom = Query::Optimize {
             arch: ArchKind::SyncBus,
             machine: MachineSpec::default(),
             workload: WorkloadSpec {
                 n: 256,
                 stencil: StencilSpec::Custom { e, k },
-                shape: ShapeKey::Square,
+                shape: PartitionShape::Square,
             },
             procs: Some(64),
             memory_words: None,
@@ -920,7 +957,7 @@ mod tests {
             archs: vec![ArchKind::SyncBus],
             machine: MachineSpec::default(),
             stencils: vec![StencilSpec::FivePoint],
-            shapes: vec![ShapeKey::Square],
+            shapes: vec![PartitionShape::Square],
             budgets: vec![Some(64)],
             n_from: 256,
             n_to: 256,
@@ -937,7 +974,7 @@ mod tests {
             archs: vec![],
             machine: MachineSpec::default(),
             stencils: vec![StencilSpec::FivePoint],
-            shapes: vec![ShapeKey::Square],
+            shapes: vec![PartitionShape::Square],
             budgets: vec![None],
             n_from: 64,
             n_to: 128,
@@ -985,7 +1022,7 @@ mod tests {
             workload: WorkloadSpec {
                 n: 256,
                 stencil: StencilSpec::FivePoint,
-                shape: ShapeKey::Square,
+                shape: PartitionShape::Square,
             },
             procs: None,
             memory_words: None,

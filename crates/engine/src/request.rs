@@ -6,9 +6,16 @@
 //! constants, a machine preset vs. the same numbers spelled out, a budget
 //! larger than the shape admits — collapse onto one [`EvalKey`], so the
 //! executor computes each distinct point exactly once and the cache is
-//! maximally effective. Floats are keyed by their IEEE-754 bit patterns:
-//! canonicalization never rounds or rescales, which is what keeps engine
-//! responses bit-identical to direct `parspeed-core` calls.
+//! maximally effective.
+//!
+//! Queries and keys carry the model crates' own types for the paper's
+//! discrete parameters: [`PartitionShape`], [`ProcessorBudget`],
+//! [`BusVariant`] and, where a query needs tap geometry, [`KernelKind`].
+//! The key types this module adds exist for floats, which are keyed by
+//! their IEEE-754 bit patterns: [`F64Key`], and [`MachineKey`] and
+//! [`CheckKey`] built from it. Canonicalization never rounds or
+//! rescales, which is what keeps engine responses bit-identical to
+//! direct `parspeed-core` calls.
 
 use crate::error::ParspeedError;
 use parspeed_core::minsize::BusVariant;
@@ -18,7 +25,7 @@ use parspeed_core::{
     ProcessorBudget, ScheduledBus, SwitchParams, SyncBus,
 };
 use parspeed_exec::measure::MeasuredPoint;
-use parspeed_stencil::{PartitionShape, Stencil};
+use parspeed_stencil::{KernelKind, PartitionShape, Stencil};
 
 /// An `f64` keyed by its exact bit pattern (hashable, totally equatable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -156,6 +163,18 @@ impl StencilSpec {
         })
     }
 
+    /// The catalogue stencil a named spec denotes, or a custom spec's own
+    /// `(E, k)` constants.
+    fn resolve(self) -> Result<KernelKind, (f64, usize)> {
+        Ok(match self {
+            StencilSpec::FivePoint => KernelKind::FivePoint,
+            StencilSpec::NinePointBox => KernelKind::NinePointBox,
+            StencilSpec::NinePointStar => KernelKind::NinePointStar,
+            StencilSpec::ThirteenPoint => KernelKind::ThirteenPointStar,
+            StencilSpec::Custom { e, k } => return Err((e, k)),
+        })
+    }
+
     /// The canonical `(E(S), k(P,S))` constants for this spec under
     /// `shape` — exactly the constants
     /// [`Workload::new`](parspeed_core::Workload::new) would derive.
@@ -166,112 +185,36 @@ impl StencilSpec {
     pub fn constants(self, shape: PartitionShape) -> (f64, usize) {
         use std::sync::OnceLock;
         static NAMED: OnceLock<[[(f64, usize); 2]; 4]> = OnceLock::new();
-        let idx = match self {
-            StencilSpec::Custom { e, k } => return (e, k),
-            StencilSpec::FivePoint => 0,
-            StencilSpec::NinePointBox => 1,
-            StencilSpec::NinePointStar => 2,
-            StencilSpec::ThirteenPoint => 3,
+        let kind = match self.resolve() {
+            Ok(kind) => kind,
+            Err(custom) => return custom,
         };
         let table = NAMED.get_or_init(|| {
-            let specs = [
-                StencilSpec::FivePoint,
-                StencilSpec::NinePointBox,
-                StencilSpec::NinePointStar,
-                StencilSpec::ThirteenPoint,
-            ];
-            specs.map(|spec| {
-                let s = spec.to_stencil().expect("named spec");
+            KernelKind::all().map(|named| {
+                let s = named.to_stencil();
                 let e = s.calibrated_e().unwrap_or_else(|| s.flops_per_point());
-                [
-                    (e, s.perimeters(PartitionShape::Strip)),
-                    (e, s.perimeters(PartitionShape::Square)),
-                ]
+                PartitionShape::all().map(|p| (e, s.perimeters(p)))
             })
         });
-        let shape_idx = match shape {
-            PartitionShape::Strip => 0,
-            PartitionShape::Square => 1,
-        };
-        table[idx][shape_idx]
+        table[kind as usize][shape as usize]
+    }
+
+    /// The catalogue stencil a query that needs tap geometry (a
+    /// simulation, a solve, Table I, a thread measurement) runs on;
+    /// custom constants have none, and answer `invalid_request`.
+    pub fn kernel(self) -> Result<KernelKind, ParspeedError> {
+        self.resolve().map_err(|_| {
+            ParspeedError::invalid(
+                "this query needs a catalog stencil (5pt, 9pt-box, 9pt-star, 13pt); \
+                 custom (e, k) constants have no tap geometry",
+            )
+        })
     }
 
     /// The catalog [`Stencil`] a named spec denotes (`None` for
     /// [`StencilSpec::Custom`], which has no tap geometry).
     pub fn to_stencil(self) -> Option<Stencil> {
-        Some(match self {
-            StencilSpec::FivePoint => Stencil::five_point(),
-            StencilSpec::NinePointBox => Stencil::nine_point_box(),
-            StencilSpec::NinePointStar => Stencil::nine_point_star(),
-            StencilSpec::ThirteenPoint => Stencil::thirteen_point_star(),
-            StencilSpec::Custom { .. } => return None,
-        })
-    }
-}
-
-/// A *catalog* stencil in canonical (hashable) form: the stencils with tap
-/// geometry, which the simulators and solvers require. [`StencilSpec`]
-/// additionally admits bare `(E, k)` constants; queries that need real tap
-/// lists canonicalize through here and reject custom constants at plan
-/// time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StencilKey {
-    /// Classic 5-point Laplacian cross.
-    FivePoint,
-    /// Mehrstellen 3×3 box.
-    NinePointBox,
-    /// Fourth-order star with arms of reach 2.
-    NinePointStar,
-    /// Reach-2 star plus unit diagonals.
-    ThirteenPoint,
-}
-
-impl StencilKey {
-    /// Canonicalizes a spec, rejecting custom constants (which have no tap
-    /// geometry to simulate or solve with).
-    pub fn from_spec(spec: StencilSpec) -> Result<Self, ParspeedError> {
-        Ok(match spec {
-            StencilSpec::FivePoint => StencilKey::FivePoint,
-            StencilSpec::NinePointBox => StencilKey::NinePointBox,
-            StencilSpec::NinePointStar => StencilKey::NinePointStar,
-            StencilSpec::ThirteenPoint => StencilKey::ThirteenPoint,
-            StencilSpec::Custom { .. } => {
-                return Err(ParspeedError::invalid(
-                    "this query needs a catalog stencil (5pt, 9pt-box, 9pt-star, 13pt); \
-                     custom (e, k) constants have no tap geometry",
-                ))
-            }
-        })
-    }
-
-    /// The catalog stencil this key denotes.
-    pub fn to_stencil(self) -> Stencil {
-        match self {
-            StencilKey::FivePoint => Stencil::five_point(),
-            StencilKey::NinePointBox => Stencil::nine_point_box(),
-            StencilKey::NinePointStar => Stencil::nine_point_star(),
-            StencilKey::ThirteenPoint => Stencil::thirteen_point_star(),
-        }
-    }
-
-    /// The equivalent spec.
-    pub fn to_spec(self) -> StencilSpec {
-        match self {
-            StencilKey::FivePoint => StencilSpec::FivePoint,
-            StencilKey::NinePointBox => StencilSpec::NinePointBox,
-            StencilKey::NinePointStar => StencilSpec::NinePointStar,
-            StencilKey::ThirteenPoint => StencilSpec::ThirteenPoint,
-        }
-    }
-
-    /// The CLI/JSONL name.
-    pub fn name(self) -> &'static str {
-        match self {
-            StencilKey::FivePoint => "5pt",
-            StencilKey::NinePointBox => "9pt-box",
-            StencilKey::NinePointStar => "9pt-star",
-            StencilKey::ThirteenPoint => "13pt",
-        }
+        self.resolve().ok().map(KernelKind::to_stencil)
     }
 }
 
@@ -722,122 +665,6 @@ impl MachineKey {
     }
 }
 
-/// Partition shape in canonical form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ShapeKey {
-    /// Full-width row strips.
-    Strip,
-    /// Squares / working rectangles.
-    Square,
-}
-
-impl ShapeKey {
-    /// The corresponding model shape.
-    pub fn to_shape(self) -> PartitionShape {
-        match self {
-            ShapeKey::Strip => PartitionShape::Strip,
-            ShapeKey::Square => PartitionShape::Square,
-        }
-    }
-
-    /// The CLI/JSONL name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ShapeKey::Strip => "strip",
-            ShapeKey::Square => "square",
-        }
-    }
-
-    /// Parses the CLI/JSONL name.
-    pub fn parse(name: &str) -> Result<Self, String> {
-        Ok(match name {
-            "strip" | "strips" => ShapeKey::Strip,
-            "square" | "squares" => ShapeKey::Square,
-            other => return Err(format!("unknown shape `{other}`; one of: strip, square")),
-        })
-    }
-}
-
-/// Processor budget in canonical form (`Limited(0)` is normalized to
-/// `Limited(1)` by [`ProcessorBudget::cap`], so it is kept as given —
-/// the core model decides).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BudgetKey {
-    /// At most `N` processors.
-    Limited(usize),
-    /// Machine grows with the problem.
-    Unlimited,
-}
-
-impl BudgetKey {
-    /// The corresponding model budget.
-    pub fn to_budget(self) -> ProcessorBudget {
-        match self {
-            BudgetKey::Limited(n) => ProcessorBudget::Limited(n),
-            BudgetKey::Unlimited => ProcessorBudget::Unlimited,
-        }
-    }
-
-    /// Display form (`∞` for unlimited).
-    pub fn label(self) -> String {
-        match self {
-            BudgetKey::Limited(n) => n.to_string(),
-            BudgetKey::Unlimited => "∞".into(),
-        }
-    }
-}
-
-/// The bus variants of the Fig. 7 minimum-problem-size analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MinSizeVariant {
-    /// Synchronous bus, strip partitions.
-    SyncStrip,
-    /// Asynchronous bus, strip partitions.
-    AsyncStrip,
-    /// Synchronous bus, square partitions.
-    SyncSquare,
-    /// Asynchronous bus, square partitions.
-    AsyncSquare,
-}
-
-impl MinSizeVariant {
-    /// The corresponding core variant.
-    pub fn to_variant(self) -> BusVariant {
-        match self {
-            MinSizeVariant::SyncStrip => BusVariant::SyncStrip,
-            MinSizeVariant::AsyncStrip => BusVariant::AsyncStrip,
-            MinSizeVariant::SyncSquare => BusVariant::SyncSquare,
-            MinSizeVariant::AsyncSquare => BusVariant::AsyncSquare,
-        }
-    }
-
-    /// The CLI/JSONL name.
-    pub fn name(self) -> &'static str {
-        match self {
-            MinSizeVariant::SyncStrip => "sync-strip",
-            MinSizeVariant::AsyncStrip => "async-strip",
-            MinSizeVariant::SyncSquare => "sync-square",
-            MinSizeVariant::AsyncSquare => "async-square",
-        }
-    }
-
-    /// Parses the CLI/JSONL name.
-    pub fn parse(name: &str) -> Result<Self, String> {
-        Ok(match name {
-            "sync-strip" => MinSizeVariant::SyncStrip,
-            "async-strip" => MinSizeVariant::AsyncStrip,
-            "sync-square" => MinSizeVariant::SyncSquare,
-            "async-square" => MinSizeVariant::AsyncSquare,
-            other => {
-                return Err(format!(
-                    "unknown minsize variant `{other}`; one of: sync-strip, async-strip, \
-                     sync-square, async-square"
-                ))
-            }
-        })
-    }
-}
-
 /// Which hardware lever a leverage query pulls (§6.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Lever {
@@ -878,7 +705,7 @@ pub struct WorkloadSpec {
     /// Stencil (named or custom constants).
     pub stencil: StencilSpec,
     /// Partition shape.
-    pub shape: ShapeKey,
+    pub shape: PartitionShape,
 }
 
 /// One query in a batch. `Sweep` is a macro-query the planner expands into
@@ -902,7 +729,7 @@ pub enum Query {
     /// Closed-form smallest grid gainfully using all `procs` processors.
     MinSize {
         /// Bus variant.
-        variant: MinSizeVariant,
+        variant: BusVariant,
         /// Machine description.
         machine: MachineSpec,
         /// `E(S)` constant.
@@ -921,7 +748,7 @@ pub enum Query {
         /// Stencil (supplies `E`, `k`).
         stencil: StencilSpec,
         /// Partition shape.
-        shape: ShapeKey,
+        shape: PartitionShape,
         /// Processor count held fixed.
         procs: usize,
         /// Target efficiency in `(0, 1)`.
@@ -1005,7 +832,7 @@ pub enum Query {
         /// Stencil (catalog only).
         stencil: StencilSpec,
         /// Partition shape.
-        shape: ShapeKey,
+        shape: PartitionShape,
         /// Thread counts to measure.
         threads: Vec<usize>,
         /// Timed iterations per measurement.
@@ -1034,7 +861,7 @@ pub enum Query {
         /// Stencils.
         stencils: Vec<StencilSpec>,
         /// Shapes.
-        shapes: Vec<ShapeKey>,
+        shapes: Vec<PartitionShape>,
         /// Budgets (`None` = unlimited).
         budgets: Vec<Option<usize>>,
         /// First grid side.
@@ -1077,20 +904,20 @@ pub enum EvalKey {
         /// Grid side.
         n: usize,
         /// Shape.
-        shape: ShapeKey,
+        shape: PartitionShape,
         /// `E(S)` bits.
         e: F64Key,
         /// `k(P,S)`.
         k: usize,
         /// Budget.
-        budget: BudgetKey,
+        budget: ProcessorBudget,
         /// Optional memory budget bits (words per processor).
         memory_words: Option<F64Key>,
     },
     /// One closed-form minimum-size evaluation.
     MinSize {
         /// Bus variant.
-        variant: MinSizeVariant,
+        variant: BusVariant,
         /// Canonical machine.
         machine: MachineKey,
         /// `E(S)` bits.
@@ -1107,7 +934,7 @@ pub enum EvalKey {
         /// Canonical machine.
         machine: MachineKey,
         /// Shape.
-        shape: ShapeKey,
+        shape: PartitionShape,
         /// `E(S)` bits.
         e: F64Key,
         /// `k(P,S)`.
@@ -1124,13 +951,13 @@ pub enum EvalKey {
         /// Grid side.
         n: usize,
         /// Shape.
-        shape: ShapeKey,
+        shape: PartitionShape,
         /// `E(S)` bits.
         e: F64Key,
         /// `k(P,S)`.
         k: usize,
         /// Budget.
-        budget: BudgetKey,
+        budget: ProcessorBudget,
         /// Lever pulled.
         lever: Lever,
         /// Factor bits.
@@ -1143,7 +970,7 @@ pub enum EvalKey {
         /// Grid side.
         n: usize,
         /// Catalog stencil.
-        stencil: StencilKey,
+        stencil: KernelKind,
     },
     /// One event-level iteration simulation.
     Simulate {
@@ -1154,9 +981,9 @@ pub enum EvalKey {
         /// Grid side.
         n: usize,
         /// Shape.
-        shape: ShapeKey,
+        shape: PartitionShape,
         /// Catalog stencil.
-        stencil: StencilKey,
+        stencil: KernelKind,
         /// Processor count.
         procs: usize,
     },
@@ -1173,7 +1000,7 @@ pub enum EvalKey {
         /// Tolerance bits.
         tol: F64Key,
         /// Catalog stencil.
-        stencil: StencilKey,
+        stencil: KernelKind,
         /// Strip count (0 unless the solver partitions).
         partitions: usize,
         /// Iteration cap.
@@ -1196,9 +1023,9 @@ pub enum EffectKey {
         /// Grid side.
         n: usize,
         /// Catalog stencil.
-        stencil: StencilKey,
+        stencil: KernelKind,
         /// Shape.
-        shape: ShapeKey,
+        shape: PartitionShape,
         /// Thread counts.
         threads: Vec<usize>,
         /// Timed iterations per point.
@@ -1323,7 +1150,7 @@ mod tests {
     #[test]
     fn only_measurement_queries_are_retry_unsafe() {
         let workload =
-            WorkloadSpec { n: 128, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square };
+            WorkloadSpec { n: 128, stencil: StencilSpec::FivePoint, shape: PartitionShape::Square };
         let pure = Query::Optimize {
             arch: ArchKind::SyncBus,
             machine: MachineSpec::default(),
@@ -1339,7 +1166,7 @@ mod tests {
         assert!(!Query::Threads {
             n: 64,
             stencil: StencilSpec::FivePoint,
-            shape: ShapeKey::Square,
+            shape: PartitionShape::Square,
             threads: vec![1, 2],
             iters: 1,
             repeats: 1,
@@ -1372,12 +1199,12 @@ mod tests {
             assert_eq!(ArchKind::parse(a.name()).unwrap(), a);
         }
         for v in [
-            MinSizeVariant::SyncStrip,
-            MinSizeVariant::AsyncStrip,
-            MinSizeVariant::SyncSquare,
-            MinSizeVariant::AsyncSquare,
+            BusVariant::SyncStrip,
+            BusVariant::AsyncStrip,
+            BusVariant::SyncSquare,
+            BusVariant::AsyncSquare,
         ] {
-            assert_eq!(MinSizeVariant::parse(v.name()).unwrap(), v);
+            assert_eq!(BusVariant::parse(v.name()).unwrap(), v);
         }
         for l in [Lever::Bus, Lever::Flop, Lever::Overhead] {
             assert_eq!(Lever::parse(l.name()).unwrap(), l);
@@ -1404,7 +1231,7 @@ mod tests {
             assert_eq!(SolverKind::parse(s.name()).unwrap(), s);
         }
         assert!(ArchKind::parse("torus").is_err());
-        assert!(ShapeKey::parse("hexagon").is_err());
+        assert!(PartitionShape::parse("hexagon").is_err());
         assert!(SimArchKind::parse("torus").is_err());
         assert!(SolverKind::parse("adi").is_err());
     }
@@ -1444,16 +1271,17 @@ mod tests {
 
     #[test]
     fn stencil_keys_round_trip_and_reject_custom() {
-        for key in [
-            StencilKey::FivePoint,
-            StencilKey::NinePointBox,
-            StencilKey::NinePointStar,
-            StencilKey::ThirteenPoint,
-        ] {
-            assert_eq!(StencilKey::from_spec(key.to_spec()).unwrap(), key);
-            assert_eq!(key.to_spec().name(), key.name());
+        let named = [
+            StencilSpec::FivePoint,
+            StencilSpec::NinePointBox,
+            StencilSpec::NinePointStar,
+            StencilSpec::ThirteenPoint,
+        ];
+        for (spec, kind) in named.into_iter().zip(KernelKind::all()) {
+            assert_eq!(spec.kernel().unwrap(), kind);
+            assert_eq!(spec.to_stencil(), Some(kind.to_stencil()));
         }
-        let err = StencilKey::from_spec(StencilSpec::Custom { e: 6.0, k: 1 }).unwrap_err();
+        let err = StencilSpec::Custom { e: 6.0, k: 1 }.kernel().unwrap_err();
         assert!(err.to_string().contains("catalog stencil"), "{err}");
     }
 }

@@ -2,9 +2,10 @@
 //! the throughput benches so they always measure the same traffic.
 
 use crate::request::{
-    ArchKind, Lever, MachineSpec, MinSizeVariant, Query, ShapeKey, SimArchKind, SolverKind,
-    StencilSpec, WorkloadSpec,
+    ArchKind, Lever, MachineSpec, Query, SimArchKind, SolverKind, StencilSpec, WorkloadSpec,
 };
+use parspeed_core::minsize::BusVariant;
+use parspeed_stencil::PartitionShape;
 
 /// A `len`-query mixed-kind batch cycling over a few hundred unique
 /// queries — the shape of mixed dashboard + capacity-planning traffic
@@ -15,7 +16,7 @@ use crate::request::{
 /// dedup/cache pipeline this workload exists to measure.
 pub fn mixed_batch(len: usize) -> Vec<Query> {
     let stencils = [StencilSpec::FivePoint, StencilSpec::NinePointBox];
-    let shapes = [ShapeKey::Strip, ShapeKey::Square];
+    let shapes = PartitionShape::all();
     let sizes = [256usize, 512, 1024, 2048, 4096];
     let budgets = [Some(8), Some(16), Some(32), Some(64), None];
     let archs = [ArchKind::SyncBus, ArchKind::AsyncBus, ArchKind::Hypercube, ArchKind::Banyan];
@@ -43,13 +44,17 @@ pub fn mixed_batch(len: usize) -> Vec<Query> {
         unique.push(Query::Table1 { machine: spec, n, stencil: StencilSpec::FivePoint });
         unique.push(Query::Compare {
             machine: spec,
-            workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+            workload: WorkloadSpec {
+                n,
+                stencil: StencilSpec::FivePoint,
+                shape: PartitionShape::Square,
+            },
             procs: Some(32),
         });
     }
     for procs in [8usize, 14, 32] {
         unique.push(Query::MinSize {
-            variant: MinSizeVariant::SyncSquare,
+            variant: BusVariant::SyncSquare,
             machine: spec,
             e: 6.0,
             k: 1.0,
@@ -59,7 +64,7 @@ pub fn mixed_batch(len: usize) -> Vec<Query> {
             arch: ArchKind::SyncBus,
             machine: spec,
             stencil: StencilSpec::FivePoint,
-            shape: ShapeKey::Square,
+            shape: PartitionShape::Square,
             procs,
             efficiency: 0.5,
         });
@@ -68,7 +73,7 @@ pub fn mixed_batch(len: usize) -> Vec<Query> {
             workload: WorkloadSpec {
                 n: 1024,
                 stencil: StencilSpec::FivePoint,
-                shape: ShapeKey::Square,
+                shape: PartitionShape::Square,
             },
             procs: Some(procs),
             lever: Lever::Bus,
@@ -82,7 +87,7 @@ pub fn mixed_batch(len: usize) -> Vec<Query> {
             workload: WorkloadSpec {
                 n: 64,
                 stencil: StencilSpec::FivePoint,
-                shape: ShapeKey::Strip,
+                shape: PartitionShape::Strip,
             },
             procs,
         });

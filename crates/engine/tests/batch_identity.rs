@@ -11,8 +11,7 @@ use parspeed_core::{
     ProcessorBudget, ScheduledBus, SyncBus, Workload,
 };
 use parspeed_engine::{
-    ArchKind, Engine, EvalValue, Lever, MachineSpec, MinSizeVariant, Query, Response, ShapeKey,
-    StencilSpec, WorkloadSpec,
+    ArchKind, Engine, EvalValue, Lever, MachineSpec, Query, Response, StencilSpec, WorkloadSpec,
 };
 use parspeed_stencil::{PartitionShape, Stencil};
 
@@ -43,7 +42,7 @@ fn direct_stencil(s: StencilSpec) -> Stencil {
 #[test]
 fn optimize_grid_is_bit_identical_to_direct_calls() {
     let stencils = [StencilSpec::FivePoint, StencilSpec::NinePointBox];
-    let shapes = [ShapeKey::Strip, ShapeKey::Square];
+    let shapes = [PartitionShape::Strip, PartitionShape::Square];
     let sizes = [64usize, 129, 256, 1000];
     let budgets = [Some(1), Some(14), Some(64), None];
 
@@ -72,7 +71,7 @@ fn optimize_grid_is_bit_identical_to_direct_calls() {
     for (query, response) in batch.iter().zip(&out.responses) {
         let Query::Optimize { arch, workload, procs, .. } = query else { unreachable!() };
         let model = direct_model(*arch, &m);
-        let shape = workload.shape.to_shape();
+        let shape = workload.shape;
         let w = Workload::new(workload.n, &direct_stencil(workload.stencil), shape);
         let budget = match procs {
             Some(p) => ProcessorBudget::Limited(*p),
@@ -107,7 +106,7 @@ fn minsize_iso_and_leverage_match_direct_calls() {
     let spec = MachineSpec::default();
     let batch = vec![
         Query::MinSize {
-            variant: MinSizeVariant::SyncSquare,
+            variant: BusVariant::SyncSquare,
             machine: spec,
             e: 6.0,
             k: 1.0,
@@ -117,7 +116,7 @@ fn minsize_iso_and_leverage_match_direct_calls() {
             arch: ArchKind::SyncBus,
             machine: spec,
             stencil: StencilSpec::FivePoint,
-            shape: ShapeKey::Square,
+            shape: PartitionShape::Square,
             procs: 16,
             efficiency: 0.5,
         },
@@ -126,7 +125,7 @@ fn minsize_iso_and_leverage_match_direct_calls() {
             workload: WorkloadSpec {
                 n: 1024,
                 stencil: StencilSpec::FivePoint,
-                shape: ShapeKey::Square,
+                shape: PartitionShape::Square,
             },
             procs: Some(24),
             lever: Lever::Bus,
@@ -176,7 +175,7 @@ fn cache_hits_never_change_answers() {
                 workload: WorkloadSpec {
                     n,
                     stencil: StencilSpec::NinePointStar,
-                    shape: ShapeKey::Square,
+                    shape: PartitionShape::Square,
                 },
                 procs: Some(32),
                 memory_words: None,
@@ -205,7 +204,7 @@ fn sweep_points_match_point_queries() {
         archs: vec![ArchKind::SyncBus, ArchKind::Hypercube],
         machine: spec,
         stencils: vec![StencilSpec::FivePoint],
-        shapes: vec![ShapeKey::Square],
+        shapes: vec![PartitionShape::Square],
         budgets: vec![Some(16)],
         n_from: 64,
         n_to: 512,
@@ -223,7 +222,7 @@ fn sweep_points_match_point_queries() {
             workload: WorkloadSpec {
                 n: label.n,
                 stencil: StencilSpec::FivePoint,
-                shape: ShapeKey::Square,
+                shape: PartitionShape::Square,
             },
             procs: Some(16),
             memory_words: None,

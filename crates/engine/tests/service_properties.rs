@@ -7,7 +7,7 @@
 
 use parspeed_core::{optimize_constrained, table1, MachineParams, ProcessorBudget, Workload};
 use parspeed_engine::{
-    ArchKind, Engine, EvalValue, MachineSpec, Query, Response, ShapeKey, SimArchKind, SolverKind,
+    ArchKind, Engine, EvalValue, MachineSpec, Query, Response, SimArchKind, SolverKind,
     StencilSpec, WorkloadSpec,
 };
 use parspeed_stencil::{PartitionShape, Stencil};
@@ -17,7 +17,8 @@ use proptest::prelude::*;
 /// optimizer traffic for them to interleave with.
 fn pool() -> Vec<Query> {
     let spec = MachineSpec::default();
-    let square = |n| WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square };
+    let square =
+        |n| WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: PartitionShape::Square };
     vec![
         Query::Table1 { machine: spec, n: 512, stencil: StencilSpec::FivePoint },
         Query::Compare { machine: spec, workload: square(128), procs: Some(32) },
@@ -27,7 +28,7 @@ fn pool() -> Vec<Query> {
             workload: WorkloadSpec {
                 n: 64,
                 stencil: StencilSpec::FivePoint,
-                shape: ShapeKey::Strip,
+                shape: PartitionShape::Strip,
             },
             procs: 4,
         },

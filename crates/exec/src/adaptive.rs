@@ -43,11 +43,6 @@ impl Default for AdaptiveChecker {
 }
 
 impl AdaptiveChecker {
-    /// The default estimator with a custom maximum interval.
-    pub fn with_max_interval(max_interval: usize) -> Self {
-        Self { max_interval: max_interval.max(1), ..Self::default() }
-    }
-
     /// The current rate estimate `ρ̂`: available once two informative
     /// (strictly decaying) checks have been seen.
     pub fn estimated_rate(&self) -> Option<f64> {

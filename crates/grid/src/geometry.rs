@@ -77,23 +77,6 @@ impl Region {
     pub fn points(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (self.r0..self.r1).flat_map(move |r| (self.c0..self.c1).map(move |c| (r, c)))
     }
-
-    /// Whether this region touches the given domain edge.
-    pub fn touches_top(&self) -> bool {
-        self.r0 == 0
-    }
-    /// Whether this region touches the bottom domain edge of an `n×n` grid.
-    pub fn touches_bottom(&self, n: usize) -> bool {
-        self.r1 == n
-    }
-    /// Whether this region touches the left domain edge.
-    pub fn touches_left(&self) -> bool {
-        self.c0 == 0
-    }
-    /// Whether this region touches the right domain edge of an `n×n` grid.
-    pub fn touches_right(&self, n: usize) -> bool {
-        self.c1 == n
-    }
 }
 
 /// Per-iteration boundary traffic of one partition, in words (one word per

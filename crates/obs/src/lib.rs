@@ -25,9 +25,8 @@
 //!   and deterministic text rendering;
 //! * [`stage`] — the pipeline vocabulary: [`Stage`], the [`Recorder`]
 //!   trait instrumented code reports through (the engine holds none by
-//!   default, so the library path costs nothing when disabled),
-//!   [`StageClock`] for lap-style attribution, and [`StageSet`]
-//!   aggregating one histogram per stage;
+//!   default, so the library path costs nothing when disabled), and
+//!   [`StageSet`] aggregating one histogram per stage;
 //! * [`trace`] — [`TraceRing`], a bounded ring of per-request
 //!   [`TraceEvent`]s rendered as JSONL;
 //! * [`render`] — the shared Prometheus-style text exposition used by
@@ -51,5 +50,5 @@ pub mod trace;
 pub use histogram::{Histogram, HistogramSnapshot, ShardedHistogram, BUCKETS};
 pub use render::{render_exposition, render_exposition_labeled};
 pub use resilience::{ResilienceCounters, ResilienceSnapshot};
-pub use stage::{Recorder, Stage, StageClock, StageSet, StageSummary};
+pub use stage::{Recorder, Stage, StageSet, StageSummary};
 pub use trace::{TraceEvent, TraceRing};

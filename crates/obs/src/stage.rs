@@ -1,6 +1,6 @@
 //! The pipeline vocabulary: named [`Stage`]s, the [`Recorder`] trait
-//! instrumented code reports through, the [`StageClock`] lap timer, and
-//! the [`StageSet`] aggregating one histogram per stage.
+//! instrumented code reports through, and the [`StageSet`] aggregating
+//! one histogram per stage.
 //!
 //! Stage semantics (who records, and over what unit):
 //!
@@ -20,7 +20,6 @@
 //! with the per-batch engine stages and `route`.
 
 use crate::histogram::{HistogramSnapshot, ShardedHistogram};
-use std::time::Instant;
 
 /// One stage of the request pipeline. The order here is the canonical
 /// reporting order everywhere (wire records, expositions, docs).
@@ -84,36 +83,6 @@ impl Stage {
 pub trait Recorder: Send + Sync {
     /// Attributes `nanos` of latency to `stage`.
     fn record(&self, stage: Stage, nanos: u64);
-}
-
-/// A lap timer for attributing consecutive phases of one code path:
-/// each [`lap`](StageClock::lap) returns the nanoseconds since the
-/// previous lap (or construction) and restarts the interval.
-#[derive(Debug, Clone, Copy)]
-pub struct StageClock {
-    origin: Instant,
-    last: Instant,
-}
-
-impl StageClock {
-    /// Starts the clock.
-    pub fn start() -> Self {
-        let now = Instant::now();
-        StageClock { origin: now, last: now }
-    }
-
-    /// Nanoseconds since the last lap (or start); restarts the interval.
-    pub fn lap(&mut self) -> u64 {
-        let now = Instant::now();
-        let nanos = now.saturating_duration_since(self.last).as_nanos() as u64;
-        self.last = now;
-        nanos
-    }
-
-    /// Nanoseconds since the clock started (laps do not reset this).
-    pub fn elapsed_ns(&self) -> u64 {
-        self.origin.elapsed().as_nanos() as u64
-    }
 }
 
 /// One sharded histogram per pipeline stage — the aggregation a server
@@ -215,17 +184,5 @@ mod tests {
         assert_eq!(get(Stage::Queue).total_ns, 300);
         assert_eq!(get(Stage::Exec).count, 1);
         assert_eq!(get(Stage::Plan).count, 0);
-    }
-
-    #[test]
-    fn clock_laps_are_disjoint_and_cover_elapsed() {
-        let mut clock = StageClock::start();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let a = clock.lap();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let b = clock.lap();
-        assert!(a >= 1_000_000, "first lap covers the first sleep: {a}");
-        assert!(b >= 1_000_000, "second lap covers the second sleep: {b}");
-        assert!(clock.elapsed_ns() >= a + b, "laps never exceed total elapsed");
     }
 }

@@ -93,8 +93,8 @@ pub use fault::{BreakerPolicy, RetryPolicy, SupervisorPolicy};
 use fault::{take_one, BreakerState, LaneFaults};
 use parspeed_chaos::{mix, FaultAction, FaultPlan};
 use parspeed_engine::{
-    jsonl, routing_hash, ArchKind, CheckpointStore, Engine, MachineSpec, ParspeedError, Query,
-    Response, ShapeKey, StencilSpec, WorkloadSpec, WIRE_VERSION,
+    jsonl, routing_hash, ArchKind, CheckpointStore, Engine, MachineSpec, ParspeedError,
+    PartitionShape, Query, Response, StencilSpec, WorkloadSpec, WIRE_VERSION,
 };
 use parspeed_obs::ResilienceCounters;
 use parspeed_server::{
@@ -1009,7 +1009,7 @@ impl Core {
             workload: WorkloadSpec {
                 n: 64,
                 stencil: StencilSpec::FivePoint,
-                shape: ShapeKey::Square,
+                shape: PartitionShape::Square,
             },
             procs: Some(4),
             memory_words: None,
@@ -1388,7 +1388,8 @@ impl WireHandler for RouterHandler {
     /// The router-only differences from a server's ops: `topology`
     /// (unknown to a shard), `metrics` (the router-scoped resilience
     /// record), `warmup`, and `stats`/`trace` (per-shard state the router
-    /// refuses to misattribute — probe a shard directly).
+    /// refuses to misattribute; its shards run in-process and listen on
+    /// no address, so their counters come out only at drain).
     fn serving_op(&self, op: &str, line_no: usize) -> Option<String> {
         let reply = match op {
             "health" => self.core.health(),
@@ -1399,8 +1400,10 @@ impl WireHandler for RouterHandler {
                 let e = jsonl::LineError {
                     version: WIRE_VERSION,
                     error: ParspeedError::unsupported(format!(
-                        "op \"{op}\" reports per-shard state; \
-                         probe a shard's own serving address"
+                        "op \"{op}\" reports per-shard state, and a router's shards run \
+                         in-process with no address of their own; \"metrics\" answers the \
+                         router's record, and `parspeed route --stats` prints each shard's \
+                         counters when the router drains"
                     )),
                 };
                 return Some(jsonl::render_parse_error(&e, line_no));
@@ -1437,7 +1440,11 @@ mod tests {
         Query::Optimize {
             arch: ArchKind::SyncBus,
             machine: MachineSpec::default(),
-            workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+            workload: WorkloadSpec {
+                n,
+                stencil: StencilSpec::FivePoint,
+                shape: PartitionShape::Square,
+            },
             procs: Some(64),
             memory_words: None,
         }

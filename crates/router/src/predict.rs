@@ -34,7 +34,7 @@
 //! [`MemoryBudget::partition_words`]: parspeed_core::MemoryBudget::partition_words
 
 use parspeed_engine::{
-    ArchKind, Engine, EvalValue, MachineSpec, ParspeedError, Query, Response, ShapeKey,
+    ArchKind, Engine, EvalValue, MachineSpec, ParspeedError, PartitionShape, Query, Response,
     StencilSpec, WorkloadSpec,
 };
 
@@ -195,7 +195,7 @@ pub fn sizing_query(
     Query::Optimize {
         arch: ArchKind::SyncBus,
         machine,
-        workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Strip },
+        workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: PartitionShape::Strip },
         procs: Some(max_shards),
         memory_words: Some((3 * profile.shard_capacity + 4 * n) as f64),
     }
@@ -325,7 +325,7 @@ mod tests {
                 workload: WorkloadSpec {
                     n,
                     stencil: StencilSpec::FivePoint,
-                    shape: ShapeKey::Square,
+                    shape: PartitionShape::Square,
                 },
                 procs: Some(32),
                 memory_words: None,

@@ -11,8 +11,8 @@
 
 use parspeed_chaos::FaultPlan;
 use parspeed_engine::{
-    jsonl, routing_hash, ArchKind, Engine, MachineSpec, Query, Response, ShapeKey, StencilSpec,
-    WorkloadSpec,
+    jsonl, routing_hash, ArchKind, Engine, MachineSpec, PartitionShape, Query, Response,
+    StencilSpec, WorkloadSpec,
 };
 use parspeed_router::ring::HashRing;
 use parspeed_router::{BreakerPolicy, RetryPolicy, Router, RouterConfig};
@@ -24,7 +24,11 @@ fn query(n: usize) -> Query {
     Query::Optimize {
         arch: ArchKind::SyncBus,
         machine: MachineSpec::default(),
-        workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+        workload: WorkloadSpec {
+            n,
+            stencil: StencilSpec::FivePoint,
+            shape: PartitionShape::Square,
+        },
         procs: Some(32),
         memory_words: None,
     }
@@ -36,7 +40,7 @@ fn threads_query(n: usize) -> Query {
     Query::Threads {
         n,
         stencil: StencilSpec::FivePoint,
-        shape: ShapeKey::Strip,
+        shape: PartitionShape::Strip,
         threads: vec![1],
         iters: 1,
         repeats: 1,

@@ -9,8 +9,8 @@
 //! property extended to the fleet.
 
 use parspeed_engine::{
-    jsonl, ArchKind, Engine, MachineSpec, Query, Response, ShapeKey, StencilSpec, WorkloadSpec,
-    WIRE_VERSION,
+    jsonl, ArchKind, Engine, MachineSpec, PartitionShape, Query, Response, StencilSpec,
+    WorkloadSpec, WIRE_VERSION,
 };
 use parspeed_router::{Router, RouterConfig};
 use parspeed_server::ServerConfig;
@@ -41,7 +41,7 @@ fn query_for(client: usize, tag: usize) -> Query {
         workload: WorkloadSpec {
             n: 64 + (client * 101 + tag),
             stencil: StencilSpec::FivePoint,
-            shape: ShapeKey::Square,
+            shape: PartitionShape::Square,
         },
         procs: Some(32),
         memory_words: None,

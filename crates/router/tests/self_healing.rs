@@ -8,8 +8,8 @@
 
 use parspeed_chaos::FaultPlan;
 use parspeed_engine::{
-    jsonl, routing_hash, ArchKind, CheckpointPolicy, CheckpointStore, Engine, MachineSpec, Query,
-    Response, ShapeKey, SolverKind, StencilSpec, WorkloadSpec,
+    jsonl, routing_hash, ArchKind, CheckpointPolicy, CheckpointStore, Engine, MachineSpec,
+    PartitionShape, Query, Response, SolverKind, StencilSpec, WorkloadSpec,
 };
 use parspeed_router::ring::HashRing;
 use parspeed_router::{Router, RouterConfig, SupervisorPolicy};
@@ -21,7 +21,11 @@ fn query(n: usize) -> Query {
     Query::Optimize {
         arch: ArchKind::SyncBus,
         machine: MachineSpec::default(),
-        workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+        workload: WorkloadSpec {
+            n,
+            stencil: StencilSpec::FivePoint,
+            shape: PartitionShape::Square,
+        },
         procs: Some(32),
         memory_words: None,
     }

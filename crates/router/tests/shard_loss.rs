@@ -10,7 +10,7 @@
 //! `retry_after_ms=` hint.
 
 use parspeed_engine::{
-    routing_hash, ArchKind, Engine, MachineSpec, Query, Response, ShapeKey, StencilSpec,
+    routing_hash, ArchKind, Engine, MachineSpec, PartitionShape, Query, Response, StencilSpec,
     WorkloadSpec,
 };
 use parspeed_router::ring::HashRing;
@@ -22,7 +22,11 @@ fn query(n: usize) -> Query {
     Query::Optimize {
         arch: ArchKind::SyncBus,
         machine: MachineSpec::default(),
-        workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+        workload: WorkloadSpec {
+            n,
+            stencil: StencilSpec::FivePoint,
+            shape: PartitionShape::Square,
+        },
         procs: Some(32),
         memory_words: None,
     }

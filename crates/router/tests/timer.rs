@@ -6,8 +6,8 @@
 
 use parspeed_chaos::FaultPlan;
 use parspeed_engine::{
-    jsonl, routing_hash, ArchKind, Engine, MachineSpec, Query, Response, ShapeKey, StencilSpec,
-    WorkloadSpec, WIRE_VERSION,
+    jsonl, routing_hash, ArchKind, Engine, MachineSpec, PartitionShape, Query, Response,
+    StencilSpec, WorkloadSpec, WIRE_VERSION,
 };
 use parspeed_router::ring::HashRing;
 use parspeed_router::{RetryPolicy, Router, RouterConfig};
@@ -21,7 +21,11 @@ fn query(n: usize) -> Query {
     Query::Optimize {
         arch: ArchKind::SyncBus,
         machine: MachineSpec::default(),
-        workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+        workload: WorkloadSpec {
+            n,
+            stencil: StencilSpec::FivePoint,
+            shape: PartitionShape::Square,
+        },
         procs: Some(32),
         memory_words: None,
     }

@@ -2,13 +2,14 @@
 //! fleet. A client cannot tell a router from a server except by asking:
 //! `health` answers with `"shard":null` (the router is the front),
 //! `topology` and the router-scoped `metrics` answer only here, and
-//! `stats`/`trace` refuse with the `unsupported` kind (per-shard state
-//! — probe a shard).
+//! `stats`/`trace` refuse with the `unsupported` kind (per-shard state,
+//! and the in-process shards listen on no address of their own).
 //! Everything else scatters, gathers, and comes back bit-identical to a
 //! serial engine, in slot order, parse errors included.
 
 use parspeed_engine::{
-    jsonl, ArchKind, Engine, MachineSpec, Query, ShapeKey, StencilSpec, WorkloadSpec, WIRE_VERSION,
+    jsonl, ArchKind, Engine, MachineSpec, PartitionShape, Query, StencilSpec, WorkloadSpec,
+    WIRE_VERSION,
 };
 use parspeed_router::{Router, RouterConfig};
 use parspeed_server::ServerConfig;
@@ -45,7 +46,11 @@ fn optimize(n: usize) -> Query {
     Query::Optimize {
         arch: ArchKind::SyncBus,
         machine: MachineSpec::default(),
-        workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+        workload: WorkloadSpec {
+            n,
+            stencil: StencilSpec::FivePoint,
+            shape: PartitionShape::Square,
+        },
         procs: Some(64),
         memory_words: None,
     }

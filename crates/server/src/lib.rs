@@ -41,7 +41,7 @@
 //!
 //! ```
 //! use parspeed_engine::{
-//!     ArchKind, Engine, EvalValue, MachineSpec, Query, Response, ShapeKey, StencilSpec,
+//!     ArchKind, Engine, EvalValue, MachineSpec, PartitionShape, Query, Response, StencilSpec,
 //!     WorkloadSpec,
 //! };
 //! use parspeed_server::{Server, ServerConfig};
@@ -52,7 +52,11 @@
 //! let response = client.call(Query::Optimize {
 //!     arch: ArchKind::SyncBus,
 //!     machine: MachineSpec::default(),
-//!     workload: WorkloadSpec { n: 256, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+//!     workload: WorkloadSpec {
+//!         n: 256,
+//!         stencil: StencilSpec::FivePoint,
+//!         shape: PartitionShape::Square,
+//!     },
 //!     procs: Some(64),
 //!     memory_words: None,
 //! });
@@ -448,13 +452,19 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parspeed_engine::{ArchKind, EvalValue, MachineSpec, ShapeKey, StencilSpec, WorkloadSpec};
+    use parspeed_engine::{
+        ArchKind, EvalValue, MachineSpec, PartitionShape, StencilSpec, WorkloadSpec,
+    };
 
     fn optimize(n: usize) -> Query {
         Query::Optimize {
             arch: ArchKind::SyncBus,
             machine: MachineSpec::default(),
-            workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+            workload: WorkloadSpec {
+                n,
+                stencil: StencilSpec::FivePoint,
+                shape: PartitionShape::Square,
+            },
             procs: Some(64),
             memory_words: None,
         }

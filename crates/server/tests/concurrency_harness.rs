@@ -15,7 +15,7 @@
 //!   value mismatch because no two slots share a query.
 
 use parspeed_engine::{
-    ArchKind, Engine, MachineSpec, Query, Response, ShapeKey, StencilSpec, WorkloadSpec,
+    ArchKind, Engine, MachineSpec, PartitionShape, Query, Response, StencilSpec, WorkloadSpec,
 };
 use parspeed_server::{Server, ServerConfig};
 use std::io::Write;
@@ -48,7 +48,7 @@ fn query_for(client: usize, tag: usize) -> Query {
         workload: WorkloadSpec {
             n: 64 + (client * 101 + tag),
             stencil: StencilSpec::FivePoint,
-            shape: ShapeKey::Square,
+            shape: PartitionShape::Square,
         },
         procs: Some(32),
         memory_words: None,

@@ -6,7 +6,7 @@
 
 use parspeed_engine::jsonl;
 use parspeed_engine::{
-    jsonl::render_response, ArchKind, Engine, MachineSpec, Query, ShapeKey, StencilSpec,
+    jsonl::render_response, ArchKind, Engine, MachineSpec, PartitionShape, Query, StencilSpec,
     WorkloadSpec, WIRE_VERSION,
 };
 use parspeed_server::{EventLoopConfig, Server, ServerConfig};
@@ -51,7 +51,11 @@ fn soak_queries() -> Vec<Query> {
         .map(|&n| Query::Optimize {
             arch: ArchKind::SyncBus,
             machine: MachineSpec::default(),
-            workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+            workload: WorkloadSpec {
+                n,
+                stencil: StencilSpec::FivePoint,
+                shape: PartitionShape::Square,
+            },
             procs: Some(64),
             memory_words: None,
         })

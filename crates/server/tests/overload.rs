@@ -4,7 +4,7 @@
 //! permits), and drain-on-shutdown flushes every accepted request.
 
 use parspeed_engine::{
-    ArchKind, Engine, MachineSpec, Query, Response, ShapeKey, StencilSpec, WorkloadSpec,
+    ArchKind, Engine, MachineSpec, PartitionShape, Query, Response, StencilSpec, WorkloadSpec,
 };
 use parspeed_server::{Server, ServerConfig};
 use std::sync::{Arc, Barrier};
@@ -14,7 +14,11 @@ fn optimize(n: usize) -> Query {
     Query::Optimize {
         arch: ArchKind::SyncBus,
         machine: MachineSpec::default(),
-        workload: WorkloadSpec { n, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+        workload: WorkloadSpec {
+            n,
+            stencil: StencilSpec::FivePoint,
+            shape: PartitionShape::Square,
+        },
         procs: Some(32),
         memory_words: None,
     }

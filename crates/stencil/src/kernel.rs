@@ -12,7 +12,9 @@
 
 use crate::Stencil;
 
-/// The catalogue stencils that have hand-fused sweep kernels.
+/// Names the four catalogue stencils of the paper's Figs. 1 and 3, each of
+/// which has a hand-fused sweep kernel. A query that needs tap geometry
+/// keys on this name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// [`Stencil::five_point`]: reach-1 cross, unit coefficients.
@@ -23,6 +25,28 @@ pub enum KernelKind {
     NinePointStar,
     /// [`Stencil::thirteen_point_star`]: reach-2 cross plus unit diagonals.
     ThirteenPointStar,
+}
+
+impl KernelKind {
+    /// All four, in the order the paper introduces them.
+    pub fn all() -> [KernelKind; 4] {
+        [
+            KernelKind::FivePoint,
+            KernelKind::NinePointBox,
+            KernelKind::NinePointStar,
+            KernelKind::ThirteenPointStar,
+        ]
+    }
+
+    /// The catalogue stencil this names.
+    pub fn to_stencil(self) -> Stencil {
+        match self {
+            KernelKind::FivePoint => Stencil::five_point(),
+            KernelKind::NinePointBox => Stencil::nine_point_box(),
+            KernelKind::NinePointStar => Stencil::nine_point_star(),
+            KernelKind::ThirteenPointStar => Stencil::thirteen_point_star(),
+        }
+    }
 }
 
 /// `(dy, dx, coeff)` triples in catalogue order, plus `(rhs_scale, divisor)`.
@@ -129,6 +153,13 @@ mod tests {
             Stencil::thirteen_point_star().kernel_kind(),
             Some(KernelKind::ThirteenPointStar)
         );
+    }
+
+    #[test]
+    fn every_kind_constructs_its_catalogue_stencil() {
+        for kind in KernelKind::all() {
+            assert_eq!(kind.to_stencil().kernel_kind(), Some(kind));
+        }
     }
 
     #[test]

@@ -168,12 +168,7 @@ impl Stencil {
 
     /// All four catalogued stencils, in the order the paper introduces them.
     pub fn catalog() -> Vec<Stencil> {
-        vec![
-            Stencil::five_point(),
-            Stencil::nine_point_box(),
-            Stencil::nine_point_star(),
-            Stencil::thirteen_point_star(),
-        ]
+        KernelKind::all().into_iter().map(KernelKind::to_stencil).collect()
     }
 }
 

@@ -18,12 +18,21 @@ pub enum PartitionShape {
 }
 
 impl PartitionShape {
-    /// Display name used in tables.
+    /// The name tables print and the wire carries.
     pub fn name(&self) -> &'static str {
         match self {
             PartitionShape::Strip => "strip",
             PartitionShape::Square => "square",
         }
+    }
+
+    /// Parses a wire or command-line name; the plurals are accepted too.
+    pub fn parse(name: &str) -> Result<Self, String> {
+        Ok(match name {
+            "strip" | "strips" => PartitionShape::Strip,
+            "square" | "squares" => PartitionShape::Square,
+            other => return Err(format!("unknown shape `{other}`; one of: strip, square")),
+        })
     }
 
     /// Both shapes, in the paper's order.

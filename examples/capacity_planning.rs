@@ -7,7 +7,7 @@
 //! cargo run --example capacity_planning
 //! ```
 
-use parspeed::engine::{EvalValue, Lever, MinSizeVariant, Response};
+use parspeed::engine::{BusVariant, EvalValue, Lever, Response};
 use parspeed::prelude::*;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
     // Build the whole planning session as one batch: the job-mix grid, the
     // Fig-7 thresholds, and the upgrade what-ifs.
     let stencils = [StencilSpec::FivePoint, StencilSpec::NinePointBox];
-    let shapes = [ShapeKey::Strip, ShapeKey::Square];
+    let shapes = PartitionShape::all();
     let sizes = [128usize, 256, 512, 1024];
 
     let mut batch: Vec<Query> = Vec::new();
@@ -40,8 +40,7 @@ fn main() {
             }
         }
     }
-    let minsize_variants =
-        [MinSizeVariant::SyncStrip, MinSizeVariant::AsyncStrip, MinSizeVariant::SyncSquare];
+    let minsize_variants = [BusVariant::SyncStrip, BusVariant::AsyncStrip, BusVariant::SyncSquare];
     for v in minsize_variants {
         for e in [6.0, 12.0] {
             batch.push(Query::MinSize { variant: v, machine: spec, e, k: 1.0, procs: n_procs });
@@ -53,7 +52,7 @@ fn main() {
             workload: WorkloadSpec {
                 n: 1024,
                 stencil: StencilSpec::FivePoint,
-                shape: ShapeKey::Square,
+                shape: PartitionShape::Square,
             },
             procs: Some(n_procs),
             lever,
@@ -108,7 +107,7 @@ fn main() {
         }
         println!(
             "  {:<22} 5-point: n ≥ {:>6.0}   9-point: n ≥ {:>6.0}",
-            variant_label(v),
+            v.label(),
             sides[0],
             sides[1]
         );
@@ -131,13 +130,4 @@ fn main() {
     println!("Communication speed is the better lever (paper §6.1).");
 
     println!("\nEngine telemetry: {}", out.telemetry);
-}
-
-fn variant_label(v: MinSizeVariant) -> &'static str {
-    match v {
-        MinSizeVariant::SyncStrip => "synchronous, strip",
-        MinSizeVariant::AsyncStrip => "asynchronous, strip",
-        MinSizeVariant::SyncSquare => "synchronous, square",
-        MinSizeVariant::AsyncSquare => "asynchronous, square",
-    }
 }

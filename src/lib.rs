@@ -50,7 +50,11 @@
 //! let out = engine.run_batch(&[Query::Optimize {
 //!     arch: ArchKind::SyncBus,
 //!     machine: MachineSpec::default(),
-//!     workload: WorkloadSpec { n: 256, stencil: StencilSpec::FivePoint, shape: ShapeKey::Square },
+//!     workload: WorkloadSpec {
+//!         n: 256,
+//!         stencil: StencilSpec::FivePoint,
+//!         shape: PartitionShape::Square,
+//!     },
 //!     procs: Some(64),
 //!     memory_words: None,
 //! }]);
@@ -83,8 +87,8 @@ pub mod prelude {
     };
     pub use parspeed_engine::{
         ArchKind, BatchTelemetry, Engine, EngineBuilder, EvalOutcome, EvalValue, MachineSpec,
-        ParspeedError, Query, Response, ShapeKey, SimArchKind, SolverKind, StencilSpec,
-        WorkloadSpec, WIRE_VERSION,
+        ParspeedError, Query, Response, SimArchKind, SolverKind, StencilSpec, WorkloadSpec,
+        WIRE_VERSION,
     };
     pub use parspeed_grid::{Grid2D, RectDecomposition, StripDecomposition, WorkingRectangles};
     pub use parspeed_solver::{JacobiSolver, PoissonProblem, SolveStatus};
