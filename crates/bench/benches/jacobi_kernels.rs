@@ -1,21 +1,28 @@
 //! Stencil sweep kernels: generic tap-driven vs fused row-slice vs rayon
-//! row-parallel, for all four catalogue stencils; and the colour-split
-//! solvers built on the red-black half-sweep kernel — `RedBlackSolver`
-//! sequential and self-sized, and one `MultigridSolver` V-cycle.
+//! row-parallel, and the fused sweep with its convergence check
+//! (`fused_checked`: `jacobi_sweep_blend` at ω = 1 with the max-norm
+//! update difference on, the kernel every engine `jacobi` iteration
+//! runs), for all four catalogue stencils at n = 128 (cache-resident, the
+//! `solve-small` sizes), 256 and 1024; and the colour-split solvers built
+//! on the red-black half-sweep kernel — `RedBlackSolver` sequential and
+//! self-sized, and one `MultigridSolver` V-cycle.
 //!
 //! The bench reports and asserts nothing. It is where to look when a
 //! kernel change needs its speed checked: at n = 1024 the fused 9-point
 //! and 13-point sweeps are expected at ≥ 3× the generic tap kernel
-//! single-thread, and sequential red-black SOR is read against the fused
-//! 5-point rate (every row counts grid points × iterations, so all read
-//! in the same points per second). Bit-identity is pinned by
+//! single-thread; `fused_checked` folds the check into the loop that
+//! writes each cell, so it should read near `fused`; and sequential
+//! red-black SOR is read against the fused 5-point rate (every row counts
+//! grid points × iterations, so all read in the same points per second). Bit-identity is pinned by
 //! `parspeed-solver`'s `fused_identity` and `colour_split_identity`
 //! tests, and the repository benchmark's `kernel.fused_mpts` and
 //! `kernel.gflops` track the fused rate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use parspeed_grid::{Grid2D, Region};
-use parspeed_solver::apply::{jacobi_sweep, jacobi_sweep_par, jacobi_sweep_region_generic};
+use parspeed_solver::apply::{
+    jacobi_sweep, jacobi_sweep_blend, jacobi_sweep_par, jacobi_sweep_region_generic,
+};
 use parspeed_solver::{Manufactured, MultigridSolver, PoissonProblem, RedBlackSolver};
 use parspeed_stencil::Stencil;
 use std::hint::black_box;
@@ -29,7 +36,7 @@ fn setup(n: usize, halo: usize) -> (Grid2D, Grid2D, Grid2D) {
 }
 
 fn bench_kernels(c: &mut Criterion) {
-    for n in [256usize, 1024] {
+    for n in [128usize, 256, 1024] {
         let mut g = c.benchmark_group(format!("jacobi_sweep_n{n}"));
         g.sample_size(10);
         g.measurement_time(std::time::Duration::from_millis(600));
@@ -55,6 +62,11 @@ fn bench_kernels(c: &mut Criterion) {
             });
             g.bench_function(BenchmarkId::new("fused", stencil.name()), |b| {
                 b.iter(|| jacobi_sweep(&stencil, black_box(&src), &mut dst, &f, 1e-4))
+            });
+            g.bench_function(BenchmarkId::new("fused_checked", stencil.name()), |b| {
+                b.iter(|| {
+                    jacobi_sweep_blend(&stencil, black_box(&src), &mut dst, &f, 1e-4, 1.0, true)
+                })
             });
             g.bench_function(BenchmarkId::new("parallel", stencil.name()), |b| {
                 b.iter(|| jacobi_sweep_par(&stencil, black_box(&src), &mut dst, &f, 1e-4))

@@ -222,6 +222,24 @@ fn batch_solvers_golden() {
     assert_eq!(actual, expected, "solve replies drifted");
 }
 
+/// `jacobi` and `parallel` replies on all four catalogue stencils, byte
+/// for byte: sides 1–3, 7–9, 15–17 and 63 (every row width around one
+/// and two 8-cell chunks, with their tails), `jacobi` under the default
+/// `every:1` and under `every:3` (the temporally tiled path's checked
+/// level), `parallel` on 2 and 3 partitions, and `jacobi` at n = 600
+/// across the fused kernels' column-tile seam. Recorded while each row
+/// was still traversed twice (the update, then a separate blend-and-diff
+/// pass), so folding the check into the update's loop must reproduce
+/// every iteration count and `final_diff`.
+#[test]
+fn batch_stencils_golden() {
+    let input = golden_dir().join("batch_stencils_input.jsonl");
+    let expected =
+        std::fs::read_to_string(golden_dir().join("batch_stencils_output.jsonl")).expect("golden");
+    let actual = run_cli(&["batch", "--input", input.to_str().unwrap()]);
+    assert_eq!(actual, expected, "stencil solve replies drifted");
+}
+
 /// `threads` measures wall time, so only its structure is pinned.
 #[test]
 fn threads_structure() {

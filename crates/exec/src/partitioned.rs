@@ -28,7 +28,8 @@
 //! fused row-slice kernels, including the expanded ghost sweeps, whose
 //! regions stay one reach inside the deep halo. The last sub-iteration
 //! sweeps exactly the owned region, so a check takes its update
-//! difference from that same pass.
+//! difference from that sweep: the row loop that writes each owned cell
+//! folds `|prev − new|` as it goes, with no second pass over the rows.
 //!
 //! Every solve ([`PartitionedJacobi::solve`], `solve_checkpointed` and
 //! `solve_scheduled`) runs [`run_schedule`], the one loop every solver in

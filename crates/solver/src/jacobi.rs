@@ -20,13 +20,14 @@ const TEMPORAL_CACHE_BUDGET: usize = 1 << 20;
 
 /// Point-Jacobi solver with scheduled convergence checking.
 ///
-/// Every iteration runs as **one** fused pass through
-/// [`crate::apply::jacobi_sweep_blend`]: the sweep, the ω-blend, and the
-/// max-norm update reduction that used to be three separate full-grid
-/// passes. Between scheduled checks the sequential path additionally
-/// temporal-tiles: blocks of up to `MAX_TEMPORAL_BLOCK` iterations
-/// (never past the next check, so no iterate is wasted) advance a
-/// cache-resident row band through all block levels via
+/// Every iteration runs as **one** traversal of each row through
+/// [`crate::apply::jacobi_sweep_blend`]: the loop that computes a cell's
+/// update also applies the ω-blend and, at a check, folds the cell's
+/// update difference into the max-norm, where the textbook loop makes
+/// three full-grid passes. Between scheduled checks the sequential path
+/// additionally temporal-tiles: blocks of up to `MAX_TEMPORAL_BLOCK`
+/// iterations (never past the next check, so no iterate is wasted)
+/// advance a cache-resident row band through all block levels via
 /// [`parspeed_grid::BandSchedule`]. Jacobi is out-of-place, so neither
 /// fusion nor the band traversal changes the order any point *evaluates*
 /// in — iterates are bit-identical to the plain one-sweep-at-a-time loop,

@@ -12,14 +12,10 @@
 //! plane, so [`half_sweep`] reads and writes every plane at unit stride
 //! and updates plane χ in place.
 
-use crate::apply::{relax_update, sweep_seconds};
+use crate::apply::{relax_update, sweep_seconds, LANES};
 use crate::PoissonProblem;
 use parspeed_grid::Grid2D;
 use rayon::prelude::*;
-
-/// Independent partial maxima in [`laned_max`], so the running max is
-/// not one serial dependency chain (as in the Jacobi row tail).
-const LANES: usize = 8;
 
 /// Cells from which a plane buffer counts as large: 1 MiB of `f64`.
 const LARGE_CELLS: usize = 1 << 17;
@@ -235,7 +231,8 @@ pub(crate) fn cross(other: &[f64], w: usize, p: usize, k0: usize) -> [&[f64]; 3]
 /// into an array after one bounds check, so a chunk's arithmetic
 /// vectorizes; indexing the slices per cell, or borrowing the chunks
 /// instead of copying them, ran the sequential red-black sweep 20–70 %
-/// slower.
+/// slower. The checked Jacobi rows (`apply::row_pass`) measured the
+/// other way round and borrow, so they do not use this helper.
 #[inline(always)]
 pub(crate) fn laned_max<const K: usize>(
     out: &mut [f64],
