@@ -14,23 +14,22 @@
 //!    priced with and without the FEM-style global-combine circuitry, at
 //!    the §4-recommended optimal checking period.
 
-use crate::report::Table;
+use crate::report::{Report, Table};
 use parspeed_core::convergence::{ConvergenceModel, Dissemination};
 use parspeed_core::{ArchModel, MachineParams, ProcessorBudget, SyncBus, Workload};
 use parspeed_grid::WorkingRectangles;
 use parspeed_stencil::{PartitionShape, Stencil};
 
 /// Regenerates the ablation studies.
-pub fn run(quick: bool) -> String {
-    let mut out = String::new();
-    out.push_str(&tolerance_ablation(quick));
-    out.push_str(&speedup_contours(quick));
-    out.push_str(&combine_hardware_ablation());
+pub fn run(quick: bool) -> Report {
+    let mut out = tolerance_ablation(quick);
+    out.append(speedup_contours(quick));
+    out.append(combine_hardware_ablation());
     out
 }
 
 /// Ablation 1: the 5% squareness rule.
-fn tolerance_ablation(quick: bool) -> String {
+fn tolerance_ablation(quick: bool) -> Report {
     let n = 256usize;
     let m = MachineParams::paper_defaults();
     let bus = SyncBus::new(&m);
@@ -89,9 +88,9 @@ fn tolerance_ablation(quick: bool) -> String {
             format!("{:+.2}%", worst_penalty * 100.0),
         ]);
     }
-    let _ = t.write_csv("e17_tolerance_ablation.csv");
-    let mut s = t.render();
-    s.push_str(
+    let mut s = Report::default();
+    s.table("e17_tolerance_ablation.csv", &t);
+    s.text.push_str(
         "Tighter rules shrink the catalogue until the optimizer cannot land\n\
          near the target area and the rounding penalty dominates (+38% with\n\
          only true squares); loosening past ~10% buys nothing — the worst\n\
@@ -102,7 +101,7 @@ fn tolerance_ablation(quick: bool) -> String {
 }
 
 /// Ablation 2: speedup contours over the (n, N) plane.
-fn speedup_contours(quick: bool) -> String {
+fn speedup_contours(quick: bool) -> Report {
     let m = MachineParams::paper_defaults();
     let bus = SyncBus::new(&m);
     let ns: Vec<usize> =
@@ -126,9 +125,9 @@ fn speedup_contours(quick: bool) -> String {
         }
         t.row(row);
     }
-    let _ = t.write_csv("e17_speedup_contours.csv");
-    let mut s = t.render();
-    s.push_str(
+    let mut s = Report::default();
+    s.table("e17_speedup_contours.csv", &t);
+    s.text.push_str(
         "Rows: machine size N; columns: grid side n; '*' marks allocations\n\
          that leave processors idle. The ridge where '*' appears is Fig 7's\n\
          minimal-problem-size curve cutting across the plane; below it,\n\
@@ -139,7 +138,7 @@ fn speedup_contours(quick: bool) -> String {
 }
 
 /// Ablation 3: mesh combine hardware for convergence checks (§5).
-fn combine_hardware_ablation() -> String {
+fn combine_hardware_ablation() -> Report {
     let m = MachineParams::paper_defaults();
     let n = 256usize;
     let w = Workload::new(n, &Stencil::five_point(), PartitionShape::Square);
@@ -174,9 +173,9 @@ fn combine_hardware_ablation() -> String {
             format!("{:.2}%", 100.0 * hardware.overhead_fraction(iters, cycle, area, p, d_hw)),
         ]);
     }
-    let _ = t.write_csv("e17_combine_hardware.csv");
-    let mut s = t.render();
-    s.push_str(
+    let mut s = Report::default();
+    s.table("e17_combine_hardware.csv", &t);
+    s.text.push_str(
         "With combine hardware the optimal period and overhead are independent\n\
          of P — only the local pass costs anything (§5: the overhead 'does\n\
          not appear to be as significant a concern'); software combining must\n\
@@ -191,14 +190,14 @@ mod tests {
 
     #[test]
     fn tolerance_table_shows_the_knee() {
-        let r = tolerance_ablation(false);
+        let r = tolerance_ablation(false).text;
         assert!(r.contains("5%"), "{r}");
         assert!(r.contains("50%"), "{r}");
     }
 
     #[test]
     fn contours_mark_both_regimes() {
-        let r = speedup_contours(true);
+        let r = speedup_contours(true).text;
         assert!(r.contains('*'), "some allocation must leave processors idle: {r}");
         // The largest machine on the smallest grid must be starred; the
         // smallest machine on the largest grid must not.
@@ -209,7 +208,7 @@ mod tests {
 
     #[test]
     fn hardware_combining_is_p_independent_and_cheaper() {
-        let r = combine_hardware_ablation();
+        let r = combine_hardware_ablation().text;
         // Data rows: P, d*_software, overhead_sw, d*_hardware, overhead_hw.
         let rows: Vec<Vec<&str>> = r
             .lines()
@@ -224,6 +223,44 @@ mod tests {
             let sw: f64 = row[2].trim_end_matches('%').parse().unwrap();
             let hw: f64 = row[4].trim_end_matches('%').parse().unwrap();
             assert!(hw <= sw, "hardware combining must never lose: {r}");
+        }
+    }
+
+    #[test]
+    fn tolerance_csv_trades_catalogue_size_for_squareness() {
+        use crate::experiments::csv::series;
+        let s = series(&tolerance_ablation(true), "e17_tolerance_ablation.csv");
+        let tolerance = s.numbers("tolerance");
+        let kept = s.numbers("areas kept");
+        let worst = s.numbers("worst squareness");
+        let (max_err, penalty) = (s.numbers("max area err"), s.numbers("worst cycle penalty"));
+        for i in 0..s.rows.len() {
+            assert!(worst[i] <= tolerance[i], "{:?}", s.rows[i]);
+            if i > 0 {
+                assert!(kept[i] > kept[i - 1] && max_err[i] < max_err[i - 1], "{:?}", s.rows[i]);
+            }
+        }
+        // True squares alone pay the worst rounding penalty.
+        assert_eq!(tolerance[0], 0.0);
+        assert!(penalty[1..].iter().all(|p| *p < penalty[0]), "{penalty:?}");
+    }
+
+    #[test]
+    fn contours_csv_saturates_once_processors_sit_idle() {
+        use crate::experiments::csv::num;
+        let s =
+            crate::experiments::csv::series(&speedup_contours(true), "e17_speedup_contours.csv");
+        for col in 1..s.header.len() {
+            let cells: Vec<&str> = s.rows.iter().map(|row| row[col].as_str()).collect();
+            // Once the optimum leaves processors idle, a bigger machine
+            // adds nothing: every larger N is starred at the same speedup.
+            if let Some(first) = cells.iter().position(|c| c.ends_with('*')) {
+                assert!(cells[first..].iter().all(|c| *c == cells[first]), "n = {}", s.header[col]);
+            }
+            assert!(cells.windows(2).all(|w| num(w[1]) >= num(w[0])), "n = {}", s.header[col]);
+        }
+        for row in &s.rows {
+            assert!(row[1..].windows(2).all(|w| num(&w[1]) >= num(&w[0])), "N = {}", row[0]);
         }
     }
 }

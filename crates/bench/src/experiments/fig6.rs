@@ -8,7 +8,7 @@
 //! perimeter"; the coverage holes between divisor-width bands produce the
 //! tall bars.
 
-use crate::report::{ascii_chart, pct, Series, Table};
+use crate::report::{ascii_chart, pct, Report, Series, Table};
 use parspeed_grid::WorkingRectangles;
 
 struct ErrStats {
@@ -27,8 +27,8 @@ fn stats(errs: &mut [f64], bar: f64) -> ErrStats {
 
 /// Regenerates Fig 6 for n = 256 (full sweep) plus summary rows for other
 /// grid sizes the paper mentions (128, 512, 1024).
-pub fn run(quick: bool) -> String {
-    let mut out = String::new();
+pub fn run(quick: bool) -> Report {
+    let mut out = Report::default();
 
     // Full Fig-6 sweep on 256².
     let w = WorkingRectangles::new(256);
@@ -51,22 +51,23 @@ pub fn run(quick: bool) -> String {
         per_errs.push(pe);
         a += 2;
     }
-    let _ = rows.write_csv("e2_fig6_n256.csv");
+    // Charted, not tabulated: the raw series goes to CSV only.
+    out.csv.push(("e2_fig6_n256.csv".into(), rows.to_csv()));
 
-    out.push_str(&ascii_chart(
+    out.text.push_str(&ascii_chart(
         "Fig 6a — relative area error vs target A (n = 256)",
         &[Series { label: "area error".into(), marker: '|', points: area_pts }],
         72,
         12,
     ));
-    out.push('\n');
-    out.push_str(&ascii_chart(
+    out.text.push('\n');
+    out.text.push_str(&ascii_chart(
         "Fig 6b — relative perimeter error vs target A (n = 256)",
         &[Series { label: "perimeter error".into(), marker: '|', points: per_pts }],
         72,
         12,
     ));
-    out.push('\n');
+    out.text.push('\n');
 
     let sa = stats(&mut area_errs, 0.03);
     let sp = stats(&mut per_errs, 0.06);
@@ -88,7 +89,7 @@ pub fn run(quick: bool) -> String {
         format!("{} under 6%", pct(sp.frac_under)),
         "usually < 6%".into(),
     ]);
-    out.push_str(&summary.render());
+    out.text.push_str(&summary.render());
 
     // Companion grids: "similar results were obtained for 128×128, 512×512
     // and 1024×1024 size grids."
@@ -119,8 +120,7 @@ pub fn run(quick: bool) -> String {
             format!("{} / {}", pct(sa.frac_under), pct(sp.frac_under)),
         ]);
     }
-    let _ = companions.write_csv("e2_fig6_companions.csv");
-    out.push_str(&companions.render());
+    out.table("e2_fig6_companions.csv", &companions);
     out
 }
 
@@ -128,8 +128,24 @@ pub fn run(quick: bool) -> String {
 mod tests {
     #[test]
     fn report_reproduces_paper_reading() {
-        let r = super::run(true);
+        let r = super::run(true).text;
         assert!(r.contains("Fig 6a"));
         assert!(r.contains("usually < 3%"));
+    }
+
+    #[test]
+    fn raw_csv_covers_every_even_area_and_mostly_meets_the_paper_bars() {
+        let s = crate::experiments::csv::series(&super::run(true), "e2_fig6_n256.csv");
+        let areas: Vec<f64> = (1024..=16384).step_by(2).map(f64::from).collect();
+        assert_eq!(s.numbers("A"), areas);
+        // 1024 = 32², a 32×32 block per processor of an 8×8 array: exact.
+        assert_eq!(s.rows[0], ["1024", "0.00000", "0.00000"]);
+        let share_under = |column: &str, bar: f64| {
+            let errs = s.numbers(column);
+            errs.iter().filter(|e| **e < bar).count() as f64 / errs.len() as f64
+        };
+        // "Usually less than 3% for area and less than 6% for perimeter."
+        assert!(share_under("area_err", 0.03) > 0.5);
+        assert!(share_under("perimeter_err", 0.06) > 0.5);
     }
 }

@@ -7,7 +7,7 @@
 //! N = 4…24. Closed forms from `parspeed-core::minsize`, cross-checked
 //! against the integer optimizer.
 
-use crate::report::{ascii_chart, Series, Table};
+use crate::report::{ascii_chart, Report, Series, Table};
 use parspeed_core::minsize::{
     min_grid_side, min_grid_side_verified, min_problem_size_log2, BusVariant,
 };
@@ -15,9 +15,9 @@ use parspeed_core::MachineParams;
 use parspeed_stencil::{PartitionShape, Stencil};
 
 /// Regenerates Fig 7 for the 5-point and 9-point stencils.
-pub fn run(quick: bool) -> String {
+pub fn run(quick: bool) -> Report {
     let m = MachineParams::paper_defaults();
-    let mut out = String::new();
+    let mut out = Report::default();
     let variants = [BusVariant::SyncStrip, BusVariant::AsyncStrip, BusVariant::SyncSquare];
     let markers = ['a', 'b', 'c'];
 
@@ -54,16 +54,14 @@ pub fn run(quick: bool) -> String {
                 format!("{:.2}", vals[2]),
             ]);
         }
-        let _ =
-            table.write_csv(&format!("e3_fig7_{}.csv", stencil.name().replace([' ', '-'], "_")));
-        out.push_str(&table.render());
-        out.push_str(&ascii_chart(
+        out.table(format!("e3_fig7_{}.csv", stencil.name().replace([' ', '-'], "_")), &table);
+        out.text.push_str(&ascii_chart(
             &format!("Fig 7 ({}) — log₂(n²) vs N", stencil.name()),
             &series,
             64,
             14,
         ));
-        out.push('\n');
+        out.text.push('\n');
     }
 
     // Paper anchor: 256×256 with squares should saturate at 14 (5-point)
@@ -82,7 +80,7 @@ pub fn run(quick: bool) -> String {
             format!("{n_solving:.1} (paper: {paper_n})"),
         ]);
     }
-    out.push_str(&anchors.render());
+    out.text.push_str(&anchors.render());
 
     if !quick {
         let mut verify = Table::new(
@@ -104,7 +102,7 @@ pub fn run(quick: bool) -> String {
                 verified.to_string(),
             ]);
         }
-        out.push_str(&verify.render());
+        out.text.push_str(&verify.render());
     }
     out
 }
@@ -113,9 +111,43 @@ pub fn run(quick: bool) -> String {
 mod tests {
     #[test]
     fn report_has_both_stencil_panels() {
-        let r = super::run(true);
+        let r = super::run(true).text;
         assert!(r.contains("5-point"));
         assert!(r.contains("9-point box"));
         assert!(r.contains("paper: 14"));
+    }
+
+    #[test]
+    fn csv_curves_keep_the_paper_order_at_every_machine_size() {
+        use crate::experiments::csv::series;
+        let r = super::run(true);
+        let five = series(&r, "e3_fig7_5_point.csv");
+        let nine = series(&r, "e3_fig7_9_point_box.csv");
+        let curves = ["(a) sync strip", "(b) async strip", "(c) sync square"];
+        let sizes: Vec<f64> = (4..=24).step_by(2).map(f64::from).collect();
+        for s in [&five, &nine] {
+            assert_eq!(s.numbers("N"), sizes);
+            let [a, b, c] = curves.map(|curve| s.numbers(curve));
+            for i in 0..sizes.len() {
+                // Posted writes and square partitions each let a smaller
+                // grid keep all N processors busy.
+                assert!(b[i] < a[i] && c[i] < a[i], "N = {}", sizes[i]);
+                // The asynchronous bus buys a constant factor, not an
+                // exponent: a fixed shift of the strip curve in log₂(n²).
+                assert!(((a[i] - b[i]) - (a[0] - b[0])).abs() <= 0.011, "N = {}", sizes[i]);
+                if i > 0 {
+                    for curve in [&a, &b, &c] {
+                        assert!(curve[i] > curve[i - 1], "N = {}", sizes[i]);
+                    }
+                }
+            }
+        }
+        // More work per point amortises the same one perimeter: the 9-point
+        // box needs a smaller grid on every curve.
+        for curve in curves {
+            for (box9, five) in nine.numbers(curve).into_iter().zip(five.numbers(curve)) {
+                assert!(box9 < five, "{curve}");
+            }
+        }
     }
 }

@@ -6,15 +6,15 @@
 //! and strips (d). Squares want `P* ∝ (n²)^{1/3}` with speedup a third of
 //! that; strips want `P* ∝ (n²)^{1/4}`.
 
-use crate::report::{ascii_chart, Series, Table};
+use crate::report::{ascii_chart, Report, Series, Table};
 use parspeed_core::{ArchModel, MachineParams, ProcessorBudget, SyncBus, Workload};
 use parspeed_stencil::{PartitionShape, Stencil};
 
 /// Regenerates Fig 8 for the 5-point and 9-point stencils.
-pub fn run(_quick: bool) -> String {
+pub fn run(_quick: bool) -> Report {
     let m = MachineParams::paper_defaults();
     let bus = SyncBus::new(&m);
-    let mut out = String::new();
+    let mut out = Report::default();
 
     for stencil in [Stencil::five_point(), Stencil::nine_point_box()] {
         let mut table = Table::new(
@@ -57,16 +57,14 @@ pub fn run(_quick: bool) -> String {
                 format!("{:.2}", os.speedup),
             ]);
         }
-        let _ =
-            table.write_csv(&format!("e4_fig8_{}.csv", stencil.name().replace([' ', '-'], "_")));
-        out.push_str(&table.render());
-        out.push_str(&ascii_chart(
+        out.table(format!("e4_fig8_{}.csv", stencil.name().replace([' ', '-'], "_")), &table);
+        out.text.push_str(&ascii_chart(
             &format!("Fig 8 ({})", stencil.name()),
             &[s_procs_sq, s_procs_st, s_sp_sq, s_sp_st],
             64,
             16,
         ));
-        out.push('\n');
+        out.text.push('\n');
     }
 
     // Scaling exponents: the paper's "disheartening" (n²)^{1/4} for strips
@@ -86,7 +84,7 @@ pub fn run(_quick: bool) -> String {
         });
         fits.row(vec![label.into(), format!("{e:.4}"), paper.into()]);
     }
-    out.push_str(&fits.render());
+    out.text.push_str(&fits.render());
     out
 }
 
@@ -94,8 +92,34 @@ pub fn run(_quick: bool) -> String {
 mod tests {
     #[test]
     fn exponents_match_paper() {
-        let r = super::run(true);
+        let r = super::run(true).text;
         assert!(r.contains("0.333") || r.contains("0.33"));
         assert!(r.contains("0.250") || r.contains("0.25"));
+    }
+
+    #[test]
+    fn csv_meets_the_section_6_1_anchors_and_the_speedup_exponents() {
+        use crate::experiments::csv::series;
+        let r = super::run(true);
+        for (file, procs_at_256) in
+            [("e4_fig8_5_point.csv", "14"), ("e4_fig8_9_point_box.csv", "22")]
+        {
+            let s = series(&r, file);
+            let at_256 = s.column("n").iter().position(|n| *n == "256").unwrap();
+            assert_eq!(s.column("(a) procs squares")[at_256], procs_at_256, "{file}");
+            let (sq_procs, st_procs) =
+                (s.numbers("(a) procs squares"), s.numbers("(b) procs strips"));
+            let (sq, st) = (s.numbers("(c) speedup squares"), s.numbers("(d) speedup strips"));
+            for i in 0..s.rows.len() {
+                assert!(sq_procs[i] >= st_procs[i] && sq[i] >= st[i], "{file} row {i}");
+            }
+            // Speedup grows as (n²)^⅓ for squares and (n²)^¼ for strips.
+            let n = s.numbers("n");
+            let last = n.len() - 1;
+            let growth = (n[last] / n[0]).powi(2).ln();
+            let slope = |y: &[f64]| (y[last] / y[0]).ln() / growth;
+            assert!((slope(&sq) - 1.0 / 3.0).abs() < 0.005, "{file}: {}", slope(&sq));
+            assert!((slope(&st) - 0.25).abs() < 0.005, "{file}: {}", slope(&st));
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! policies converges with a bounded iteration overshoot and a fraction of
 //! the checks.
 
-use crate::report::{pct, secs, Table};
+use crate::report::{pct, secs, Report, Table};
 use parspeed_core::convergence::ConvergenceModel;
 use parspeed_core::MachineParams;
 use parspeed_exec::{CheckPolicy, PartitionedJacobi};
@@ -16,9 +16,9 @@ use parspeed_solver::{Manufactured, PoissonProblem};
 use parspeed_stencil::Stencil;
 
 /// Regenerates the convergence-checking analysis.
-pub fn run(quick: bool) -> String {
+pub fn run(quick: bool) -> Report {
     let m = MachineParams::paper_defaults();
-    let mut out = String::new();
+    let mut out = Report::default();
 
     // Model: n = 1024 over 64 processors, ~937 iterations to converge.
     let c = ConvergenceModel::hypercube(&m);
@@ -38,9 +38,8 @@ pub fn run(quick: bool) -> String {
             pct(c.overhead_fraction(iters, cycle, area, p, d)),
         ]);
     }
-    let _ = t.write_csv("e7_convergence_model.csv");
-    out.push_str(&t.render());
-    out.push_str(
+    out.table("e7_convergence_model.csv", &t);
+    out.text.push_str(
         "Paper: naive checking is 'extremely high [cost] due to message\n\
          packaging and handling'; scheduled checks 'reduce that cost to an\n\
          insignificant amount'.\n\n",
@@ -70,8 +69,7 @@ pub fn run(quick: bool) -> String {
             run.converged.to_string(),
         ]);
     }
-    let _ = e.write_csv("e7_convergence_exec.csv");
-    out.push_str(&e.render());
+    out.table("e7_convergence_exec.csv", &e);
     out
 }
 
@@ -79,8 +77,33 @@ pub fn run(quick: bool) -> String {
 mod tests {
     #[test]
     fn shows_scheduling_benefit() {
-        let r = super::run(true);
+        let r = super::run(true).text;
         assert!(r.contains("(optimal)"));
         assert!(r.contains("geometric"));
+    }
+
+    #[test]
+    fn csv_optimal_period_is_cheapest_and_lazy_policies_converge() {
+        use crate::experiments::csv::series;
+        let r = super::run(true);
+        let m = series(&r, "e7_convergence_model.csv");
+        let totals = m.numbers("total time");
+        let best = m.column("period").iter().position(|p| p.ends_with("(optimal)")).unwrap();
+        for (i, total) in totals.iter().enumerate().filter(|(i, _)| *i != best) {
+            assert!(*total > totals[best], "{:?}", m.rows[i]);
+        }
+        // Checking every iteration costs more than the iterations themselves.
+        assert_eq!(m.column("period")[0], "1");
+        assert!(m.numbers("overhead vs check-free")[0] > 1.0);
+
+        let e = series(&r, "e7_convergence_exec.csv");
+        assert!(e.column("converged").iter().all(|c| *c == "true"));
+        let (iterations, checks) = (e.numbers("iterations"), e.numbers("checks"));
+        assert_eq!(checks[0], iterations[0], "the first policy checks every iteration");
+        for i in 1..e.rows.len() {
+            assert!(checks[i] < checks[0], "{:?}", e.rows[i]);
+            assert!(iterations[i] >= iterations[0], "{:?}", e.rows[i]);
+            assert!(iterations[i] <= iterations[0] * 1.05, "{:?}", e.rows[i]);
+        }
     }
 }

@@ -7,17 +7,17 @@
 //! placement), and confirms the parenthetical: diagonal stencils dilate to
 //! exactly 2.
 
-use crate::report::{secs, Table};
+use crate::report::{secs, Report, Table};
 use parspeed_arch::{HypercubeEmbedding, IterationSpec, NeighborExchangeSim};
 use parspeed_core::MachineParams;
 use parspeed_grid::{RectDecomposition, StripDecomposition};
 use parspeed_stencil::Stencil;
 
 /// Regenerates the embedding analysis.
-pub fn run(quick: bool) -> String {
+pub fn run(quick: bool) -> Report {
     let m = MachineParams::paper_defaults();
     let sim = NeighborExchangeSim::hypercube(&m);
-    let mut out = String::new();
+    let mut out = Report::default();
 
     // Strip chains: dilation and simulated cycle per embedding.
     let n = 256usize;
@@ -45,9 +45,8 @@ pub fn run(quick: bool) -> String {
             ]);
         }
     }
-    let _ = t.write_csv("e16_embedding_strips.csv");
-    out.push_str(&t.render());
-    out.push_str(
+    out.table("e16_embedding_strips.csv", &t);
+    out.text.push_str(
         "The Gray chain is dilation-1 for every P (power of two or not);\n\
          binary counting order ripple-carries, random placement dilates to\n\
          about half the cube dimension, and both cost real cycle time.\n\n",
@@ -74,9 +73,8 @@ pub fn run(quick: bool) -> String {
             ]);
         }
     }
-    let _ = t2.write_csv("e16_embedding_diagonals.csv");
-    out.push_str(&t2.render());
-    out.push_str(
+    out.table("e16_embedding_diagonals.csv", &t2);
+    out.text.push_str(
         "Axis-only stencils embed at dilation 1; box stencils' corner\n\
          exchanges cross a row bit and a column bit — dilation exactly 2,\n\
          the caveat the paper tucks into a parenthesis.\n",
@@ -88,10 +86,32 @@ pub fn run(quick: bool) -> String {
 mod tests {
     #[test]
     fn embedding_report_shows_the_caveat() {
-        let r = super::run(true);
+        let r = super::run(true).text;
         assert!(r.contains("gray"));
         assert!(r.contains("9-point box"));
         // A dilation-2 row must exist for the box stencil.
         assert!(r.lines().any(|l| l.contains("9-point box") && l.contains("  2  ")), "{r}");
+    }
+
+    #[test]
+    fn csv_gray_code_is_adjacent_and_diagonals_dilate_to_two() {
+        use crate::experiments::csv::series;
+        let r = super::run(true);
+        let s = series(&r, "e16_embedding_strips.csv");
+        let (procs, embedding) = (s.column("P"), s.column("embedding"));
+        let cycle = s.numbers("cycle time");
+        for i in 0..s.rows.len() {
+            if embedding[i] == "gray" {
+                assert_eq!(s.rows[i][2..4], ["1", "1.00"], "{:?}", s.rows[i]);
+                for j in (0..s.rows.len()).filter(|&j| j != i && procs[j] == procs[i]) {
+                    assert!(cycle[i] < cycle[j], "{:?} vs {:?}", s.rows[i], s.rows[j]);
+                }
+            }
+        }
+        let d = series(&r, "e16_embedding_diagonals.csv");
+        for (stencil, dilation) in d.column("stencil").into_iter().zip(d.column("dilation")) {
+            let want = if stencil == "9-point box" { "2" } else { "1" };
+            assert_eq!(dilation, want, "{stencil}");
+        }
     }
 }

@@ -6,18 +6,18 @@
 //! (3) with `N` fixed, speedup approaches `N` as the problem grows. Each
 //! model row is paired with the event-level simulation.
 
-use crate::report::{secs, Table};
+use crate::report::{secs, Report, Table};
 use parspeed_arch::{IterationSpec, NeighborExchangeSim};
 use parspeed_core::{ArchModel, Hypercube, MachineParams, ProcessorBudget, Workload};
 use parspeed_grid::RectDecomposition;
 use parspeed_stencil::{PartitionShape, Stencil};
 
 /// Regenerates the §4 hypercube analyses.
-pub fn run(quick: bool) -> String {
+pub fn run(quick: bool) -> Report {
     let m = MachineParams::paper_defaults();
     let cube = Hypercube::new(&m);
     let stencil = Stencil::five_point();
-    let mut out = String::new();
+    let mut out = Report::default();
 
     // (1) Monotone cycle time, model and simulation side by side.
     let n = 256usize;
@@ -39,8 +39,7 @@ pub fn run(quick: bool) -> String {
             format!("{:.1}", cube.speedup_at(&w, w.points() / p as f64)),
         ]);
     }
-    let _ = t.write_csv("e6_hypercube_monotone.csv");
-    out.push_str(&t.render());
+    out.table("e6_hypercube_monotone.csv", &t);
 
     // Extremal allocation across problem sizes.
     let mut extremal = Table::new(
@@ -57,7 +56,7 @@ pub fn run(quick: bool) -> String {
             format!("{:.1}", opt.speedup),
         ]);
     }
-    out.push_str(&extremal.render());
+    out.text.push_str(&extremal.render());
 
     // (2) Fixed F ⇒ constant cycle, linear speedup.
     let mut scaled = Table::new(
@@ -76,9 +75,8 @@ pub fn run(quick: bool) -> String {
             format!("{:.3e}", s / (nn * nn) as f64),
         ]);
     }
-    let _ = scaled.write_csv("e6_hypercube_scaled.csv");
-    out.push_str(&scaled.render());
-    out.push_str("Constant cycle time and constant speedup/n² certify the linear law.\n\n");
+    out.table("e6_hypercube_scaled.csv", &scaled);
+    out.text.push_str("Constant cycle time and constant speedup/n² certify the linear law.\n\n");
 
     // (3) Fixed N: speedup → N.
     let mut fixed = Table::new(
@@ -94,7 +92,7 @@ pub fn run(quick: bool) -> String {
             format!("{:.2}", cube.speedup_at(&wq, wq.points() / 64.0)),
         ]);
     }
-    out.push_str(&fixed.render());
+    out.text.push_str(&fixed.render());
     out
 }
 
@@ -102,9 +100,27 @@ pub fn run(quick: bool) -> String {
 mod tests {
     #[test]
     fn covers_all_three_claims() {
-        let r = super::run(true);
+        let r = super::run(true).text;
         assert!(r.contains("extremal"));
         assert!(r.contains("F = 64"));
         assert!(r.contains("approaches N"));
+    }
+
+    #[test]
+    fn csv_shows_extremal_allocation_and_constant_scaled_cycles() {
+        use crate::experiments::csv::series;
+        let r = super::run(true);
+        let m = series(&r, "e6_hypercube_monotone.csv");
+        let (cycle, speedup) = (m.numbers("model t_cycle"), m.numbers("model speedup"));
+        for i in 1..m.rows.len() {
+            assert!(cycle[i] < cycle[i - 1] && speedup[i] > speedup[i - 1], "{:?}", m.rows[i]);
+        }
+        // At fixed points per processor every grid runs the same cycle, so
+        // speedup is linear in n².
+        let s = series(&r, "e6_hypercube_scaled.csv");
+        for column in ["cycle time", "speedup / n²"] {
+            let cells = s.column(column);
+            assert!(cells.iter().all(|c| *c == cells[0]), "{column}: {cells:?}");
+        }
     }
 }

@@ -5,16 +5,16 @@
 //! adding processors slows the solve. Model curve plus the real CG
 //! solver's reduction counts.
 
-use crate::report::{ascii_chart, secs, Series, Table};
+use crate::report::{ascii_chart, secs, Report, Series, Table};
 use parspeed_core::fem::FemModel;
 use parspeed_core::MachineParams;
 use parspeed_solver::{Boundary, CgSolver, PoissonProblem};
 
 /// Regenerates the FEM counter-example.
-pub fn run(quick: bool) -> String {
+pub fn run(quick: bool) -> Report {
     let m = MachineParams::paper_defaults();
     let fem = FemModel::new(&m);
-    let mut out = String::new();
+    let mut out = Report::default();
 
     let n = 128usize;
     let mut t =
@@ -35,9 +35,8 @@ pub fn run(quick: bool) -> String {
             if p == p_star { "← interior optimum".into() } else { String::new() },
         ]);
     }
-    let _ = t.write_csv("e8_fem_curve.csv");
-    out.push_str(&t.render());
-    out.push_str(&ascii_chart(
+    out.table("e8_fem_curve.csv", &t);
+    out.text.push_str(&ascii_chart(
         "log₁₀ t(P) vs log₂ P — the U-shape of §5",
         &[Series { label: "t(P)".into(), marker: '*', points: pts }],
         60,
@@ -58,7 +57,7 @@ pub fn run(quick: bool) -> String {
             secs(fem.iteration_time(nn, 16 * p)),
         ]);
     }
-    out.push_str(&opt.render());
+    out.text.push_str(&opt.render());
 
     // Real CG run: count the global reductions the model prices.
     let nn = if quick { 16 } else { 32 };
@@ -68,13 +67,13 @@ pub fn run(quick: bool) -> String {
         Boundary::Const(0.0),
     );
     let (_, status, stats) = CgSolver::default().solve(&problem);
-    out.push_str(&format!(
+    out.text.push_str(&format!(
         "\nReal CG on {nn}×{nn}: converged = {}, {} iterations, {} global\n\
          reductions (2 per iteration — the §5 all-to-all traffic the model\n\
          charges (P−1)·t_exch + P·t_add for).\n",
         status.converged, status.iterations, stats.global_reductions
     ));
-    out.push_str(
+    out.text.push_str(
         "\nContrast with Jacobi (§§4–6): nearest-neighbour-only communication\n\
          keeps cycle time monotone in P, so allocation is extremal; the\n\
          global reduction breaks that and creates the interior optimum.\n",
@@ -86,8 +85,19 @@ pub fn run(quick: bool) -> String {
 mod tests {
     #[test]
     fn shows_interior_optimum() {
-        let r = super::run(true);
+        let r = super::run(true).text;
         assert!(r.contains("interior optimum"));
         assert!(r.contains("global"));
+    }
+
+    #[test]
+    fn csv_time_falls_to_one_interior_optimum_then_rises() {
+        let s = crate::experiments::csv::series(&super::run(true), "e8_fem_curve.csv");
+        let t = s.numbers("t(P)");
+        let best = s.column("note").iter().position(|n| n.contains("interior optimum")).unwrap();
+        assert!(best > 0 && best < t.len() - 1, "{best}");
+        for i in 1..t.len() {
+            assert_eq!(t[i] < t[i - 1], i <= best, "{:?}", s.rows[i]);
+        }
     }
 }

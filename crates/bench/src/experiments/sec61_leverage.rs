@@ -5,16 +5,16 @@
 //! communication speed than computation speed". In the `c`-dominated
 //! regime, bus bandwidth is nearly worthless while cutting `c` is linear.
 
-use crate::report::{pct, Table};
+use crate::report::{pct, Report, Table};
 use parspeed_core::leverage::{bus_speedup, flop_speedup, ideal_factors, overhead_scaling};
 use parspeed_core::{MachineParams, ProcessorBudget, Workload};
 use parspeed_stencil::{PartitionShape, Stencil};
 
 /// Regenerates the leverage analysis.
-pub fn run(_quick: bool) -> String {
+pub fn run(_quick: bool) -> Report {
     let m = MachineParams::paper_defaults();
     let budget = ProcessorBudget::Unlimited;
-    let mut out = String::new();
+    let mut out = Report::default();
 
     let mut t = Table::new(
         "Cycle-time factor after doubling one component (n = 1024, c = 0)",
@@ -31,9 +31,8 @@ pub fn run(_quick: bool) -> String {
             format!("{iflop:.4}"),
         ]);
     }
-    let _ = t.write_csv("e10_leverage.csv");
-    out.push_str(&t.render());
-    out.push_str(
+    out.table("e10_leverage.csv", &t);
+    out.text.push_str(
         "Paper: 1/√2 ≈ 0.707 for strips from either upgrade; 0.63 (bus) and\n\
          0.79 (flop) for squares — communication is the better lever.\n\n",
     );
@@ -52,8 +51,8 @@ pub fn run(_quick: bool) -> String {
         "c ÷2".into(),
         format!("{:.4}", overhead_scaling(&mc, &w, budget16, 0.5).factor()),
     ]);
-    out.push_str(&t2.render());
-    out.push_str(&format!(
+    out.text.push_str(&t2.render());
+    out.text.push_str(&format!(
         "With c/b = {:.0}, shaving fixed overhead is worth {} of the cycle\n\
          while doubling bandwidth saves almost nothing — the paper's point\n\
          that `c` acts linearly on the optimized time.\n",
@@ -67,8 +66,29 @@ pub fn run(_quick: bool) -> String {
 mod tests {
     #[test]
     fn shows_both_regimes() {
-        let r = super::run(true);
+        let r = super::run(true).text;
         assert!(r.contains("0.63") || r.contains("0.62"));
         assert!(r.contains("Overhead-dominated"));
+    }
+
+    #[test]
+    fn csv_doubling_a_resource_meets_its_ideal_factor() {
+        use crate::experiments::csv::{num, series};
+        let s = series(&super::run(true), "e10_leverage.csv");
+        assert_eq!(s.header, ["shape", "bus ×2", "ideal", "flop ×2", "ideal"]);
+        // Strips: either resource ×2 gives 1/√2. Squares: the bus gives
+        // 4^-⅓ ≈ 0.63 and the flop unit 2^-⅓ ≈ 0.79.
+        let ideal = [
+            ("strip", std::f64::consts::FRAC_1_SQRT_2, std::f64::consts::FRAC_1_SQRT_2),
+            ("square", 4f64.cbrt().recip(), 2f64.cbrt().recip()),
+        ];
+        for (row, (shape, bus, flop)) in s.rows.iter().zip(ideal) {
+            let v: Vec<f64> = row[1..].iter().map(|c| num(c)).collect();
+            assert_eq!(row[0], shape);
+            assert!((v[1] - bus).abs() <= 5e-5 && (v[3] - flop).abs() <= 5e-5, "{row:?}");
+            assert!((v[0] - v[1]).abs() <= 1e-3 && (v[2] - v[3]).abs() <= 1e-3, "{row:?}");
+        }
+        // Squares: more leverage from communication than computation.
+        assert!(num(&s.rows[1][1]) < num(&s.rows[1][3]));
     }
 }

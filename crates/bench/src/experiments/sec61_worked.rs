@@ -7,12 +7,12 @@
 //! eq. (2)/(5); the half-volume column reproduces the paper's quoted
 //! numbers exactly.
 
-use crate::report::Table;
+use crate::report::{Report, Table};
 use parspeed_core::{BusParams, SyncBus, Workload};
 use parspeed_stencil::PartitionShape;
 
 /// Regenerates the §6.1 worked example.
-pub fn run(_quick: bool) -> String {
+pub fn run(_quick: bool) -> Report {
     // E·Tfp = b with E = 1 for transparency.
     let b = 1.0e-6;
     let bus = SyncBus::with(b, BusParams::ideal(b));
@@ -39,9 +39,9 @@ pub fn run(_quick: bool) -> String {
             ]);
         }
     }
-    let _ = t.write_csv("e9_worked_example.csv");
-    let mut out = t.render();
-    out.push_str(
+    let mut out = Report::default();
+    out.table("e9_worked_example.csv", &t);
+    out.text.push_str(
         "\nNotes: the paper's in-text formulas 16/(1+512/n) and 16/(1+128/n)\n\
          correspond to 2nk words per strip iteration (half of eq. (2)'s 4nk)\n\
          and 4sk per square (half of 8sk); its 1024-grid values (10.6, 14.2)\n\
@@ -57,11 +57,28 @@ pub fn run(_quick: bool) -> String {
 mod tests {
     #[test]
     fn reproduces_paper_quotes() {
-        let r = super::run(true);
+        let r = super::run(true).text;
         assert!(r.contains("10.6"));
         assert!(r.contains("14.2"));
         // Half-volume column values:
         assert!(r.contains("10.67") || r.contains("10.66"));
         assert!(r.contains("14.22") || r.contains("14.21"));
+    }
+
+    #[test]
+    fn csv_full_volume_follows_eq_5_and_half_volume_the_quotes() {
+        let s = crate::experiments::csv::series(&super::run(true), "e9_worked_example.csv");
+        let (n, shape) = (s.numbers("n"), s.column("shape"));
+        let full = s.numbers("eq.(5) full volume");
+        let half = s.numbers("half volume (paper's numbers)");
+        for i in 0..s.rows.len() {
+            // Eq. (2)'s 4nk words per strip and 8sk per square, all 16
+            // transfers serialised on the bus.
+            let coeff = if shape[i] == "strip" { 1024.0 } else { 512.0 };
+            assert!((full[i] - 16.0 / (1.0 + coeff / n[i])).abs() <= 0.005, "{:?}", s.rows[i]);
+            if let Ok(quote) = s.column("paper quotes")[i].parse::<f64>() {
+                assert!((half[i] - quote).abs() < 0.1, "{:?}", s.rows[i]);
+            }
+        }
     }
 }

@@ -6,19 +6,19 @@
 //! ×1.26 (squares) / ×√2 (strips). Model numbers beside the processor-
 //! sharing bus simulation.
 
-use crate::report::{secs, Table};
+use crate::report::{secs, Report, Table};
 use parspeed_arch::{AsyncBusSim, IterationSpec, SyncBusSim};
 use parspeed_core::{ArchModel, AsyncBus, MachineParams, OverlapMode, SyncBus, Workload};
 use parspeed_grid::StripDecomposition;
 use parspeed_stencil::{PartitionShape, Stencil};
 
 /// Regenerates the asynchronous-bus analysis.
-pub fn run(quick: bool) -> String {
+pub fn run(quick: bool) -> Report {
     let m = MachineParams::paper_defaults();
     let sync = SyncBus::new(&m);
     let async_ = AsyncBus::new(&m);
     let full = AsyncBus::with_mode(&m, OverlapMode::ReadsAndWrites);
-    let mut out = String::new();
+    let mut out = Report::default();
 
     let mut t = Table::new(
         "Optimal speedup, processors unbounded (5-point)",
@@ -49,14 +49,13 @@ pub fn run(quick: bool) -> String {
             ]);
         }
     }
-    let _ = t.write_csv("e11_async_ratios.csv");
-    out.push_str(&t.render());
+    out.table("e11_async_ratios.csv", &t);
 
     // Optimal-area relationship.
     let w = Workload::new(1024, &Stencil::five_point(), PartitionShape::Strip);
     let a_sync = sync.optimal_strip_area(&w);
     let a_async = async_.optimal_area(&w);
-    out.push_str(&format!(
+    out.text.push_str(&format!(
         "Optimal strip areas at n=1024: sync {a_sync:.0}, async {a_async:.0} — ratio\n\
          {:.4} (paper: exactly √2 ≈ 1.4142).\n\n",
         a_sync / a_async
@@ -85,9 +84,8 @@ pub fn run(quick: bool) -> String {
         secs(async_.cycle_time(&wq, wq.points() / p as f64)),
         secs(sim_async),
     ]);
-    let _ = t2.write_csv("e11_async_sim.csv");
-    out.push_str(&t2.render());
-    out.push_str(
+    out.table("e11_async_sim.csv", &t2);
+    out.text.push_str(
         "The asynchronous machine hides the write phase under computation in\n\
          both the algebra and the event-level simulation; the exponent of\n\
          the speedup law is unchanged (§6.2's closing observation).\n",
@@ -99,9 +97,31 @@ pub fn run(quick: bool) -> String {
 mod tests {
     #[test]
     fn shows_constant_factors() {
-        let r = super::run(true);
+        let r = super::run(true).text;
         assert!(r.contains("1.5000"));
         assert!(r.contains("1.4142"));
         assert!(r.contains("1.2599"));
+    }
+
+    #[test]
+    fn csv_posted_writes_buy_the_same_factor_at_every_size() {
+        use crate::experiments::csv::series;
+        let r = super::run(true);
+        let s = series(&r, "e11_async_ratios.csv");
+        let ratio = s.numbers("ratio (paper √2 / 1.5)");
+        let extra = s.numbers("extra (paper √2 / 1.26)");
+        for (i, shape) in s.column("shape").into_iter().enumerate() {
+            let (want_ratio, want_extra) = match shape {
+                "strip" => (std::f64::consts::SQRT_2, std::f64::consts::SQRT_2),
+                "square" => (1.5, 2f64.cbrt()),
+                other => panic!("unknown shape {other}"),
+            };
+            assert!((ratio[i] - want_ratio).abs() <= 5e-5, "{:?}", s.rows[i]);
+            assert!((extra[i] - want_extra).abs() <= 5e-5, "{:?}", s.rows[i]);
+        }
+        let sim = series(&r, "e11_async_sim.csv");
+        assert_eq!(sim.column("machine"), ["synchronous", "asynchronous"]);
+        let cycle = sim.numbers("simulated t_cycle");
+        assert!(cycle[1] < cycle[0], "{cycle:?}");
     }
 }

@@ -7,7 +7,7 @@
 //! dedicated-module assignment — and shows what an adversarial assignment
 //! costs.
 
-use crate::report::{secs, Table};
+use crate::report::{secs, Report, Table};
 use parspeed_arch::{BanyanSim, IterationSpec, ModuleAssignment};
 use parspeed_core::table1::fit_scaling_exponent;
 use parspeed_core::{ArchModel, Banyan, MachineParams, Workload};
@@ -15,10 +15,10 @@ use parspeed_grid::StripDecomposition;
 use parspeed_stencil::{PartitionShape, Stencil};
 
 /// Regenerates the switching-network analysis.
-pub fn run(quick: bool) -> String {
+pub fn run(quick: bool) -> Report {
     let m = MachineParams::paper_defaults();
     let stencil = Stencil::five_point();
-    let mut out = String::new();
+    let mut out = Report::default();
 
     // Fixed machine: monotone in A ⇒ all processors.
     let net = Banyan::with_network(&m, 64);
@@ -35,7 +35,7 @@ pub fn run(quick: bool) -> String {
             format!("{:.1}", net.speedup_at(&w, area)),
         ]);
     }
-    out.push_str(&t.render());
+    out.text.push_str(&t.render());
 
     // Growing machine: Θ(n²/log n).
     let growing = Banyan::new(&m);
@@ -54,12 +54,11 @@ pub fn run(quick: bool) -> String {
             format!("{:.4e}", s * (n as f64).log2() / (n * n) as f64),
         ]);
     }
-    let _ = t2.write_csv("e12_switching_scaling.csv");
-    out.push_str(&t2.render());
+    out.table("e12_switching_scaling.csv", &t2);
     let exp = fit_scaling_exponent(&sides, |n| {
         growing.scaled_speedup(&Workload::new(n, &stencil, PartitionShape::Square), 1.0)
     });
-    out.push_str(&format!(
+    out.text.push_str(&format!(
         "Fitted exponent {exp:.4} — just under 1, the log-factor deficit\n\
          against the hypercube's exact 1.\n\n",
     ));
@@ -84,9 +83,8 @@ pub fn run(quick: bool) -> String {
         secs(bad.cycle.cycle_time),
         secs(bad.contention_wait),
     ]);
-    let _ = t3.write_csv("e12_switching_contention.csv");
-    out.push_str(&t3.render());
-    out.push_str(
+    out.table("e12_switching_contention.csv", &t3);
+    out.text.push_str(
         "Zero waiting under the dedicated assignment certifies assumption\n\
          (1)–(4) of §7; the adversarial row shows the contention those\n\
          assumptions avoid.\n",
@@ -98,9 +96,27 @@ pub fn run(quick: bool) -> String {
 mod tests {
     #[test]
     fn certifies_conflict_freedom() {
-        let r = super::run(true);
+        let r = super::run(true).text;
         assert!(r.contains("dedicated"));
         assert!(r.contains("adversarial"));
         assert!(r.contains("Fitted exponent"));
+    }
+
+    #[test]
+    fn csv_speedup_grows_as_n_squared_over_log_n_and_dedicated_modules_never_wait() {
+        use crate::experiments::csv::{near, series};
+        let r = super::run(true);
+        let s = series(&r, "e12_switching_scaling.csv");
+        let speedup = s.numbers("speedup");
+        let scaled = s.numbers("speedup·log₂(n)/n²  (≈ constant)");
+        for i in 1..s.rows.len() {
+            assert!(speedup[i] > speedup[i - 1], "{:?}", s.rows[i]);
+            assert!(near(scaled[i], scaled[0], 0.01), "{scaled:?}");
+        }
+        let c = series(&r, "e12_switching_contention.csv");
+        assert!(c.column("module assignment")[0].starts_with("dedicated"));
+        let (cycle, waiting) = (c.numbers("cycle time"), c.numbers("total switch waiting"));
+        assert_eq!(waiting[0], 0.0, "the paper's assignment is conflict-free");
+        assert!(waiting[1] > 0.0 && cycle[1] > cycle[0], "{:?}", c.rows[1]);
     }
 }

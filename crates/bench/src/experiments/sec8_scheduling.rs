@@ -10,19 +10,19 @@
 //! asynchronous bus's full constant factor (×√2 strips, ×1.5 squares) on
 //! synchronous hardware, and no schedule moves the speedup *exponent*.
 
-use crate::report::{secs, Table};
+use crate::report::{secs, Report, Table};
 use parspeed_arch::{AsyncBusSim, IterationSpec, ScheduledBusSim, SlotOrder, SyncBusSim};
 use parspeed_core::{ArchModel, AsyncBus, MachineParams, ScheduledBus, SyncBus, Workload};
 use parspeed_grid::{RectDecomposition, StripDecomposition};
 use parspeed_stencil::{PartitionShape, Stencil};
 
 /// Regenerates the §8 scheduling analysis.
-pub fn run(quick: bool) -> String {
+pub fn run(quick: bool) -> Report {
     let m = MachineParams::paper_defaults();
     let sync = SyncBus::new(&m);
     let sched = ScheduledBus::new(&m);
     let async_ = AsyncBus::new(&m);
-    let mut out = String::new();
+    let mut out = Report::default();
 
     // Optimal cycle times: scheduled-sync vs sync vs async hardware.
     let mut t = Table::new(
@@ -55,9 +55,8 @@ pub fn run(quick: bool) -> String {
             ]);
         }
     }
-    let _ = t.write_csv("e15_scheduling_optima.csv");
-    out.push_str(&t.render());
-    out.push_str(
+    out.table("e15_scheduling_optima.csv", &t);
+    out.text.push_str(
         "Staggered slots reproduce the asynchronous machine's optimum on\n\
          synchronous hardware: the ratio to async → 1, the gain over the\n\
          unscheduled bus → √2 (strips) and 1.5 (squares) as n grows.\n\n",
@@ -88,9 +87,8 @@ pub fn run(quick: bool) -> String {
         let t_as = AsyncBusSim::new(&m).simulate(&spec).cycle_time;
         t2.row(vec![p.to_string(), secs(t_ps), secs(t_rr), secs(t_st), secs(t_lf), secs(t_as)]);
     }
-    let _ = t2.write_csv("e15_scheduling_sim.csv");
-    out.push_str(&t2.render());
-    out.push_str(
+    out.table("e15_scheduling_sim.csv", &t2);
+    out.text.push_str(
         "Word-granularity round-robin equals the unscheduled bus exactly\n\
          (fair slicing IS processor sharing); batch staggering tracks the\n\
          posted-write machine across the whole allocation sweep.\n\n",
@@ -122,8 +120,7 @@ pub fn run(quick: bool) -> String {
             secs(async_.cycle_time(&wq, area)),
             secs(AsyncBusSim::new(&m).simulate(&spec).cycle_time),
         ]);
-        let _ = t3.write_csv("e15_scheduling_squares.csv");
-        out.push_str(&t3.render());
+        out.table("e15_scheduling_squares.csv", &t3);
     }
 
     // Exponent check: scheduling moves constants, never the exponent.
@@ -142,9 +139,8 @@ pub fn run(quick: bool) -> String {
         };
         t4.row(vec![shape.name().into(), format!("{:.4}", s2 / s1), expect.into()]);
     }
-    let _ = t4.write_csv("e15_scheduling_exponents.csv");
-    out.push_str(&t4.render());
-    out.push_str(
+    out.table("e15_scheduling_exponents.csv", &t4);
+    out.text.push_str(
         "Contention is conserved: scheduling removes idle waiting, not bus\n\
          work, so the (n²)^¼ / (n²)^⅓ ceilings of Table I stand.\n",
     );
@@ -155,12 +151,41 @@ pub fn run(quick: bool) -> String {
 mod tests {
     #[test]
     fn headline_factors_appear() {
-        let r = super::run(true);
+        let r = super::run(true).text;
         // Strips approach √2, squares approach 1.5 over the unscheduled bus.
         assert!(r.contains("1.41") || r.contains("1.40"), "{r}");
         assert!(r.contains("1.4142") || r.contains("1.49") || r.contains("1.50"), "{r}");
         // The negative control and the exponent table render.
         assert!(r.contains("word round-robin"));
         assert!(r.contains("Θ((n²)^¼)"));
+    }
+
+    #[test]
+    fn csv_staggering_recovers_the_async_factor_but_not_the_exponent() {
+        use crate::experiments::csv::{near, series};
+        let r = super::run(true);
+        let o = series(&r, "e15_scheduling_optima.csv");
+        let (n, shape) = (o.numbers("n"), o.column("shape"));
+        let to_async = o.numbers("sched/async");
+        let gain = o.numbers("sync/sched (√2 | 1.5)");
+        for i in 0..o.rows.len() {
+            let limit = if shape[i] == "strip" { std::f64::consts::SQRT_2 } else { 1.5 };
+            assert!((1.0..1.05).contains(&to_async[i]), "{:?}", o.rows[i]);
+            assert!(gain[i] < limit && gain[i] > 0.95 * limit, "{:?}", o.rows[i]);
+            // Both approach their limits as the grid grows.
+            if let Some(j) = (i + 1..o.rows.len()).find(|&j| shape[j] == shape[i]) {
+                assert!(n[j] > n[i] && gain[j] > gain[i] && to_async[j] < to_async[i]);
+            }
+        }
+        let sim = series(&r, "e15_scheduling_sim.csv");
+        // Fair word slicing is processor sharing; staggering only helps.
+        assert_eq!(sim.column("word round-robin"), sim.column("PS (unscheduled)"));
+        let (ps, staggered) = (sim.numbers("PS (unscheduled)"), sim.numbers("staggered"));
+        assert!(staggered.iter().zip(&ps).all(|(st, ps)| st <= ps), "{staggered:?}");
+        let e = series(&r, "e15_scheduling_exponents.csv");
+        assert_eq!(e.column("shape"), ["strip", "square"]);
+        let ratio = e.numbers("ratio");
+        assert!(near(ratio[0], std::f64::consts::SQRT_2, 0.01), "{ratio:?}");
+        assert!(near(ratio[1], 4f64.cbrt(), 0.01), "{ratio:?}");
     }
 }

@@ -1,12 +1,12 @@
 //! E13 — model vs discrete-event simulation across every architecture.
 
-use crate::report::{pct, secs, Table};
+use crate::report::{pct, secs, Report, Table};
 use parspeed_arch::validate::validate_all;
 use parspeed_core::MachineParams;
 use parspeed_stencil::Stencil;
 
 /// Regenerates the validation table.
-pub fn run(quick: bool) -> String {
+pub fn run(quick: bool) -> Report {
     let m = MachineParams::paper_defaults();
     let (n, procs): (usize, &[usize]) = if quick { (64, &[4, 16]) } else { (128, &[4, 16, 64]) };
     let rows = validate_all(&m, n, &Stencil::five_point(), procs);
@@ -28,9 +28,9 @@ pub fn run(quick: bool) -> String {
             pct(r.tolerance()),
         ]);
     }
-    let _ = t.write_csv("e13_validate_desim.csv");
-    let mut out = t.render();
-    out.push_str(&format!(
+    let mut out = Report::default();
+    out.table("e13_validate_desim.csv", &t);
+    out.text.push_str(&format!(
         "\nEvery deviation sits inside its bound (worst at {:.0}% of bound).\n\
          The residual gap is the paper's own idealization: closed forms charge\n\
          every partition interior-volume traffic, while domain-edge partitions\n\
@@ -44,9 +44,28 @@ pub fn run(quick: bool) -> String {
 mod tests {
     #[test]
     fn all_rows_within_bounds() {
-        let r = super::run(true);
+        let r = super::run(true).text;
         assert!(r.contains("hypercube"));
         assert!(r.contains("switching network"));
         assert!(!r.contains("NaN"));
+    }
+
+    #[test]
+    fn csv_every_deviation_is_within_its_bound() {
+        use crate::experiments::csv::series;
+        let s = series(&super::run(true), "e13_validate_desim.csv");
+        let (model, sim) = (s.numbers("model"), s.numbers("simulated"));
+        let (dev, bound) = (s.numbers("rel. dev."), s.numbers("bound"));
+        for i in 0..s.rows.len() {
+            assert!(dev[i] <= bound[i], "{:?}", s.rows[i]);
+            // Closed forms charge edge partitions interior traffic, so the
+            // simulation never runs slower than the model.
+            assert!(sim[i] <= model[i], "{:?}", s.rows[i]);
+            assert!(((model[i] - sim[i]) / model[i] - dev[i]).abs() <= 2e-3, "{:?}", s.rows[i]);
+        }
+        let mut archs = s.column("architecture");
+        archs.sort_unstable();
+        archs.dedup();
+        assert_eq!(archs.len(), 6, "{archs:?}");
     }
 }

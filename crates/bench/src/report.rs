@@ -1,7 +1,32 @@
-//! Plain-text reporting: aligned tables, ASCII charts, CSV output.
+//! Plain-text reporting: aligned tables, ASCII charts, CSV series, and
+//! the [`Report`] every experiment returns. Nothing here touches the file
+//! system; `parspeed experiment` decides where a report's CSV goes.
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+
+/// An experiment's output: its report text and its CSV series, each under
+/// the file name it is written to.
+#[derive(Debug, Default)]
+pub struct Report {
+    /// The plain-text report.
+    pub text: String,
+    /// `(file name, CSV text)` of each series, in the order produced.
+    pub csv: Vec<(String, String)>,
+}
+
+impl Report {
+    /// Renders `table` into the text and keeps it as the CSV series `file`.
+    pub fn table(&mut self, file: impl Into<String>, table: &Table) {
+        self.text.push_str(&table.render());
+        self.csv.push((file.into(), table.to_csv()));
+    }
+
+    /// Appends `other`'s text and series.
+    pub fn append(&mut self, other: Report) {
+        self.text.push_str(&other.text);
+        self.csv.extend(other.csv);
+    }
+}
 
 /// An aligned plain-text table.
 #[derive(Debug, Clone)]
@@ -65,9 +90,8 @@ impl Table {
         out
     }
 
-    /// Writes the table as CSV next to the experiment outputs.
-    pub fn write_csv(&self, filename: &str) -> std::io::Result<PathBuf> {
-        let path = out_dir()?.join(filename);
+    /// The table as CSV: the header line, then one line per row.
+    pub fn to_csv(&self) -> String {
         let mut s = String::new();
         let esc = |c: &str| {
             if c.contains(',') || c.contains('"') {
@@ -81,8 +105,7 @@ impl Table {
         for row in &self.rows {
             let _ = writeln!(s, "{}", row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
         }
-        std::fs::write(&path, s)?;
-        Ok(path)
+        s
     }
 }
 
@@ -137,19 +160,6 @@ pub fn ascii_chart(title: &str, series: &[Series], width: usize, height: usize) 
         let _ = writeln!(out, "   {} {}", s.marker, s.label);
     }
     out
-}
-
-/// The experiment output directory (`target/experiments`), created on
-/// first use. An error when it cannot be created, so that a missing
-/// directory costs only the CSV files and never the experiment.
-pub fn out_dir() -> std::io::Result<PathBuf> {
-    created(Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments"))
-}
-
-/// `dir`, created along with any missing parents.
-fn created(dir: PathBuf) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(&dir)?;
-    Ok(dir)
 }
 
 /// Compact scientific formatting for seconds.
@@ -222,19 +232,17 @@ mod tests {
         let mut t = Table::new("csv", &["x", "label"]);
         t.row(vec!["1".into(), "plain".into()]);
         t.row(vec!["2".into(), "with,comma".into()]);
-        let p = t.write_csv("report_test.csv").unwrap();
-        let s = std::fs::read_to_string(p).unwrap();
-        assert!(s.starts_with("x,label\n"));
-        assert!(s.contains("\"with,comma\""));
+        assert_eq!(t.to_csv(), "x,label\n1,plain\n2,\"with,comma\"\n");
     }
 
     #[test]
-    fn a_directory_under_a_regular_file_is_an_error_not_a_panic() {
-        let file = std::env::temp_dir().join(format!("parspeed-report-{}", std::process::id()));
-        std::fs::write(&file, "").unwrap();
-        let made = created(file.join("experiments"));
-        std::fs::remove_file(&file).unwrap();
-        assert!(made.is_err(), "{made:?}");
+    fn a_report_renders_a_table_and_keeps_its_csv() {
+        let mut t = Table::new("demo", &["a"]);
+        t.row(vec!["1".into()]);
+        let mut r = Report { text: "intro\n".into(), ..Report::default() };
+        r.table("demo.csv", &t);
+        assert_eq!(r.text, format!("intro\n{}", t.render()));
+        assert_eq!(r.csv, [("demo.csv".to_string(), t.to_csv())]);
     }
 
     #[test]
@@ -245,5 +253,45 @@ mod tests {
         assert_eq!(secs(3.0e-6), "3.000 µs");
         assert_eq!(secs(5.0e-9), "5.0 ns");
         assert_eq!(pct(0.1234), "12.34%");
+    }
+
+    #[test]
+    fn render_pads_each_column_to_its_widest_cell() {
+        let mut t = Table::new("demo", &["a", "beta"]);
+        t.row(vec!["1".into(), "2".into()]);
+        t.row(vec!["100".into(), "x".into()]);
+        assert_eq!(t.render(), "── demo ──\n  a    beta\n  ---  ----\n  1    2\n  100  x\n");
+    }
+
+    #[test]
+    fn csv_doubles_the_quotes_inside_a_quoted_cell() {
+        let mut t = Table::new("csv", &["name", "say \"hi\""]);
+        t.row(vec!["a \"b\", c".into(), "plain".into()]);
+        assert_eq!(t.to_csv(), "name,\"say \"\"hi\"\"\"\n\"a \"\"b\"\", c\",plain\n");
+    }
+
+    #[test]
+    fn csv_of_a_table_without_rows_is_its_header_line() {
+        let t = Table::new("empty", &["x", "y"]);
+        assert!(t.is_empty());
+        assert_eq!(t.to_csv(), "x,y\n");
+    }
+
+    #[test]
+    fn append_keeps_texts_and_series_in_order() {
+        let one = |file: &str, cell: &str| {
+            let mut t = Table::new(file, &["v"]);
+            t.row(vec![cell.into()]);
+            let mut r = Report::default();
+            r.table(file, &t);
+            (r, t)
+        };
+        let (mut first, a) = one("a.csv", "1");
+        let (second, b) = one("b.csv", "2");
+        first.append(second);
+        assert_eq!(first.text, format!("{}{}", a.render(), b.render()));
+        let names: Vec<&str> = first.csv.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["a.csv", "b.csv"]);
+        assert_eq!(first.csv[1].1, "v\n2\n");
     }
 }

@@ -17,6 +17,7 @@ fn ceiling(base: u64, cap: u64, attempt: u32) -> u64 {
 proptest! {
     /// Same inputs, same wait: the schedule is a pure function, so the
     /// same seed and the same traffic replay the same timeline.
+    #[test]
     fn deterministic_per_seed(
         base in 0u64..10_000,
         cap in 0u64..100_000,
@@ -31,6 +32,7 @@ proptest! {
 
     /// A seed reshuffles the jitter but never the envelope: every wait
     /// lands in the attempt's `[ceiling/2, ceiling]` window.
+    #[test]
     fn jitter_stays_inside_the_envelope(
         base in 1u64..10_000,
         extra in 0u64..100_000,
@@ -46,6 +48,7 @@ proptest! {
 
     /// The first attempt — and the degenerate zero-base schedule —
     /// never waits: failover is immediate, backoff starts at attempt 2.
+    #[test]
     fn first_attempt_is_immediate(
         base in 0u64..10_000,
         cap in 0u64..100_000,
@@ -61,6 +64,7 @@ proptest! {
     /// least the base), and the un-jittered ceiling is monotone in the
     /// attempt number until it saturates at the cap — a later attempt
     /// never promises a *shorter* maximum wait.
+    #[test]
     fn capped_and_monotone(
         base in 1u64..10_000,
         extra in 0u64..100_000,

@@ -205,4 +205,35 @@ mod tests {
         let e = Args::parse(&toks(&["256"]), &["n"], &[]).unwrap_err();
         assert!(e.0.contains("256"));
     }
+
+    #[test]
+    fn a_switch_takes_no_value() {
+        let e = Args::parse(&toks(&["--quick", "yes"]), &[], &["quick"]).unwrap_err();
+        assert_eq!(e.0, "unexpected argument `yes` (flags start with --)");
+    }
+
+    #[test]
+    fn optional_values_are_none_when_absent() {
+        let a =
+            Args::parse(&toks(&["--procs", "16", "--tol", "1e-6"]), &["procs", "tol", "addr"], &[])
+                .unwrap();
+        assert_eq!(a.usize_opt("procs").unwrap(), Some(16));
+        assert_eq!(a.f64_opt("tol").unwrap(), Some(1e-6));
+        assert_eq!(a.str_opt("addr"), None);
+        assert_eq!(a.usize_opt("addr").unwrap(), None);
+        assert_eq!(a.f64_opt("addr").unwrap(), None);
+    }
+
+    #[test]
+    fn bad_floats_and_list_items_name_the_flag_and_the_value() {
+        let a =
+            Args::parse(&toks(&["--tol", "tiny", "--threads", "1,two"]), &["tol", "threads"], &[])
+                .unwrap();
+        assert_eq!(a.f64_or("tol", 1e-8).unwrap_err().0, "flag `--tol`: `tiny` is not a number");
+        assert_eq!(a.f64_opt("tol").unwrap_err().0, "flag `--tol`: `tiny` is not a number");
+        assert_eq!(
+            a.usize_list_or("threads", &[1]).unwrap_err().0,
+            "flag `--threads`: `two` is not a positive integer"
+        );
+    }
 }

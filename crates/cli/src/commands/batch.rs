@@ -7,7 +7,7 @@ use std::io::Read as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-pub const KEYS: &[&str] = &["input", "cache", "cache-capacity", "shards", "threads"];
+pub const KEYS: &[&str] = &["input", "cache-capacity", "shards", "threads"];
 pub const SWITCHES: &[&str] = &["stats"];
 
 /// Usage shown by `parspeed help batch`.
@@ -29,8 +29,7 @@ accepted with a deprecation note on stderr). Lines that fail to parse
 produce an {\"ok\":false,\"line\":N,...} response in their slot; they
 never abort the rest of the batch.
 
-  --cache-capacity N   cached results kept across the run (default 65536;
-                       --cache is a deprecated alias)
+  --cache-capacity N   cached results kept across the run (default 65536)
   --shards N           cache shards (default 16)
   --threads N          worker threads; 0 = sized per operation from its work (default 0)";
 
@@ -47,13 +46,7 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         std::fs::read_to_string(input).map_err(|e| err(format!("cannot read `{input}`: {e}")))?
     };
 
-    let capacity = match (args.usize_opt("cache-capacity")?, args.usize_opt("cache")?) {
-        (Some(_), Some(_)) => {
-            return Err(err("give either --cache-capacity or its alias --cache, not both"))
-        }
-        (Some(c), None) | (None, Some(c)) => c,
-        (None, None) => parspeed_engine::DEFAULT_CACHE_CAPACITY,
-    };
+    let capacity = args.usize_or("cache-capacity", parspeed_engine::DEFAULT_CACHE_CAPACITY)?;
     let engine = super::serving_engine(args, capacity)?;
 
     // With --stats, also attribute engine time per stage; the recorder

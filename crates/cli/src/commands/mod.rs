@@ -1,8 +1,9 @@
 //! Subcommand dispatch, and the one road from commands to the models:
-//! every subcommand builds [`Query`] values and routes them through the
-//! process-wide [`Engine`](parspeed_engine::Engine)'s
+//! every model subcommand builds [`Query`] values and routes them through
+//! the process-wide [`Engine`](parspeed_engine::Engine)'s
 //! [`run_batch`](parspeed_engine::Engine::run_batch), so every entry point
-//! is planned, deduplicated, and cached.
+//! is planned, deduplicated, and cached. `experiment` runs the harness
+//! directly, since it alone writes files.
 
 use crate::args::{err, Args, CliError};
 use parspeed_engine::{Engine, EvalOutcome, EvalValue, PointLabel, Query, Response};
@@ -82,110 +83,81 @@ pub(crate) fn eval_single(query: Query) -> Result<EvalValue, CliError> {
 
 /// One macro-query (sweep, compare) → its expanded points.
 pub(crate) fn eval_points(query: Query) -> Result<Vec<(PointLabel, EvalOutcome)>, CliError> {
-    expanded_points(service_call(vec![query]).remove(0))
-}
-
-/// A macro-query's response → its expanded points.
-pub(crate) fn expanded_points(
-    response: Response,
-) -> Result<Vec<(PointLabel, EvalOutcome)>, CliError> {
-    match response {
+    match service_call(vec![query]).remove(0) {
         Response::Sweep(points) => Ok(points),
         Response::Invalid(e) => Err(err(e.to_string())),
         Response::Single(_) => Err(err("internal: unexpected single response")),
     }
 }
 
+/// How a command runs: the four model commands that take the
+/// architecture through `--arch <name>` get it split off their flags first.
+enum Runner {
+    Arch(fn(&str, &Args) -> Result<String, CliError>),
+    Plain(fn(&Args) -> Result<String, CliError>),
+}
+
+/// One subcommand: its name, its `help` text, its flags and its runner.
+struct Command {
+    name: &'static str,
+    usage: &'static str,
+    keys: &'static [&'static str],
+    switches: &'static [&'static str],
+    runner: Runner,
+}
+
+/// The [`Command`] of the module named like the command.
+macro_rules! command {
+    ($module:ident, $runner:ident) => {
+        Command {
+            name: stringify!($module),
+            usage: $module::USAGE,
+            keys: $module::KEYS,
+            switches: $module::SWITCHES,
+            runner: Runner::$runner($module::run),
+        }
+    };
+}
+
+/// Every command in [`USAGE`]'s order: the one table that both `help
+/// <command>` and [`dispatch`] read.
+const COMMANDS: &[Command] = &[
+    command!(optimize, Arch),
+    command!(batch, Plain),
+    command!(serve, Plain),
+    command!(route, Plain),
+    command!(metrics, Plain),
+    command!(compare, Plain),
+    command!(sweep, Arch),
+    command!(isoeff, Arch),
+    command!(minsize, Plain),
+    command!(table1, Plain),
+    command!(simulate, Arch),
+    command!(solve, Plain),
+    command!(threads, Plain),
+    command!(experiment, Plain),
+];
+
 /// Dispatches a full argument vector (without the program name).
 pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
-    let Some(command) = argv.first() else {
+    let Some(name) = argv.first() else {
         return Ok(USAGE.to_string());
     };
     let rest = &argv[1..];
-    // `optimize`, `sweep`, and `simulate` take the architecture through
-    // --arch so every command reads uniformly.
-    match command.as_str() {
-        "help" | "--help" | "-h" => {
-            let topic = rest.first().map(String::as_str).unwrap_or("");
-            Ok(match topic {
-                "optimize" => optimize::USAGE.into(),
-                "batch" => batch::USAGE.into(),
-                "serve" => serve::USAGE.into(),
-                "route" => route::USAGE.into(),
-                "metrics" => metrics::USAGE.into(),
-                "compare" => compare::USAGE.into(),
-                "sweep" => sweep::USAGE.into(),
-                "isoeff" => isoeff::USAGE.into(),
-                "minsize" => minsize::USAGE.into(),
-                "table1" => table1::USAGE.into(),
-                "simulate" => simulate::USAGE.into(),
-                "solve" => solve::USAGE.into(),
-                "threads" => threads::USAGE.into(),
-                "experiment" => experiment::USAGE.into(),
-                _ => USAGE.into(),
-            })
-        }
-        "optimize" => {
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        let topic = rest.first().map(String::as_str).unwrap_or("");
+        let command = COMMANDS.iter().find(|c| c.name == topic);
+        return Ok(command.map_or(USAGE, |c| c.usage).to_string());
+    }
+    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+        return Err(err(format!("unknown command `{name}`; try `parspeed help`")));
+    };
+    match command.runner {
+        Runner::Arch(run) => {
             let (arch, tokens) = split_arch(rest)?;
-            let args = Args::parse(&tokens, optimize::KEYS, optimize::SWITCHES)?;
-            optimize::run(&arch, &args)
+            run(&arch, &Args::parse(&tokens, command.keys, command.switches)?)
         }
-        "sweep" => {
-            let (arch, tokens) = split_arch(rest)?;
-            let args = Args::parse(&tokens, sweep::KEYS, sweep::SWITCHES)?;
-            sweep::run(&arch, &args)
-        }
-        "simulate" => {
-            let (arch, tokens) = split_arch(rest)?;
-            let args = Args::parse(&tokens, simulate::KEYS, simulate::SWITCHES)?;
-            simulate::run(&arch, &args)
-        }
-        "isoeff" => {
-            let (arch, tokens) = split_arch(rest)?;
-            let args = Args::parse(&tokens, isoeff::KEYS, isoeff::SWITCHES)?;
-            isoeff::run(&arch, &args)
-        }
-        "batch" => {
-            let args = Args::parse(rest, batch::KEYS, batch::SWITCHES)?;
-            batch::run(&args)
-        }
-        "serve" => {
-            let args = Args::parse(rest, serve::KEYS, serve::SWITCHES)?;
-            serve::run(&args)
-        }
-        "route" => {
-            let args = Args::parse(rest, route::KEYS, route::SWITCHES)?;
-            route::run(&args)
-        }
-        "metrics" => {
-            let args = Args::parse(rest, metrics::KEYS, metrics::SWITCHES)?;
-            metrics::run(&args)
-        }
-        "compare" => {
-            let args = Args::parse(rest, compare::KEYS, compare::SWITCHES)?;
-            compare::run(&args)
-        }
-        "minsize" => {
-            let args = Args::parse(rest, minsize::KEYS, minsize::SWITCHES)?;
-            minsize::run(&args)
-        }
-        "table1" => {
-            let args = Args::parse(rest, table1::KEYS, table1::SWITCHES)?;
-            table1::run(&args)
-        }
-        "solve" => {
-            let args = Args::parse(rest, solve::KEYS, solve::SWITCHES)?;
-            solve::run(&args)
-        }
-        "threads" => {
-            let args = Args::parse(rest, threads::KEYS, threads::SWITCHES)?;
-            threads::run(&args)
-        }
-        "experiment" => {
-            let args = Args::parse(rest, experiment::KEYS, experiment::SWITCHES)?;
-            experiment::run(&args)
-        }
-        other => Err(err(format!("unknown command `{other}`; try `parspeed help`"))),
+        Runner::Plain(run) => run(&Args::parse(rest, command.keys, command.switches)?),
     }
 }
 
@@ -240,10 +212,38 @@ mod tests {
     }
 
     #[test]
+    fn usage_lists_exactly_the_table_commands() {
+        let listed: Vec<&str> = USAGE
+            .split("COMMANDS:\n")
+            .nth(1)
+            .unwrap()
+            .lines()
+            .take_while(|l| l.starts_with("  "))
+            .map(|l| l.split_whitespace().next().unwrap())
+            .filter(|name| *name != "help")
+            .collect();
+        let table: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+        assert_eq!(listed, table);
+        for c in COMMANDS {
+            assert!(c.usage.starts_with(&format!("parspeed {} ", c.name)), "{}", c.name);
+            let arch = matches!(c.runner, Runner::Arch(_));
+            assert_eq!(c.usage.contains("--arch <name>"), arch, "{}", c.name);
+        }
+    }
+
+    #[test]
     fn arch_commands_require_arch() {
         let e = d(&["optimize"]).unwrap_err();
         assert!(e.0.contains("--arch"));
         assert!(e.0.contains("hypercube"));
+    }
+
+    #[test]
+    fn the_deleted_cache_knobs_are_unknown_flags() {
+        let e = d(&["sweep", "--arch", "sync-bus", "--cache-capacity", "4"]).unwrap_err();
+        assert!(e.0.starts_with("unknown flag `--cache-capacity`"), "{}", e.0);
+        let e = d(&["batch", "--cache", "4"]).unwrap_err();
+        assert!(e.0.starts_with("unknown flag `--cache`"), "{}", e.0);
     }
 
     #[test]
@@ -297,5 +297,49 @@ mod tests {
         let a = d(&["simulate", "--n", "64", "--arch", "mesh", "--procs", "4"]).unwrap();
         let b = d(&["simulate", "--arch", "mesh", "--n", "64", "--procs", "4"]).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn help_and_its_aliases_print_each_command_usage() {
+        for c in COMMANDS {
+            for help in ["help", "--help", "-h"] {
+                assert_eq!(d(&[help, c.name]).unwrap(), c.usage, "{help} {}", c.name);
+            }
+        }
+    }
+
+    /// Each command parses against its own module's flags: an unknown
+    /// flag is refused with exactly that command's flags listed.
+    #[test]
+    fn each_command_lists_its_own_flags() {
+        for c in COMMANDS {
+            let mut argv = vec![c.name];
+            if matches!(c.runner, Runner::Arch(_)) {
+                argv.extend(["--arch", "sync-bus"]);
+            }
+            argv.extend(["--no-such-flag", "1"]);
+            let mut valid: Vec<&str> = c.keys.iter().chain(c.switches).copied().collect();
+            valid.sort_unstable();
+            let valid: Vec<String> = valid.iter().map(|f| format!("--{f}")).collect();
+            let expected =
+                format!("unknown flag `--no-such-flag`; valid flags: {}", valid.join(", "));
+            assert_eq!(d(&argv).unwrap_err().0, expected, "{}", c.name);
+        }
+    }
+
+    #[test]
+    fn commands_without_an_architecture_refuse_arch() {
+        for c in COMMANDS.iter().filter(|c| matches!(c.runner, Runner::Plain(_))) {
+            let e = d(&[c.name, "--arch", "sync-bus"]).unwrap_err();
+            assert!(e.0.starts_with("unknown flag `--arch`"), "{}: {}", c.name, e.0);
+        }
+    }
+
+    #[test]
+    fn arch_takes_exactly_one_value() {
+        let e = d(&["optimize", "--n", "64", "--arch"]).unwrap_err();
+        assert_eq!(e.0, "flag `--arch` needs a value");
+        let e = d(&["sweep", "--arch", "mesh", "--arch", "hypercube"]).unwrap_err();
+        assert_eq!(e.0, "flag `--arch` given twice");
     }
 }

@@ -8,37 +8,23 @@
 //! used to make, so the rendered table is unchanged.
 
 use crate::args::{Args, CliError};
-use crate::commands::expanded_points;
+use crate::commands::eval_points;
 use crate::select;
 use parspeed_bench::report::Table;
-use parspeed_engine::{Engine, EvalValue, Query};
+use parspeed_engine::{EvalValue, Query};
 
 pub const KEYS: &[&str] = &[
-    "stencil",
-    "shape",
-    "procs",
-    "n-from",
-    "n-to",
-    "cache-capacity",
-    "tfp",
-    "b",
-    "c",
-    "alpha",
-    "beta",
-    "packet",
-    "w",
+    "stencil", "shape", "procs", "n-from", "n-to", "tfp", "b", "c", "alpha", "beta", "packet", "w",
 ];
 pub const SWITCHES: &[&str] = &["flex32"];
 
 /// Usage shown by `parspeed help sweep`.
 pub const USAGE: &str = "parspeed sweep --arch <name> [--n-from 64] [--n-to 4096] [--stencil 5pt]
-    [--shape square] [--procs N] [--cache-capacity N] [machine overrides]
+    [--shape square] [--procs N] [machine overrides]
 
 Doubles the grid side from --n-from to --n-to and reports the optimal
 allocation at each size: how speedup scales when the machine grows with
-the problem (Table I) or is fixed at --procs (speedup → N, §6.1).
---cache-capacity runs the sweep on a dedicated engine with that many
-cached results instead of the shared process-wide cache.";
+the problem (Table I) or is fixed at --procs (speedup → N, §6.1).";
 
 /// Runs the subcommand.
 pub fn run(arch: &str, args: &Args) -> Result<String, CliError> {
@@ -62,12 +48,7 @@ pub fn run(arch: &str, args: &Args) -> Result<String, CliError> {
         n_to,
     };
 
-    // --cache-capacity isolates this sweep on a dedicated engine; the
-    // default path shares the process-wide cache with every other command.
-    let dedicated =
-        args.usize_opt("cache-capacity")?.map(|c| Engine::builder().cache_capacity(c).build());
-    let engine = dedicated.as_ref().unwrap_or_else(|| crate::engine());
-    let points = expanded_points(engine.run_batch(&[query]).responses.remove(0))?;
+    let points = eval_points(query)?;
 
     let mut t = Table::new(
         format!(
@@ -129,15 +110,6 @@ mod tests {
     #[test]
     fn bad_range_is_an_error() {
         assert!(run("hypercube", &parse(&["--n-from", "512", "--n-to", "256"])).is_err());
-    }
-
-    #[test]
-    fn dedicated_cache_capacity_matches_shared_engine_output() {
-        let shared = run("sync-bus", &parse(&["--n-from", "64", "--n-to", "512"])).unwrap();
-        let dedicated =
-            run("sync-bus", &parse(&["--n-from", "64", "--n-to", "512", "--cache-capacity", "4"]))
-                .unwrap();
-        assert_eq!(shared, dedicated);
     }
 
     #[test]

@@ -8,16 +8,14 @@ mod select;
 
 use std::sync::OnceLock;
 
-/// The process-wide query engine, the service surface every command talks
-/// to: commands share one result cache, so repeated work within a process
-/// (or a test run) short-circuits. The experiment harness is registered
-/// here so `Query::Experiment` requests route back through
-/// `parspeed-bench` (which depends on the engine, not vice versa).
+/// The process-wide query engine, the service surface the model commands
+/// talk to: commands share one result cache, so repeated work within a
+/// process (or a test run) short-circuits. No command sends it an
+/// experiment (`parspeed experiment` runs the harness directly), so it
+/// registers no experiment runner.
 fn engine() -> &'static parspeed_engine::Engine {
     static ENGINE: OnceLock<parspeed_engine::Engine> = OnceLock::new();
-    ENGINE.get_or_init(|| {
-        parspeed_engine::Engine::builder().experiment_runner(commands::experiment::runner).build()
-    })
+    ENGINE.get_or_init(parspeed_engine::Engine::default)
 }
 
 fn main() {

@@ -5,7 +5,9 @@
 //! tests prove the reroute changed nothing a user sees.
 //! (`threads` is excluded — it prints wall-clock measurements — and the
 //! `batch` golden pins the legacy wire-v1 response shape, which v1 request
-//! lines must keep receiving under the v2 schema.)
+//! lines must keep receiving under the v2 schema.) Every command runs in a
+//! scratch working directory under the build's temporary directory, so
+//! the files `experiment` writes never land in the checkout.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -14,9 +16,19 @@ fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
+/// The working directory every command here runs in.
+fn work_dir() -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden");
+    std::fs::create_dir_all(&dir).expect("create the working directory");
+    dir
+}
+
 fn run_cli(args: &[&str]) -> String {
-    let out =
-        Command::new(env!("CARGO_BIN_EXE_parspeed")).args(args).output().expect("spawn parspeed");
+    let out = Command::new(env!("CARGO_BIN_EXE_parspeed"))
+        .args(args)
+        .current_dir(work_dir())
+        .output()
+        .expect("spawn parspeed");
     assert!(
         out.status.success(),
         "parspeed {args:?} failed: {}",

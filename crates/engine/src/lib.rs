@@ -163,7 +163,7 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 65_536;
 impl EngineBuilder {
     /// Total cached outcomes kept across batches. Defaults to
     /// [`DEFAULT_CACHE_CAPACITY`] (65 536 entries) — the CLI exposes this
-    /// as `--cache-capacity` on `parspeed batch` and `parspeed sweep`.
+    /// as `--cache-capacity` on `parspeed batch`, `serve` and `route`.
     pub fn cache_capacity(mut self, entries: usize) -> Self {
         self.cache_capacity = entries;
         self

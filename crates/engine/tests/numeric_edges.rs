@@ -321,50 +321,62 @@ fn lines(op: fn(&mut TestRng) -> String) -> impl Strategy<Value = Vec<String>> {
 }
 
 proptest! {
+    #[test]
     fn optimize_edges_answer_in_their_slot(batch in lines(optimize)) {
         answer_in_their_slots(&batch)?;
     }
 
+    #[test]
     fn minsize_edges_answer_in_their_slot(batch in lines(minsize)) {
         answer_in_their_slots(&batch)?;
     }
 
+    #[test]
     fn isoeff_edges_answer_in_their_slot(batch in lines(isoeff)) {
         answer_in_their_slots(&batch)?;
     }
 
+    #[test]
     fn leverage_edges_answer_in_their_slot(batch in lines(leverage)) {
         answer_in_their_slots(&batch)?;
     }
 
+    #[test]
     fn sweep_edges_answer_in_their_slot(batch in lines(sweep)) {
         answer_in_their_slots(&batch)?;
     }
 
+    #[test]
     fn table1_edges_answer_in_their_slot(batch in lines(table1)) {
         answer_in_their_slots(&batch)?;
     }
 
+    #[test]
     fn compare_edges_answer_in_their_slot(batch in lines(compare)) {
         answer_in_their_slots(&batch)?;
     }
 
+    #[test]
     fn simulate_edges_answer_in_their_slot(batch in lines(simulate)) {
         answer_in_their_slots(&batch)?;
     }
 
+    #[test]
     fn solve_edges_answer_in_their_slot(batch in lines(solve)) {
         answer_in_their_slots(&batch)?;
     }
 
+    #[test]
     fn check_schedule_edges_answer_in_their_slot(batch in lines(scheduled_solve)) {
         answer_in_their_slots(&batch)?;
     }
 
+    #[test]
     fn threads_edges_answer_in_their_slot(batch in lines(threads)) {
         answer_in_their_slots(&batch)?;
     }
 
+    #[test]
     fn machine_edges_answer_in_their_slot(batch in lines(with_machine)) {
         answer_in_their_slots(&batch)?;
     }

@@ -234,6 +234,7 @@ impl Strategy for Replies {
 }
 
 proptest! {
+    #[test]
     fn replies_are_in_the_tree_writers_normal_form(lines in Replies) {
         for line in &lines {
             let tree = jsonl::parse(line).map_err(|e| TestCaseError::fail(format!("{e}: {line}")))?;

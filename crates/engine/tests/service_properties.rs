@@ -186,6 +186,7 @@ proptest! {
     /// Shuffle a duplicated mixed-kind batch with a seeded permutation:
     /// the engine must answer every slot in the original request order,
     /// bit-identical to the direct calls.
+    #[test]
     fn shuffled_duplicated_batch_answers_in_order_bit_identically(
         seed in 0u64..1_000_000,
         dup in 1usize..4,

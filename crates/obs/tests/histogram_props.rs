@@ -32,6 +32,7 @@ fn reference_quantile(sorted: &[u64], q: f64) -> u64 {
 }
 
 proptest! {
+    #[test]
     fn merged_shards_quantile_match_a_single_threaded_reference(
         values in prop::collection::vec(0u64..5_000_000_000, 0..400),
         threads in 1usize..7,
@@ -69,6 +70,7 @@ proptest! {
         }
     }
 
+    #[test]
     fn merging_snapshots_is_exact(
         a in prop::collection::vec(0u64..1_000_000, 0..200),
         b in prop::collection::vec(0u64..1_000_000, 0..200),
@@ -91,6 +93,7 @@ proptest! {
         prop_assert_eq!(ha.snapshot(), hall.snapshot());
     }
 
+    #[test]
     fn power_of_two_boundaries_are_exact(k in 0u32..63) {
         // 2^k and 2^k - 1 must land in adjacent buckets: recording each
         // alone gives p50 = value's own bucket_hi (capped at max).
@@ -113,6 +116,7 @@ proptest! {
         }
     }
 
+    #[test]
     fn count_and_total_are_exact(values in prop::collection::vec(0u64..10_000_000, 0..300)) {
         let h = Histogram::new();
         for &v in &values {

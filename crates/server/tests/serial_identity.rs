@@ -47,6 +47,7 @@ fn pool() -> Vec<Query> {
 }
 
 proptest! {
+    #[test]
     fn concurrent_schedules_are_bit_identical_to_serial_run_batch(
         seed in 0u64..1_000_000,
         clients in 1usize..5,
